@@ -23,7 +23,9 @@ struct Outcome {
   double fct_p99_ms = 0;
   double peak_util = 0;
   std::uint64_t completed = 0;
-  net::SdnStats stats;
+  std::uint64_t packet_ins = 0;
+  std::uint64_t table_hits = 0;
+  std::uint64_t rules_installed = 0;
 };
 
 // policy_index 0..2 = SDN policies; 3 = the pre-SDN spanning-tree L2 fabric.
@@ -87,7 +89,9 @@ Outcome run_policy(int policy_index) {
   out.fct_p50_ms = fct.median();
   out.fct_p99_ms = fct.p99();
   out.peak_util = peak.max();
-  out.stats = controller.stats();
+  out.packet_ins = sim.metrics().counter_value("net.sdn.packet_ins");
+  out.table_hits = sim.metrics().counter_value("net.sdn.table_hits");
+  out.rules_installed = sim.metrics().counter_value("net.sdn.rules_installed");
   return out;
 }
 
@@ -109,10 +113,9 @@ int main() {
     std::printf("%-16s %9.1f %9.1f %9llu %10llu %10llu %9llu\n", labels[i],
                 results[i].fct_p50_ms, results[i].fct_p99_ms,
                 static_cast<unsigned long long>(results[i].completed),
-                static_cast<unsigned long long>(results[i].stats.packet_ins),
-                static_cast<unsigned long long>(results[i].stats.table_hits),
-                static_cast<unsigned long long>(
-                    results[i].stats.rules_installed));
+                static_cast<unsigned long long>(results[i].packet_ins),
+                static_cast<unsigned long long>(results[i].table_hits),
+                static_cast<unsigned long long>(results[i].rules_installed));
   }
   std::printf("  (* the pre-SDN L2 baseline: redundant root blocked by STP)\n");
 

@@ -92,8 +92,10 @@ int main() {
   fabric.start_flow(std::move(spec));
   std::printf("\nSDN control plane (OpenFlow aggregation):\n");
   std::printf("  packet-ins: %llu, rules installed: %llu, table rules: %zu\n",
-              static_cast<unsigned long long>(controller.stats().packet_ins),
-              static_cast<unsigned long long>(controller.stats().rules_installed),
+              static_cast<unsigned long long>(
+                  sim.metrics().counter_value("net.sdn.packet_ins")),
+              static_cast<unsigned long long>(
+                  sim.metrics().counter_value("net.sdn.rules_installed")),
               controller.total_rules());
   sim.run();
 

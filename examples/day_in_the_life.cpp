@@ -116,8 +116,10 @@ int main() {
               "%llu node crashes (%llu healed), %llu replica replacements\n",
               static_cast<unsigned long long>(clients.sent()),
               availability * 100, cloud.energy_kwh(),
-              static_cast<unsigned long long>(chaos.stats().node_crashes),
-              static_cast<unsigned long long>(chaos.stats().node_repairs),
+              static_cast<unsigned long long>(
+                  sim.metrics().counter_value("cloud.chaos.node_crashes")),
+              static_cast<unsigned long long>(
+                  sim.metrics().counter_value("cloud.chaos.node_repairs")),
               static_cast<unsigned long long>(tier.stats().replaced));
   std::printf("\nEvery row above is the cross-layer story: traffic drives\n"
               "CPU, the autopilot chases it with the socket board, chaos\n"

@@ -16,14 +16,20 @@ using namespace picloud;
 
 namespace {
 
-void print_stats(const char* when, const net::SdnController& controller) {
-  const net::SdnStats& s = controller.stats();
+void print_stats(const char* when, const sim::Simulation& sim,
+                 const net::SdnController& controller) {
+  const util::MetricsRegistry& m = sim.metrics();
   std::printf("  [%s] packet-ins=%llu hits=%llu installed=%llu evicted=%llu "
               "rules=%zu\n",
-              when, static_cast<unsigned long long>(s.packet_ins),
-              static_cast<unsigned long long>(s.table_hits),
-              static_cast<unsigned long long>(s.rules_installed),
-              static_cast<unsigned long long>(s.rules_evicted),
+              when,
+              static_cast<unsigned long long>(
+                  m.counter_value("net.sdn.packet_ins")),
+              static_cast<unsigned long long>(
+                  m.counter_value("net.sdn.table_hits")),
+              static_cast<unsigned long long>(
+                  m.counter_value("net.sdn.rules_installed")),
+              static_cast<unsigned long long>(
+                  m.counter_value("net.sdn.rules_evicted")),
               controller.total_rules());
 }
 
@@ -65,7 +71,7 @@ int main() {
   net::FlowId flow = fabric.start_flow(std::move(spec));
   std::printf("   chosen: %s\n",
               path_string(fabric, fabric.flow_path(flow)).c_str());
-  print_stats("after first flow", controller);
+  print_stats("after first flow", sim, controller);
   sim.run();
 
   std::printf("\n3. Administrative pinning (policy override):\n");
@@ -80,7 +86,7 @@ int main() {
   net::FlowId pinned_flow = fabric.start_flow(std::move(pinned));
   std::printf("   pinned:  %s\n",
               path_string(fabric, fabric.flow_path(pinned_flow)).c_str());
-  print_stats("after pinning", controller);
+  print_stats("after pinning", sim, controller);
   sim.run();
 
   std::printf("\n4. Failure reaction:\n");
@@ -96,14 +102,14 @@ int main() {
   net::FlowId retry_flow = fabric.start_flow(std::move(retry));
   std::printf("   rerouted: %s\n",
               path_string(fabric, fabric.flow_path(retry_flow)).c_str());
-  print_stats("after failure", controller);
+  print_stats("after failure", sim, controller);
   fabric.set_link_pair_up(broken, true);
   sim.run();
 
   std::printf("\n5. Idle rule eviction (30 s timeout):\n");
   sim.run_until(sim.now() + sim::Duration::seconds(60));
   controller.evict_idle(sim.now());
-  print_stats("after 60 s idle", controller);
+  print_stats("after 60 s idle", sim, controller);
 
   return 0;
 }

@@ -91,12 +91,15 @@ int main() {
   clients.stop();
 
   if (cloud.sdn() != nullptr) {
-    const net::SdnStats& stats = cloud.sdn()->stats();
+    const util::MetricsRegistry& m = sim.metrics();
     std::printf("\nSDN controller: %llu packet-ins, %llu rules installed, "
                 "%llu table hits\n",
-                static_cast<unsigned long long>(stats.packet_ins),
-                static_cast<unsigned long long>(stats.rules_installed),
-                static_cast<unsigned long long>(stats.table_hits));
+                static_cast<unsigned long long>(
+                    m.counter_value("net.sdn.packet_ins")),
+                static_cast<unsigned long long>(
+                    m.counter_value("net.sdn.rules_installed")),
+                static_cast<unsigned long long>(
+                    m.counter_value("net.sdn.table_hits")));
   }
   std::printf("service survived the uplink failure: %s\n",
               clients.timed_out() < clients.sent() / 20 ? "yes" : "no");

@@ -15,6 +15,10 @@ Autopilot::~Autopilot() { stop(); }
 void Autopilot::start() {
   if (running_) return;
   running_ = true;
+  // The SLO-burn window opens now: sheds counted before start() are history,
+  // not burn.
+  last_slo_count_ = sim_.metrics().counter_value(config_.slo_burn_counter);
+  last_slo_sample_ = sim_.now();
   evaluation_task_ = sim::PeriodicTask(sim_, config_.evaluation_period,
                                        [this]() { evaluate(); });
 }
@@ -35,9 +39,12 @@ void Autopilot::evaluate() {
         sim_.metrics().counter_value(config_.slo_burn_counter);
     const std::uint64_t burned =
         count >= last_slo_count_ ? count - last_slo_count_ : 0;
+    // An in-flight drain skips evaluations, so the window is the sim time
+    // since the last sample, not one evaluation period.
+    const double window_s = (sim_.now() - last_slo_sample_).to_seconds();
     last_slo_count_ = count;
-    const double rate =
-        static_cast<double>(burned) / config_.evaluation_period.to_seconds();
+    last_slo_sample_ = sim_.now();
+    const double rate = static_cast<double>(burned) / window_s;
     if (rate > config_.slo_burn_threshold) {
       ++stats_.slo_scale_ups;
       LOG_INFO("autopilot", "SLO burn %.1f/s on %s: scaling up", rate,

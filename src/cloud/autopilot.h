@@ -41,13 +41,15 @@ class Autopilot {
     // --- SLO-burn scale-up (DESIGN.md §11) -----------------------------------
     // A registry counter whose growth is an SLO violation (shed requests,
     // deadline drops — e.g. "apps.httpd.shed_admission"). When it burns
-    // faster than `slo_burn_threshold` per second over an evaluation
-    // period, the autopilot wakes parked capacity and fires the scale-up
-    // hook instead of consolidating. Empty = disabled.
+    // faster than `slo_burn_threshold` per second since the previous
+    // evaluation (or start()), the autopilot wakes parked capacity and fires
+    // the scale-up hook instead of consolidating. Empty = disabled.
     std::string slo_burn_counter;
     double slo_burn_threshold = 1.0;  // violations/sec
   };
 
+  // This autopilot's own tallies, kept out of the registry on purpose:
+  // registering them would add names and change snapshot bytes.
   // picloud-lint: allow(metrics-registry)
   struct Stats {
     std::uint64_t evaluations = 0;
@@ -97,7 +99,9 @@ class Autopilot {
   Config config_;
   PowerControl power_control_;
   ScaleUpHook scale_up_hook_;
+  // The SLO-burn counter's value, and the sim time, at the last sample.
   std::uint64_t last_slo_count_ = 0;
+  sim::SimTime last_slo_sample_;
   bool running_ = false;
   bool draining_ = false;
   std::set<std::string> parked_;

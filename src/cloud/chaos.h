@@ -43,16 +43,6 @@ class ChaosMonkey {
     sim::Duration tick = sim::Duration::seconds(10);
   };
 
-  // Value snapshot of the `cloud.chaos.*` registry counters.
-  struct Stats {
-    std::uint64_t node_crashes = 0;
-    std::uint64_t node_repairs = 0;
-    std::uint64_t link_cuts = 0;
-    std::uint64_t link_repairs = 0;
-    std::uint64_t loss_onsets = 0;
-    std::uint64_t loss_clears = 0;
-  };
-
   ChaosMonkey(sim::Simulation& sim, net::Fabric& fabric, Config config,
               util::Rng rng);
   ~ChaosMonkey();
@@ -68,16 +58,6 @@ class ChaosMonkey {
   void start();
   void stop();
 
-  Stats stats() const {
-    Stats s;
-    s.node_crashes = node_crashes_->value();
-    s.node_repairs = node_repairs_->value();
-    s.link_cuts = link_cuts_->value();
-    s.link_repairs = link_repairs_->value();
-    s.loss_onsets = loss_onsets_->value();
-    s.loss_clears = loss_clears_->value();
-    return s;
-  }
   size_t nodes_down() const { return down_nodes_.size(); }
   size_t links_down() const { return down_links_.size(); }
   size_t links_lossy() const { return lossy_links_.size(); }

@@ -110,30 +110,8 @@ class MigrationCoordinator {
   // the point of no return loses the instance and reports instance_lost.
   void migrate(MigrationParams params, DoneCallback done);
 
-  // Value snapshot of the `cloud.migration.*` registry counters.
-  struct Stats {
-    std::uint64_t started = 0;
-    std::uint64_t succeeded = 0;
-    std::uint64_t failed = 0;  // all failures, including the below
-    std::uint64_t aborted_source_dead = 0;
-    std::uint64_t aborted_dest_dead = 0;
-    std::uint64_t rolled_back = 0;  // reverted to source with app restarted
-    std::uint64_t lost = 0;         // destination died past commit
-  };
-
   const std::vector<MigrationReport>& history() const { return history_; }
   size_t in_flight() const { return in_flight_; }
-  Stats stats() const {
-    Stats s;
-    s.started = started_->value();
-    s.succeeded = succeeded_->value();
-    s.failed = failed_->value();
-    s.aborted_source_dead = aborted_source_dead_->value();
-    s.aborted_dest_dead = aborted_dest_dead_->value();
-    s.rolled_back = rolled_back_->value();
-    s.lost = lost_->value();
-    return s;
-  }
 
  private:
   struct Session;
@@ -158,11 +136,11 @@ class MigrationCoordinator {
   // Registry handles under `cloud.migration.*` (never null).
   util::Counter* started_ = nullptr;
   util::Counter* succeeded_ = nullptr;
-  util::Counter* failed_ = nullptr;
+  util::Counter* failed_ = nullptr;  // all failures, including the below
   util::Counter* aborted_source_dead_ = nullptr;
   util::Counter* aborted_dest_dead_ = nullptr;
-  util::Counter* rolled_back_ = nullptr;
-  util::Counter* lost_ = nullptr;
+  util::Counter* rolled_back_ = nullptr;  // reverted to source, app restarted
+  util::Counter* lost_ = nullptr;         // destination died past commit
   util::LogHistogram* downtime_seconds_ = nullptr;
 };
 

@@ -13,7 +13,10 @@ using proto::PathParams;
 using util::Json;
 
 NodeDaemon::NodeDaemon(os::NodeOs& node, Config config)
-    : node_(node), config_(config), scope_("node." + node.hostname()) {
+    : node_(node),
+      config_(config),
+      scope_("node." + node.hostname()),
+      idem_(node.simulation().metrics(), scope_ + ".dedup", 128) {
   util::MetricsRegistry& m = node_.simulation().metrics();
   heartbeats_sent_ = &m.counter(scope_ + ".heartbeats_sent");
   cpu_gauge_ = &m.gauge(scope_ + ".cpu_utilization");
@@ -23,7 +26,6 @@ NodeDaemon::NodeDaemon(os::NodeOs& node, Config config)
   containers_total_gauge_ = &m.gauge(scope_ + ".containers_total");
   containers_running_gauge_ = &m.gauge(scope_ + ".containers_running");
   power_gauge_ = &m.gauge(scope_ + ".power_watts");
-  idem_.bind_metrics(m, scope_ + ".dedup");
   install_routes();
 }
 
@@ -349,6 +351,7 @@ void NodeDaemon::install_routes() {
   router_.handle(
       Method::kGet, "/health",
       [this](const HttpRequest&, const PathParams&) {
+        const util::MetricsRegistry& m = node_.simulation().metrics();
         Json j = Json::object();
         j.set("hostname", node_.hostname());
         j.set("registered", registered_);
@@ -356,21 +359,17 @@ void NodeDaemon::install_routes() {
         j.set("heartbeats_sent",
               static_cast<unsigned long long>(heartbeats_sent_->value()));
         if (client_ != nullptr) {
-          const proto::RetryStats& rs = client_->retry_stats();
           Json retry = Json::object();
           retry.set("inflight", static_cast<double>(client_->inflight_retries()));
-          retry.set("attempts", static_cast<unsigned long long>(rs.attempts));
-          retry.set("retries", static_cast<unsigned long long>(rs.retries));
-          retry.set("exhausted", static_cast<unsigned long long>(rs.exhausted));
+          retry.set("attempts", m.counter_value(scope_ + ".rest.attempts"));
+          retry.set("retries", m.counter_value(scope_ + ".rest.retries"));
+          retry.set("exhausted", m.counter_value(scope_ + ".rest.exhausted"));
           j.set("retry", std::move(retry));
         }
         Json dedup = Json::object();
-        dedup.set("admitted",
-                  static_cast<unsigned long long>(idem_.stats().admitted));
-        dedup.set("replayed",
-                  static_cast<unsigned long long>(idem_.stats().replayed));
-        dedup.set("coalesced",
-                  static_cast<unsigned long long>(idem_.stats().coalesced));
+        dedup.set("admitted", m.counter_value(scope_ + ".dedup.admitted"));
+        dedup.set("replayed", m.counter_value(scope_ + ".dedup.replayed"));
+        dedup.set("coalesced", m.counter_value(scope_ + ".dedup.coalesced"));
         j.set("dedup", std::move(dedup));
         return HttpResponse::make(200, std::move(j));
       });

@@ -106,11 +106,6 @@ class NodeDaemon {
   std::uint64_t heartbeats_sent() const { return heartbeats_sent_->value(); }
   // This daemon's registry scope, "node.<hostname>".
   const std::string& metrics_scope() const { return scope_; }
-  // Dedup cache for idempotent mutations (spawn/delete).
-  const proto::IdempotencyCache& idempotency() const { return idem_; }
-  // REST client retry accounting (registration, heartbeats). The client
-  // only exists while the daemon is up and bound.
-  const proto::RestClient* rest_client() const { return client_.get(); }
 
  private:
   void on_dhcp_bound(net::Ipv4Addr ip, sim::Duration lease);
@@ -135,7 +130,9 @@ class NodeDaemon {
   std::unique_ptr<proto::RestServer> server_;
   std::unique_ptr<proto::RestClient> client_;
   sim::PeriodicTask heartbeat_task_;
-  proto::IdempotencyCache idem_{128};
+  // Dedup cache for idempotent mutations (spawn/delete), under
+  // `node.<hostname>.dedup.*`.
+  proto::IdempotencyCache idem_;
   bool started_ = false;
   bool registered_ = false;
   // Registry handles under `node.<hostname>.` (never null).

@@ -34,12 +34,12 @@ PiMaster::PiMaster(net::Network& network, net::NetNodeId fabric_node,
       sim_(network.simulation()),
       node_(fabric_node),
       config_(std::move(config)),
-      monitor_(sim_, config_.node_liveness_window) {
+      monitor_(sim_, config_.node_liveness_window),
+      idem_(sim_.metrics(), "cloud.master.dedup", 256) {
   util::MetricsRegistry& m = sim_.metrics();
   spawn_requests_ = &m.counter("cloud.master.spawn_requests");
   spawns_ok_ = &m.counter("cloud.master.spawns_ok");
   spawns_failed_ = &m.counter("cloud.master.spawns_failed");
-  idem_.bind_metrics(m, "cloud.master.dedup");
   auto policy = make_policy(config_.placement_policy);
   PICLOUD_CHECK(policy.ok()) << "unknown placement policy \""
                              << config_.placement_policy << "\"";
@@ -634,12 +634,14 @@ void PiMaster::install_routes() {
              proto::Responder respond) {
         // A retried spawn (client resent after a lost response) replays the
         // recorded outcome instead of reporting a spurious name collision.
-        const std::uint64_t replays_before = idem_.stats().replayed;
+        const util::MetricsRegistry& m = sim_.metrics();
+        const std::uint64_t replays_before =
+            m.counter_value("cloud.master.dedup.replayed");
         proto::Responder once =
             idem_.admit(req.body.get_string("idem"), std::move(respond));
         if (!once) {
           if (util::FaultInjection::instance().recount_replayed_spawn &&
-              idem_.stats().replayed > replays_before) {
+              m.counter_value("cloud.master.dedup.replayed") > replays_before) {
             // Planted, schedule-dependent bug for the model checker
             // (util/faults.h): the replay path re-counts the recorded
             // success, which only happens when the duplicate arrived after
@@ -810,6 +812,7 @@ void PiMaster::install_routes() {
 
   router_.handle(Method::kGet, "/health",
                  [this](const HttpRequest&, const PathParams&) {
+                   const util::MetricsRegistry& m = sim_.metrics();
                    ClusterSummary s = monitor_.summary();
                    Json j = Json::object();
                    j.set("role", "pimaster");
@@ -819,32 +822,36 @@ void PiMaster::install_routes() {
                    j.set("liveness_window_s",
                          config_.node_liveness_window.to_seconds());
                    if (client_) {
-                     const proto::RetryStats& rs = client_->retry_stats();
                      Json retry = Json::object();
                      retry.set("inflight",
                                static_cast<double>(client_->inflight_retries()));
-                     retry.set("attempts", static_cast<double>(rs.attempts));
-                     retry.set("retries", static_cast<double>(rs.retries));
-                     retry.set("exhausted", static_cast<double>(rs.exhausted));
+                     retry.set("attempts",
+                               m.counter_value("proto.rest.attempts"));
+                     retry.set("retries",
+                               m.counter_value("proto.rest.retries"));
+                     retry.set("exhausted",
+                               m.counter_value("proto.rest.exhausted"));
                      j.set("retry", std::move(retry));
                    }
                    Json dedup = Json::object();
                    dedup.set("admitted",
-                             static_cast<double>(idem_.stats().admitted));
+                             m.counter_value("cloud.master.dedup.admitted"));
                    dedup.set("replayed",
-                             static_cast<double>(idem_.stats().replayed));
+                             m.counter_value("cloud.master.dedup.replayed"));
                    dedup.set("coalesced",
-                             static_cast<double>(idem_.stats().coalesced));
+                             m.counter_value("cloud.master.dedup.coalesced"));
                    j.set("dedup", std::move(dedup));
                    if (reconciler_) {
-                     const Reconciler::Stats& cs = reconciler_->stats();
                      Json rec = Json::object();
-                     rec.set("sweeps", static_cast<double>(cs.sweeps));
+                     rec.set("sweeps",
+                             m.counter_value("cloud.reconciler.sweeps"));
                      rec.set("marked_lost",
-                             static_cast<double>(cs.marked_lost_dead_node +
-                                                 cs.marked_lost_drift));
+                             m.counter_value(
+                                 "cloud.reconciler.marked_lost_dead_node") +
+                                 m.counter_value(
+                                     "cloud.reconciler.marked_lost_drift"));
                      rec.set("orphans_destroyed",
-                             static_cast<double>(cs.orphans_destroyed));
+                             m.counter_value("cloud.reconciler.orphans_gc"));
                      j.set("reconciler", std::move(rec));
                    }
                    return HttpResponse::make(200, std::move(j));

@@ -141,9 +141,6 @@ class PiMaster {
   storage::ImageStore& images() { return images_; }
   ClusterMonitor& monitor() { return monitor_; }
   MigrationCoordinator& migrations() { return *migrations_; }
-  Reconciler& reconciler() { return *reconciler_; }
-  const proto::IdempotencyCache& idempotency() const { return idem_; }
-  const proto::RestClient* rest_client() const { return client_.get(); }
   net::Ipv4Addr ip() const { return config_.ip; }
   net::NetNodeId fabric_node() const { return node_; }
 
@@ -234,7 +231,7 @@ class PiMaster {
   std::map<std::string, net::Ipv4Addr> node_ips_;  // hostname -> mgmt ip
   // name -> last operation; erased with the instance record (bounded).
   std::map<std::string, OperationRecord> ops_;
-  proto::IdempotencyCache idem_{256};
+  proto::IdempotencyCache idem_;  // under `cloud.master.dedup.*`
   std::uint64_t op_seq_ = 0;  // idempotency keys for proxied daemon calls
   std::uint32_t next_container_mac_ = 1;
   // Registry handles under `cloud.master.*` (never null).

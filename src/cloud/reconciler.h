@@ -44,17 +44,6 @@ class Reconciler {
         2, sim::Duration::seconds(3));
   };
 
-  // Value snapshot of the `cloud.reconciler.*` registry counters
-  // (orphans_destroyed is exported as `cloud.reconciler.orphans_gc`).
-  struct Stats {
-    std::uint64_t sweeps = 0;
-    std::uint64_t node_queries = 0;
-    std::uint64_t query_failures = 0;
-    std::uint64_t marked_lost_dead_node = 0;  // node stopped heartbeating
-    std::uint64_t marked_lost_drift = 0;      // live node lost the container
-    std::uint64_t orphans_destroyed = 0;
-  };
-
   Reconciler(PiMaster& master, Config config);
   ~Reconciler();
 
@@ -64,16 +53,6 @@ class Reconciler {
   void start();
   void stop();
   bool running() const { return running_; }
-  Stats stats() const {
-    Stats s;
-    s.sweeps = sweeps_->value();
-    s.node_queries = node_queries_->value();
-    s.query_failures = query_failures_->value();
-    s.marked_lost_dead_node = marked_lost_dead_node_->value();
-    s.marked_lost_drift = marked_lost_drift_->value();
-    s.orphans_destroyed = orphans_gc_->value();
-    return s;
-  }
 
  private:
   void sweep();
@@ -88,8 +67,8 @@ class Reconciler {
   util::Counter* sweeps_ = nullptr;
   util::Counter* node_queries_ = nullptr;
   util::Counter* query_failures_ = nullptr;
-  util::Counter* marked_lost_dead_node_ = nullptr;
-  util::Counter* marked_lost_drift_ = nullptr;
+  util::Counter* marked_lost_dead_node_ = nullptr;  // node stopped heartbeating
+  util::Counter* marked_lost_drift_ = nullptr;  // live node lost the container
   util::Counter* orphans_gc_ = nullptr;
   bool running_ = false;
   // Discrepancy strike counters, keyed "orphan/<host>/<name>" and

@@ -29,6 +29,9 @@ class ReplicaSet {
     sim::Duration reconcile_period = sim::Duration::seconds(10);
   };
 
+  // This set's own tallies, kept out of the registry on purpose: ReplicaSet
+  // runs in the fuzz corpus, so registering them would change snapshot
+  // bytes and the golden digests.
   // picloud-lint: allow(metrics-registry)
   struct Stats {
     std::uint64_t reconciliations = 0;

@@ -207,7 +207,8 @@ void start_ops(const McConfig& config, sim::Simulation& sim,
       PICLOUD_CHECK(!cloud.fabric().node(master_node).out_links.empty());
       const net::LinkId uplink =
           cloud.fabric().node(master_node).out_links.front();
-      state.sweeps_target = cloud.master().reconciler().stats().sweeps + 2;
+      state.sweeps_target =
+          sim.metrics().counter_value("cloud.reconciler.sweeps") + 2;
       cloud.schedule_fault(sim::Duration::millis(500), "master-blip",
                            [&cloud, uplink, &state]() {
                              cloud.fabric().set_link_pair_up(uplink, false);
@@ -231,8 +232,8 @@ bool ops_done(const McConfig& config, cloud::PiCloud& cloud,
       return state.migration_done && state.crash_done;
     case McConfig::Kind::kReconcilerVsMasterBlip:
       return state.blip_applied && state.heal_done &&
-             cloud.master().reconciler().stats().sweeps >=
-                 state.sweeps_target;
+             cloud.simulation().metrics().counter_value(
+                 "cloud.reconciler.sweeps") >= state.sweeps_target;
   }
   return true;
 }

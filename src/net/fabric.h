@@ -108,6 +108,7 @@ enum class SolverMode {
 // Deterministic work counters for the bandwidth solver. Plain values (not
 // registry counters) so they never perturb metrics snapshots or digests;
 // tests use deltas of these to pin algorithmic cost without wall clocks.
+// picloud-lint: allow(metrics-registry)
 struct FabricSolverStats {
   std::uint64_t solves = 0;            // solver invocations, any tier
   std::uint64_t full_solves = 0;       // whole-fabric progressive fillings

@@ -61,15 +61,6 @@ enum class SdnPolicy {
 
 const char* sdn_policy_name(SdnPolicy policy);
 
-// Value snapshot of the controller's `net.sdn.*` registry counters.
-struct SdnStats {
-  std::uint64_t packet_ins = 0;        // table misses raised to the controller
-  std::uint64_t table_hits = 0;        // flows served from installed rules
-  std::uint64_t rules_installed = 0;   // per-switch rule installations
-  std::uint64_t rules_evicted = 0;
-  std::uint64_t reroutes = 0;          // paths recomputed after link failure
-};
-
 // The logically-centralised controller. Install as the fabric's routing
 // provider: fabric.set_routing(&controller).
 class SdnController : public RoutingProvider {
@@ -98,15 +89,6 @@ class SdnController : public RoutingProvider {
   // Ages idle rules out of all tables.
   void evict_idle(sim::SimTime now);
 
-  SdnStats stats() const {
-    SdnStats s;
-    s.packet_ins = packet_ins_->value();
-    s.table_hits = table_hits_->value();
-    s.rules_installed = rules_installed_->value();
-    s.rules_evicted = rules_evicted_->value();
-    s.reroutes = reroutes_->value();
-    return s;
-  }
   size_t total_rules() const;
 
  private:
@@ -121,11 +103,11 @@ class SdnController : public RoutingProvider {
   sim::Duration rule_idle_timeout_;
   std::map<NetNodeId, FlowTable> tables_;  // per switch
   // Registry counter handles under `net.sdn.*` (never null).
-  util::Counter* packet_ins_ = nullptr;
-  util::Counter* table_hits_ = nullptr;
-  util::Counter* rules_installed_ = nullptr;
+  util::Counter* packet_ins_ = nullptr;  // table misses raised here
+  util::Counter* table_hits_ = nullptr;  // flows served from installed rules
+  util::Counter* rules_installed_ = nullptr;  // per-switch installations
   util::Counter* rules_evicted_ = nullptr;
-  util::Counter* reroutes_ = nullptr;
+  util::Counter* reroutes_ = nullptr;  // paths recomputed after link failure
 };
 
 // The pre-SDN baseline: classic L2 spanning-tree forwarding. Redundant

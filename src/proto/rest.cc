@@ -6,18 +6,14 @@
 
 namespace picloud::proto {
 
-void IdempotencyCache::bind_metrics(util::MetricsRegistry& registry,
-                                    const std::string& prefix) {
-  admitted_ = &registry.counter(prefix + ".admitted");
-  replayed_ = &registry.counter(prefix + ".replayed");
-  coalesced_ = &registry.counter(prefix + ".coalesced");
-  evicted_ = &registry.counter(prefix + ".evicted");
-  // Back-fill activity recorded before binding so the registry view matches.
-  admitted_->inc(stats_.admitted);
-  replayed_->inc(stats_.replayed);
-  coalesced_->inc(stats_.coalesced);
-  evicted_->inc(stats_.evicted);
-}
+IdempotencyCache::IdempotencyCache(util::MetricsRegistry& registry,
+                                   const std::string& prefix,
+                                   std::size_t capacity)
+    : capacity_(capacity),
+      admitted_(&registry.counter(prefix + ".admitted")),
+      replayed_(&registry.counter(prefix + ".replayed")),
+      coalesced_(&registry.counter(prefix + ".coalesced")),
+      evicted_(&registry.counter(prefix + ".evicted")) {}
 
 Responder IdempotencyCache::admit(const std::string& key, Responder respond) {
   if (key.empty()) return respond;  // unkeyed request: plain semantics
@@ -25,18 +21,15 @@ Responder IdempotencyCache::admit(const std::string& key, Responder respond) {
   if (entries_.size() <= sym.id()) entries_.resize(sym.id() + 1);
   if (Entry* entry = entries_[sym.id()].get()) {
     if (entry->done) {
-      ++stats_.replayed;
-      if (replayed_) replayed_->inc();
+      replayed_->inc();
       if (respond) respond(entry->response);
     } else {
-      ++stats_.coalesced;
-      if (coalesced_) coalesced_->inc();
+      coalesced_->inc();
       entry->waiters.push_back(std::move(respond));
     }
     return nullptr;
   }
-  ++stats_.admitted;
-  if (admitted_) admitted_->inc();
+  admitted_->inc();
   auto entry = std::make_unique<Entry>();
   entry->waiters.push_back(std::move(respond));
   entries_[sym.id()] = std::move(entry);
@@ -63,8 +56,7 @@ void IdempotencyCache::complete(util::Symbol key, HttpResponse response) {
     if (v != nullptr && v->done) {
       entries_[victim.id()].reset();
       --live_;
-      ++stats_.evicted;
-      if (evicted_) evicted_->inc();
+      evicted_->inc();
     }
   }
   for (auto& waiter : waiters) {
@@ -97,7 +89,6 @@ void RestServer::stop() {
 }
 
 void RestServer::on_message(const net::Message& msg) {
-  ++requests_served_;
   requests_counter_->inc();
   net::Ipv4Addr reply_to = msg.src;
   std::uint16_t reply_port = msg.src_port;

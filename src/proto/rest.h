@@ -91,18 +91,6 @@ struct RetryPolicy {
   }
 };
 
-// Retry budget accounting across all policy-driven calls sharing a metrics
-// prefix. A value snapshot assembled from registry counters (the registry is
-// the source of truth; see retry_stats()).
-struct RetryStats {
-  std::uint64_t calls = 0;              // logical calls issued with a policy
-  std::uint64_t attempts = 0;           // wire attempts (>= calls)
-  std::uint64_t retries = 0;            // attempts beyond each call's first
-  std::uint64_t succeeded_after_retry = 0;
-  std::uint64_t exhausted = 0;          // failed after max_attempts
-  std::uint64_t deadline_exceeded = 0;  // failed on the overall deadline
-};
-
 // Server-side dedup of retried mutations. A handler admits each request's
 // idempotency key before doing work:
 //
@@ -123,29 +111,20 @@ struct RetryStats {
 // frees the entry (response body, waiters) while the key string stays in
 // the table — bounded by the number of *distinct* mutations in a run,
 // which simulation workloads keep small.
+//
+// Accounting lives in `registry` under `<prefix>.{admitted,replayed,
+// coalesced,evicted}`: fresh keys that ran the handler, duplicates answered
+// from the record, duplicates attached to an in-flight run, and evictions.
 class IdempotencyCache {
  public:
-  explicit IdempotencyCache(std::size_t capacity = 256)
-      : capacity_(capacity) {}
-
-  struct Stats {
-    std::uint64_t admitted = 0;   // fresh keys that ran the handler
-    std::uint64_t replayed = 0;   // duplicates answered from the record
-    std::uint64_t coalesced = 0;  // duplicates attached to an in-flight run
-    std::uint64_t evicted = 0;
-  };
+  IdempotencyCache(util::MetricsRegistry& registry, const std::string& prefix,
+                   std::size_t capacity);
 
   // Returns a responder to call with the outcome, or nullptr if this request
   // is a duplicate (its responder has been replayed or queued).
   Responder admit(const std::string& key, Responder respond);
 
-  // Mirrors every stat bump into `<prefix>.{admitted,replayed,coalesced,
-  // evicted}` counters. The cache has no Simulation of its own (it is also
-  // used standalone in tests), so owners that do wire it in at construction.
-  void bind_metrics(util::MetricsRegistry& registry, const std::string& prefix);
-
   std::size_t size() const { return live_; }
-  const Stats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -161,11 +140,11 @@ class IdempotencyCache {
   std::vector<std::unique_ptr<Entry>> entries_;  // indexed by key Symbol id
   std::size_t live_ = 0;                         // non-null entries
   std::deque<util::Symbol> completed_order_;
-  Stats stats_;
-  util::Counter* admitted_ = nullptr;  // registry mirrors; null until bound
-  util::Counter* replayed_ = nullptr;
-  util::Counter* coalesced_ = nullptr;
-  util::Counter* evicted_ = nullptr;
+  // Registry handles under the ctor's prefix (never null).
+  util::Counter* admitted_;
+  util::Counter* replayed_;
+  util::Counter* coalesced_;
+  util::Counter* evicted_;
 };
 
 // Serves a Router on (ip, port). The router is borrowed; callers keep it
@@ -186,8 +165,6 @@ class RestServer {
   net::Ipv4Addr ip() const { return ip_; }
   std::uint16_t port() const { return port_; }
 
-  std::uint64_t requests_served() const { return requests_served_; }
-
  private:
   void on_message(const net::Message& msg);
 
@@ -196,7 +173,6 @@ class RestServer {
   std::uint16_t port_;
   Router* router_;
   bool serving_ = false;
-  std::uint64_t requests_served_ = 0;           // this server only
   util::Counter* requests_counter_ = nullptr;   // proto.rest.server.requests
 };
 
@@ -255,17 +231,6 @@ class RestClient {
   // (shared across same-prefix clients, like the counters they read).
   std::uint64_t calls_made() const { return requests_->value(); }
   std::uint64_t timeouts() const { return timeouts_->value(); }
-  // Snapshot of the retry counters under this client's metrics prefix.
-  RetryStats retry_stats() const {
-    RetryStats s;
-    s.calls = retry_calls_counter_->value();
-    s.attempts = attempts_->value();
-    s.retries = retries_->value();
-    s.succeeded_after_retry = succeeded_after_retry_->value();
-    s.exhausted = exhausted_->value();
-    s.deadline_exceeded = deadline_exceeded_->value();
-    return s;
-  }
 
  private:
   struct Pending {

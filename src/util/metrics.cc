@@ -198,24 +198,15 @@ bool in_scope(const std::string& name, const std::string& prefix,
 }  // namespace
 
 Json MetricsRegistry::snapshot(const std::string& prefix) const {
-  // Symbol ids are first-use order; the export contract is sorted-by-name
-  // (byte-identical to the historical std::map-backed layout), so build a
-  // name-sorted view once and walk it per kind. Snapshot is a cold path.
-  std::vector<std::pair<const std::string*, std::uint32_t>> by_name;
-  by_name.reserve(names_.size());
-  for (std::uint32_t id = 0; id < names_.size(); ++id) {
-    by_name.emplace_back(&names_.str(names_.symbol_at(id)), id);
-  }
-  std::sort(by_name.begin(), by_name.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-
+  // One pass in id (first-use) order; Json::set inserts into JsonObject's
+  // std::map, which alone orders the exported keys.
   Json counters = Json::object();
   Json gauges = Json::object();
   Json histograms = Json::object();
   std::string key;
-  for (const auto& [name, id] : by_name) {
+  for (std::uint32_t id = 0; id < names_.size(); ++id) {
     const Symbol s = names_.symbol_at(id);
-    if (!in_scope(*name, prefix, &key)) continue;
+    if (!in_scope(names_.str(s), prefix, &key)) continue;
     if (const Counter* c = peek(counters_, s)) {
       counters.set(key, static_cast<unsigned long long>(c->value()));
     }

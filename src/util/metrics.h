@@ -25,8 +25,8 @@
 // live in a dense vector indexed by Symbol id, so a handle-keyed lookup is
 // one indexed load and a repeated string-keyed lookup is one hash probe —
 // no std::map node chase, no string compares. Canonical strings appear
-// only at the snapshot() boundary, where keys are sorted by name to keep
-// the JSON byte-identical to the historical std::map layout.
+// only at the snapshot() boundary, where JsonObject (a std::map) orders the
+// exported keys by name.
 #pragma once
 
 #include <cstdint>
@@ -150,8 +150,9 @@ class MetricsRegistry {
     return histogram(name_symbol(name), min_value, growth, max_buckets);
   }
 
-  // Read-side helpers (tests, endpoints). Missing names read as zero and
-  // do not intern.
+  // The read path for every reader (endpoints, tests, examples, benches):
+  // no component keeps a copy of its series. Missing names read as zero
+  // and do not intern.
   std::uint64_t counter_value(std::string_view name) const;
   double gauge_value(std::string_view name) const;
   bool has(std::string_view name) const;
@@ -161,16 +162,16 @@ class MetricsRegistry {
   //   {"counters": {...}, "gauges": {...}, "histograms": {...}}
   // With a non-empty `prefix`, only metrics named `prefix` or `prefix.*`
   // are exported and the `prefix.` is stripped from the keys — the shape a
-  // node daemon serves for its own `node.<hostname>.` scope. Keys iterate
-  // in sorted order, so serialization is deterministic.
+  // node daemon serves for its own `node.<hostname>.` scope. JsonObject
+  // keeps keys sorted, so serialization is deterministic.
   Json snapshot(const std::string& prefix = "") const;
 
  private:
   // Dense per-kind storage indexed by Symbol id; a slot is null until that
   // (name, kind) pair is first requested. The three kinds share one symbol
   // space, so each vector has gaps — cheap (8 bytes/gap) next to the O(1)
-  // hot-path lookup it buys. snapshot() sorts by canonical name to keep
-  // output deterministic (ids are first-use order, not lexicographic).
+  // hot-path lookup it buys. Ids are first-use order; snapshot() walks
+  // them once and JsonObject orders the exported keys.
   StringTable names_;
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<Gauge>> gauges_;

@@ -158,6 +158,28 @@ TEST(Autopilot, SloBurnWakesCapacityAndScalesTheTier) {
   EXPECT_EQ(autopilot.stats().slo_scale_ups, scale_ups);
 }
 
+TEST(Autopilot, SloBurnWindowOpensAtStart) {
+  // Sheds counted before the autopilot was enabled are history, not burn:
+  // the first window runs from start(), not from a zero count.
+  sim::Simulation sim(19);
+  PiCloudConfig config;
+  config.racks = 1;
+  config.hosts_per_rack = 3;
+  PiCloud cloud(sim, config);
+  cloud.power_on();
+  ASSERT_TRUE(cloud.await_ready());
+  sim.metrics().counter("apps.httpd.shed_admission").inc(1000);
+
+  Autopilot::Config auto_config;
+  auto_config.evaluation_period = sim::Duration::seconds(10);
+  auto_config.slo_burn_counter = "apps.httpd.shed_admission";
+  auto_config.slo_burn_threshold = 2.0;  // violations/sec
+  Autopilot& autopilot = cloud.enable_autopilot(auto_config);
+  cloud.run_for(sim::Duration::seconds(25));  // two evaluations, no sheds
+  EXPECT_EQ(autopilot.stats().evaluations, 2u);
+  EXPECT_EQ(autopilot.stats().slo_scale_ups, 0u);
+}
+
 TEST(Migration, ArpConvergenceCostsMoreDowntimeThanSdnRedirect) {
   double downtime[2] = {0, 0};
   int i = 0;

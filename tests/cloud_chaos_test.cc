@@ -36,8 +36,8 @@ TEST(Chaos, NodesCrashAndRecoverWithReRegistration) {
   cloud.run_for(sim::Duration::minutes(60));
   chaos.stop();
 
-  EXPECT_GT(chaos.stats().node_crashes, 5u);
-  EXPECT_GT(chaos.stats().node_repairs, 3u);
+  EXPECT_GT(sim.metrics().counter_value("cloud.chaos.node_crashes"), 5u);
+  EXPECT_GT(sim.metrics().counter_value("cloud.chaos.node_repairs"), 3u);
   // Let in-flight repairs land, then the whole fleet should be back.
   cloud.run_for(sim::Duration::minutes(5));
   int registered = 0;
@@ -122,13 +122,16 @@ TEST(Chaos, LinkFlapsAreRepaired) {
   chaos.start();
   sim.run_until(sim.now() + sim::Duration::minutes(60));
   chaos.stop();
-  EXPECT_GT(chaos.stats().link_cuts, 5u);
-  EXPECT_GT(chaos.stats().link_repairs, 5u);
+  const util::MetricsRegistry& m = sim.metrics();
+  EXPECT_GT(m.counter_value("cloud.chaos.link_cuts"), 5u);
+  EXPECT_GT(m.counter_value("cloud.chaos.link_repairs"), 5u);
   // The live down/lossy sets reconcile with the cumulative counters.
   EXPECT_EQ(chaos.links_down(),
-            chaos.stats().link_cuts - chaos.stats().link_repairs);
+            m.counter_value("cloud.chaos.link_cuts") -
+                m.counter_value("cloud.chaos.link_repairs"));
   EXPECT_EQ(chaos.links_lossy(),
-            chaos.stats().loss_onsets - chaos.stats().loss_clears);
+            m.counter_value("cloud.chaos.loss_onsets") -
+                m.counter_value("cloud.chaos.loss_clears"));
   // Multi-root redundancy: even with one uplink down per rack, hosts reach
   // each other (only total-rack isolation would break this).
   sim.run_until(sim.now() + sim::Duration::minutes(2));

@@ -109,7 +109,9 @@ TEST_F(FaultCloud, SourceCrashMidPreCopyAborts) {
                                    sim::Duration::millis(1500));
   EXPECT_FALSE(report.success);
   EXPECT_FALSE(report.instance_lost);
-  EXPECT_EQ(cloud_->master().migrations().stats().aborted_source_dead, 1u);
+  EXPECT_EQ(
+      sim_->metrics().counter_value("cloud.migration.aborted_source_dead"),
+      1u);
   EXPECT_EQ(cloud_->master().migrations().in_flight(), 0u);
   // Nothing half-built on the destination.
   cloud::NodeDaemon* dst = cloud_->daemon_by_hostname("pi-r1-00");
@@ -121,7 +123,9 @@ TEST_F(FaultCloud, SourceCrashMidPreCopyAborts) {
   auto record = cloud_->master().instance("db");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record.value().state, "lost");
-  EXPECT_GE(cloud_->master().reconciler().stats().marked_lost_dead_node, 1u);
+  EXPECT_GE(
+      sim_->metrics().counter_value("cloud.reconciler.marked_lost_dead_node"),
+      1u);
   // A lost instance can still be deleted (registry repair, no node to ask).
   EXPECT_TRUE(cloud_->delete_and_wait("db").ok());
   EXPECT_FALSE(cloud_->master().instance("db").ok());
@@ -137,7 +141,8 @@ TEST_F(FaultCloud, DestinationCrashMidPreCopyRollsBackToSource) {
                                    sim::Duration::millis(1500));
   EXPECT_FALSE(report.success);
   EXPECT_FALSE(report.instance_lost);
-  EXPECT_GE(cloud_->master().migrations().stats().aborted_dest_dead, 1u);
+  EXPECT_GE(sim_->metrics().counter_value("cloud.migration.aborted_dest_dead"),
+            1u);
   EXPECT_EQ(cloud_->master().migrations().in_flight(), 0u);
 
   // The instance must still be serving on the source, thawed, app attached,
@@ -281,7 +286,9 @@ TEST_F(FaultCloud, ReconcilerMarksDeadNodeInstancesLostAndReplicaSetReplaces) {
     auto r = cloud_->master().instance("solo");
     return r.ok() && r.value().state == "lost";
   }));
-  EXPECT_GE(cloud_->master().reconciler().stats().marked_lost_dead_node, 1u);
+  EXPECT_GE(
+      sim_->metrics().counter_value("cloud.reconciler.marked_lost_dead_node"),
+      1u);
 }
 
 TEST_F(FaultCloud, ReconcilerDestroysOrphanContainers) {
@@ -298,17 +305,17 @@ TEST_F(FaultCloud, ReconcilerDestroysOrphanContainers) {
   cloud_->run_for(sim::Duration::seconds(60));
   os::Container* c = host->node().find_container("ghost");
   EXPECT_TRUE(c == nullptr || c->state() == os::ContainerState::kDestroyed);
-  EXPECT_GE(cloud_->master().reconciler().stats().orphans_destroyed, 1u);
+  EXPECT_GE(sim_->metrics().counter_value("cloud.reconciler.orphans_gc"), 1u);
 }
 
 TEST_F(FaultCloud, ReconcilerSparesClaimedAndInFlightContainers) {
   auto record = cloud_->spawn_and_wait({.name = "web", .app_kind = "httpd"});
   ASSERT_TRUE(record.ok());
   std::uint64_t destroyed_before =
-      cloud_->master().reconciler().stats().orphans_destroyed;
+      sim_->metrics().counter_value("cloud.reconciler.orphans_gc");
   cloud_->run_for(sim::Duration::minutes(3));
   // A legitimately placed instance is never garbage-collected.
-  EXPECT_EQ(cloud_->master().reconciler().stats().orphans_destroyed,
+  EXPECT_EQ(sim_->metrics().counter_value("cloud.reconciler.orphans_gc"),
             destroyed_before);
   EXPECT_TRUE(cloud_->master().instance_healthy("web"));
 }
@@ -351,9 +358,10 @@ TEST_F(FaultCloud, DuplicateSpawnRequestsCoalesceAndReplay) {
   // Exactly one instance exists; the dedup cache saw one run, one coalesce,
   // one replay.
   EXPECT_EQ(cloud_->master().instances().size(), 1u);
-  EXPECT_EQ(cloud_->master().idempotency().stats().admitted, 1u);
-  EXPECT_GE(cloud_->master().idempotency().stats().coalesced, 1u);
-  EXPECT_GE(cloud_->master().idempotency().stats().replayed, 1u);
+  const util::MetricsRegistry& m = sim_->metrics();
+  EXPECT_EQ(m.counter_value("cloud.master.dedup.admitted"), 1u);
+  EXPECT_GE(m.counter_value("cloud.master.dedup.coalesced"), 1u);
+  EXPECT_GE(m.counter_value("cloud.master.dedup.replayed"), 1u);
 
   // A different key with the same name is a genuine conflict.
   spec.set("idem", "op-456");

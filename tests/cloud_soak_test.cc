@@ -117,8 +117,8 @@ std::uint64_t run_soak(std::uint64_t seed) {
   }
   chaos.stop();
   gen.stop();
-  EXPECT_GT(chaos.stats().node_crashes, 3u);
-  EXPECT_GT(chaos.stats().loss_onsets, 0u);
+  EXPECT_GT(sim.metrics().counter_value("cloud.chaos.node_crashes"), 3u);
+  EXPECT_GT(sim.metrics().counter_value("cloud.chaos.loss_onsets"), 0u);
 
   // Convergence: whatever the monkey did, the tiers self-heal back to
   // target and the registry agrees with reality.
@@ -164,27 +164,9 @@ std::uint64_t run_soak(std::uint64_t seed) {
   d.add(gen.completed());
   d.add(gen.timed_out());
   d.add(cloud.energy_kwh());
-  d.add(chaos.stats().node_crashes);
-  d.add(chaos.stats().node_repairs);
-  d.add(chaos.stats().link_cuts);
-  d.add(chaos.stats().loss_onsets);
   d.add(migrations_tried);
-  const auto& migration_stats = cloud.master().migrations().stats();
-  d.add(migration_stats.started);
-  d.add(migration_stats.succeeded);
-  d.add(migration_stats.aborted_source_dead);
-  d.add(migration_stats.aborted_dest_dead);
-  const auto& reconciler_stats = cloud.master().reconciler().stats();
-  d.add(reconciler_stats.sweeps);
-  d.add(reconciler_stats.marked_lost_dead_node);
-  d.add(reconciler_stats.marked_lost_drift);
-  d.add(reconciler_stats.orphans_destroyed);
-  if (cloud.master().rest_client() != nullptr) {
-    const auto& retry = cloud.master().rest_client()->retry_stats();
-    d.add(retry.attempts);
-    d.add(retry.retries);
-    d.add(retry.exhausted);
-  }
+  // Every registry series: chaos, migration, reconciler, retry and the rest.
+  d.add(sim.metrics().snapshot().dump());
   for (const auto& record : cloud.master().instances()) {
     d.add(record.name);
     d.add(record.state);

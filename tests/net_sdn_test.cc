@@ -61,12 +61,12 @@ TEST(FlowTable, LookupRefreshesIdleTimer) {
 TEST(SdnController, FirstFlowPacketInThenTableHits) {
   SdnWorld world(SdnPolicy::kShortestPath);
   world.flow(0, 14);
-  EXPECT_EQ(world.controller->stats().packet_ins, 1u);
-  EXPECT_GT(world.controller->stats().rules_installed, 0u);
+  EXPECT_EQ(world.sim.metrics().counter_value("net.sdn.packet_ins"), 1u);
+  EXPECT_GT(world.sim.metrics().counter_value("net.sdn.rules_installed"), 0u);
   // Same pair again: served from the installed rules.
   world.flow(0, 14);
-  EXPECT_EQ(world.controller->stats().packet_ins, 1u);
-  EXPECT_EQ(world.controller->stats().table_hits, 1u);
+  EXPECT_EQ(world.sim.metrics().counter_value("net.sdn.packet_ins"), 1u);
+  EXPECT_EQ(world.sim.metrics().counter_value("net.sdn.table_hits"), 1u);
   world.sim.run();
 }
 
@@ -75,7 +75,7 @@ TEST(SdnController, RulesInstalledOnEverySwitchOnPath) {
   FlowId id = world.flow(0, 14);  // inter-rack: ToR, agg, ToR = 3 switches
   auto path = world.fabric.flow_path(id);
   ASSERT_EQ(path.size(), 4u);
-  EXPECT_EQ(world.controller->stats().rules_installed, 3u);
+  EXPECT_EQ(world.sim.metrics().counter_value("net.sdn.rules_installed"), 3u);
   EXPECT_EQ(world.controller->total_rules(), 3u);
   world.sim.run();
 }
@@ -135,7 +135,7 @@ TEST(SdnController, LinkFailureInvalidatesStaleRulesAndReroutes) {
   auto new_path = world.fabric.flow_path(id);
   ASSERT_EQ(new_path.size(), 4u);
   EXPECT_NE(new_path[1], path[1]);
-  EXPECT_GE(world.controller->stats().packet_ins, 2u);
+  EXPECT_GE(world.sim.metrics().counter_value("net.sdn.packet_ins"), 2u);
   world.fabric.cancel_flow(id);
   world.sim.run();
 }
@@ -147,7 +147,7 @@ TEST(SdnController, IdleEvictionReclaimsRules) {
   EXPECT_GT(world.controller->total_rules(), 0u);
   world.controller->evict_idle(world.sim.now() + sim::Duration::seconds(60));
   EXPECT_EQ(world.controller->total_rules(), 0u);
-  EXPECT_GT(world.controller->stats().rules_evicted, 0u);
+  EXPECT_GT(world.sim.metrics().counter_value("net.sdn.rules_evicted"), 0u);
 }
 
 TEST(FlowTable, RemoveByLinkDropsOnlyMatchingRules) {
@@ -169,9 +169,10 @@ TEST(SdnController, CapacityChangeEvictsRulesOverThatLink) {
   // elsewhere in the fabric.
   SdnWorld world(SdnPolicy::kLeastCongested);
   FlowId id = world.flow(0, 14, 1e9);
-  const std::uint64_t installed = world.controller->stats().rules_installed;
+  const util::MetricsRegistry& m = world.sim.metrics();
+  const std::uint64_t installed = m.counter_value("net.sdn.rules_installed");
   ASSERT_GT(installed, 0u);
-  ASSERT_EQ(world.controller->stats().rules_evicted, 0u);
+  ASSERT_EQ(m.counter_value("net.sdn.rules_evicted"), 0u);
 
   // Halve a switch-to-switch link on the installed path.
   auto path = world.fabric.flow_path(id);
@@ -179,8 +180,8 @@ TEST(SdnController, CapacityChangeEvictsRulesOverThatLink) {
   LinkId mid = path[1];
   world.fabric.set_link_pair_capacity(
       mid, world.fabric.link(mid).capacity_bps / 2);
-  EXPECT_GT(world.controller->stats().rules_evicted, 0u);
-  EXPECT_LT(world.controller->stats().rules_evicted, installed)
+  EXPECT_GT(m.counter_value("net.sdn.rules_evicted"), 0u);
+  EXPECT_LT(m.counter_value("net.sdn.rules_evicted"), installed)
       << "rules off the changed link must survive";
 
   world.fabric.cancel_flow(id);
@@ -197,7 +198,7 @@ TEST(SdnController, AdminInstalledPathOverridesPolicy) {
                                  world.topo.hosts[14], paths[1]);
   FlowId id = world.flow(0, 14, 1e9);
   EXPECT_EQ(world.fabric.flow_path(id), paths[1]);
-  EXPECT_EQ(world.controller->stats().packet_ins, 0u);
+  EXPECT_EQ(world.sim.metrics().counter_value("net.sdn.packet_ins"), 0u);
   world.fabric.cancel_flow(id);
   world.sim.run();
 }
@@ -207,7 +208,7 @@ TEST(SdnController, FlushTablesForcesRediscovery) {
   world.flow(0, 14, 100);
   world.controller->flush_tables();
   world.flow(0, 14, 100);
-  EXPECT_EQ(world.controller->stats().packet_ins, 2u);
+  EXPECT_EQ(world.sim.metrics().counter_value("net.sdn.packet_ins"), 2u);
   world.sim.run();
 }
 

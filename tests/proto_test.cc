@@ -200,7 +200,7 @@ TEST(Rest, EndToEndCall) {
   EXPECT_TRUE(got);
   EXPECT_EQ(client.inflight(), 0u);
   EXPECT_EQ(client.calls_made(), 1u);
-  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.server.requests"), 1u);
   server.stop();
   EXPECT_FALSE(server.serving());
 }
@@ -485,10 +485,11 @@ TEST(RestRetry, RecoversWhenServerComesUpLate) {
   w.sim.after(sim::Duration::seconds(5), [&]() { server.start(); });
   w.sim.run();
   EXPECT_TRUE(got);
-  EXPECT_GE(client.retry_stats().attempts, 2u);
-  EXPECT_GE(client.retry_stats().retries, 1u);
-  EXPECT_EQ(client.retry_stats().succeeded_after_retry, 1u);
-  EXPECT_EQ(client.retry_stats().exhausted, 0u);
+  const util::MetricsRegistry& m = w.sim.metrics();
+  EXPECT_GE(m.counter_value("proto.rest.attempts"), 2u);
+  EXPECT_GE(m.counter_value("proto.rest.retries"), 1u);
+  EXPECT_EQ(m.counter_value("proto.rest.succeeded_after_retry"), 1u);
+  EXPECT_EQ(m.counter_value("proto.rest.exhausted"), 0u);
   EXPECT_EQ(client.inflight_retries(), 0u);
 }
 
@@ -506,10 +507,11 @@ TEST(RestRetry, ExhaustsTheAttemptBudget) {
               RetryPolicy::standard(3, sim::Duration::millis(500)));
   w.sim.run();
   EXPECT_TRUE(got_error);
-  EXPECT_EQ(client.retry_stats().calls, 1u);
-  EXPECT_EQ(client.retry_stats().attempts, 3u);
-  EXPECT_EQ(client.retry_stats().retries, 2u);
-  EXPECT_EQ(client.retry_stats().exhausted, 1u);
+  const util::MetricsRegistry& m = w.sim.metrics();
+  EXPECT_EQ(m.counter_value("proto.rest.calls"), 1u);
+  EXPECT_EQ(m.counter_value("proto.rest.attempts"), 3u);
+  EXPECT_EQ(m.counter_value("proto.rest.retries"), 2u);
+  EXPECT_EQ(m.counter_value("proto.rest.exhausted"), 1u);
   EXPECT_EQ(client.inflight_retries(), 0u);
 }
 
@@ -531,7 +533,7 @@ TEST(RestRetry, StopsAtTheOverallDeadline) {
               policy);
   w.sim.run();
   EXPECT_TRUE(got_error);
-  EXPECT_EQ(client.retry_stats().deadline_exceeded, 1u);
+  EXPECT_EQ(w.sim.metrics().counter_value("proto.rest.deadline_exceeded"), 1u);
   // The call gives up no later than deadline + one attempt timeout.
   EXPECT_LE((failed_at - sim::SimTime::zero()).to_seconds(), 3.6);
 }
@@ -555,9 +557,10 @@ TEST(RestRetry, HttpErrorsAreDefinitiveNotRetried) {
               RetryPolicy::standard(5, sim::Duration::seconds(2)));
   w.sim.run();
   EXPECT_EQ(responses, 1);
-  EXPECT_EQ(client.retry_stats().attempts, 1u);
-  EXPECT_EQ(client.retry_stats().retries, 0u);
-  EXPECT_EQ(server.requests_served(), 1u);
+  const util::MetricsRegistry& m = w.sim.metrics();
+  EXPECT_EQ(m.counter_value("proto.rest.attempts"), 1u);
+  EXPECT_EQ(m.counter_value("proto.rest.retries"), 0u);
+  EXPECT_EQ(m.counter_value("proto.rest.server.requests"), 1u);
 }
 
 TEST(RestRetry, SameSeedGivesIdenticalBackoffSchedule) {
@@ -586,7 +589,8 @@ TEST(RestRetry, SameSeedGivesIdenticalBackoffSchedule) {
 // IdempotencyCache
 
 TEST(Idempotency, FreshKeyRunsAndDuplicateReplays) {
-  IdempotencyCache cache(8);
+  util::MetricsRegistry m;
+  IdempotencyCache cache(m, "dedup", 8);
   std::vector<int> answers;
   Responder once =
       cache.admit("op-1", [&](HttpResponse r) { answers.push_back(r.status); });
@@ -599,12 +603,13 @@ TEST(Idempotency, FreshKeyRunsAndDuplicateReplays) {
   ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers[0], 201);
   EXPECT_EQ(answers[1], 201);
-  EXPECT_EQ(cache.stats().admitted, 1u);
-  EXPECT_EQ(cache.stats().replayed, 1u);
+  EXPECT_EQ(m.counter_value("dedup.admitted"), 1u);
+  EXPECT_EQ(m.counter_value("dedup.replayed"), 1u);
 }
 
 TEST(Idempotency, InFlightDuplicatesCoalesce) {
-  IdempotencyCache cache(8);
+  util::MetricsRegistry m;
+  IdempotencyCache cache(m, "dedup", 8);
   std::vector<int> answers;
   Responder once =
       cache.admit("op-2", [&](HttpResponse r) { answers.push_back(r.status); });
@@ -619,11 +624,12 @@ TEST(Idempotency, InFlightDuplicatesCoalesce) {
   EXPECT_TRUE(answers.empty());  // nothing answered yet
   once(HttpResponse::make(200));
   EXPECT_EQ(answers.size(), 3u);  // original + both waiters
-  EXPECT_EQ(cache.stats().coalesced, 2u);
+  EXPECT_EQ(m.counter_value("dedup.coalesced"), 2u);
 }
 
 TEST(Idempotency, EmptyKeyBypassesTheCache) {
-  IdempotencyCache cache(8);
+  util::MetricsRegistry m;
+  IdempotencyCache cache(m, "dedup", 8);
   int runs = 0;
   for (int i = 0; i < 3; ++i) {
     Responder r = cache.admit("", [&](HttpResponse) {});
@@ -637,14 +643,15 @@ TEST(Idempotency, EmptyKeyBypassesTheCache) {
 }
 
 TEST(Idempotency, CompletedEntriesEvictFifo) {
-  IdempotencyCache cache(2);
+  util::MetricsRegistry m;
+  IdempotencyCache cache(m, "dedup", 2);
   for (int i = 0; i < 4; ++i) {
     Responder r = cache.admit("k" + std::to_string(i), [](HttpResponse) {});
     ASSERT_TRUE(r != nullptr);
     r(HttpResponse::make(200));
   }
   EXPECT_LE(cache.size(), 2u);
-  EXPECT_GE(cache.stats().evicted, 2u);
+  EXPECT_GE(m.counter_value("dedup.evicted"), 2u);
   // The oldest key fell out, so it runs again (at-most-once is bounded by
   // cache capacity, as documented).
   EXPECT_TRUE(cache.admit("k0", [](HttpResponse) {}) != nullptr);
@@ -654,7 +661,8 @@ TEST(Idempotency, EvictedKeyReusesItsInternedSlot) {
   // Keys are interned once; eviction frees the entry but the interned key
   // (and its dense slot) survives, so a re-admitted key runs fresh and then
   // replays its *new* response — not the evicted one.
-  IdempotencyCache cache(1);
+  util::MetricsRegistry m;
+  IdempotencyCache cache(m, "dedup", 1);
   Responder r0 = cache.admit("op", [](HttpResponse) {});
   ASSERT_TRUE(r0 != nullptr);
   r0(HttpResponse::make(201));
@@ -681,14 +689,15 @@ TEST(Idempotency, LiveEntriesStayBoundedUnderDistinctKeyChurn) {
   // size() counts live entries, which the FIFO keeps at or under capacity
   // however many distinct keys flow through (the interned key table itself
   // is append-only — bounded by distinct mutations per run, as documented).
-  IdempotencyCache cache(4);
+  util::MetricsRegistry m;
+  IdempotencyCache cache(m, "dedup", 4);
   for (int i = 0; i < 64; ++i) {
     Responder r = cache.admit("key-" + std::to_string(i), [](HttpResponse) {});
     ASSERT_TRUE(r != nullptr);
     r(HttpResponse::make(200));
     EXPECT_LE(cache.size(), 4u);
   }
-  EXPECT_EQ(cache.stats().evicted, 60u);
+  EXPECT_EQ(m.counter_value("dedup.evicted"), 60u);
 }
 
 // ---------------------------------------------------------------------------

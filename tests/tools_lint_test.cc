@@ -809,22 +809,25 @@ TEST(LintMetricsRegistry, FlagsStatsStructWithoutRegistryTies) {
   EXPECT_EQ(diags[0].line, 3);
 }
 
-TEST(LintMetricsRegistry, AcceptsValueSnapshotOfRegistrySeries) {
-  // A Stats struct is fine when the file holds registry handles (it is a
-  // value snapshot of registry series, the repo-wide migration pattern)...
+TEST(LintMetricsRegistry, FlagsValueSnapshotOfRegistrySeries) {
+  // Readers call counter_value(), so a Stats mirror is flagged even beside
+  // the registry handles it copies...
   auto diags = lint_content("src/cloud/x.h",
                             "#pragma once\n"
                             "class X {\n"
                             "  struct Stats { int spawned = 0; };\n"
                             "  util::Counter* spawned_ = nullptr;\n"
                             "};\n");
-  EXPECT_FALSE(has_rule(diags, "metrics-registry"));
-  // ...or when it includes util/metrics.h directly.
+  auto findings = with_rule(diags, "metrics-registry");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("counter_value()"), std::string::npos);
+  // ...and in a file that includes util/metrics.h directly.
   diags = lint_content("src/proto/x.h",
                        "#pragma once\n"
                        "#include \"util/metrics.h\"\n"
                        "struct RetryStats { int retries = 0; };\n");
-  EXPECT_FALSE(has_rule(diags, "metrics-registry"));
+  EXPECT_TRUE(has_rule(diags, "metrics-registry"));
 }
 
 TEST(LintMetricsRegistry, StructRuleSkipsUtilAndNonSrc) {

@@ -226,6 +226,33 @@ TEST(MetricsRegistry, SnapshotIsRegistrationOrderIndependent) {
   b.counter("m.mid").inc(1);
   b.counter("z.last").inc(2);
   EXPECT_EQ(a.snapshot().dump(), b.snapshot().dump());
+
+  // Scoped, as a heartbeat reads it: one node's series beside sibling scopes
+  // that share its prefix string, interned in opposite orders.
+  MetricsRegistry fwd;
+  fwd.counter("node.pi-r0-0.heartbeats_sent").inc(7);
+  fwd.counter("node.pi-r0-00.rest.attempts").inc(3);
+  fwd.counter("node.pi-r0-00.heartbeats_sent").inc(5);
+  fwd.gauge("node.pi-r0-00.mem_used").set(2);
+  fwd.gauge("node.pi-r0-00.cpu_utilization").set(0.5);
+  fwd.histogram("node.pi-r0-00.latency_s").observe(0.25);
+  fwd.counter("node.pi-r0-01.heartbeats_sent").inc(9);
+  MetricsRegistry rev;
+  rev.counter("node.pi-r0-01.heartbeats_sent").inc(9);
+  rev.histogram("node.pi-r0-00.latency_s").observe(0.25);
+  rev.gauge("node.pi-r0-00.cpu_utilization").set(0.5);
+  rev.gauge("node.pi-r0-00.mem_used").set(2);
+  rev.counter("node.pi-r0-00.heartbeats_sent").inc(5);
+  rev.counter("node.pi-r0-00.rest.attempts").inc(3);
+  rev.counter("node.pi-r0-0.heartbeats_sent").inc(7);
+  const std::string scoped = fwd.snapshot("node.pi-r0-00").dump();
+  EXPECT_EQ(scoped, rev.snapshot("node.pi-r0-00").dump());
+  // Keys sorted within each kind; the sibling scopes stay out.
+  EXPECT_TRUE(scoped.starts_with(
+      "{\"counters\":{\"heartbeats_sent\":5,\"rest.attempts\":3},"
+      "\"gauges\":{\"cpu_utilization\":0.5,\"mem_used\":2},"
+      "\"histograms\":{\"latency_s\":{"))
+      << scoped;
 }
 
 TEST(TraceBuffer, MaterializedEventsRebuildInternedStrings) {

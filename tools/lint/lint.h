@@ -48,9 +48,9 @@
 //                        RetryPolicy or timeout/Duration argument.
 //   metrics-registry     telemetry flows through the unified spine
 //                        (DESIGN.md §9): a `struct *Stats` in src/ outside
-//                        util/ must live in a file that talks to the
-//                        MetricsRegistry; std::cerr/cout/printf/fprintf in
-//                        src/ is banned in favour of PICLOUD_LOG.
+//                        util/ is a counter store beside the registry and
+//                        needs an explicit allow; std::cerr/cout/printf/
+//                        fprintf in src/ is banned in favour of PICLOUD_LOG.
 //   invariant-catalogue  probe_<x> factories in src/testing/ must be passed
 //                        to register_probe(...) in the same file.
 //   bounded-queue        a std::deque/std::vector in src/apps/ or src/cloud/

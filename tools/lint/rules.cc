@@ -128,20 +128,6 @@ void per_file_rules(const ProjectModel& model, int fi, const Reporter& report) {
     }
   }
 
-  // metrics-registry precondition: does this file talk to the spine?
-  bool metrics_aware = false;
-  for (const IncludeDirective& inc : f.includes) {
-    if (inc.spelled == "util/metrics.h") metrics_aware = true;
-  }
-  for (int ci = 0; ci < v.n && !metrics_aware; ++ci) {
-    if (v.ident(ci, "MetricsRegistry")) metrics_aware = true;
-    if ((v.ident(ci, "Counter") || v.ident(ci, "Gauge") ||
-         v.ident(ci, "LogHistogram")) &&
-        v.punct(ci - 1, "::") && v.ident(ci - 2, "util")) {
-      metrics_aware = true;
-    }
-  }
-
   // full-solve exemptions: the solver's own implementation and the test
   // tree (differential harness, property tests) use the oracle by design.
   const bool fabric_impl =
@@ -208,18 +194,17 @@ void per_file_rules(const ProjectModel& model, int fi, const Reporter& report) {
       }
     }
 
-    // metrics-registry: ad-hoc Stats structs outside util/ must be value
-    // snapshots of registry series.
-    if (f.module != "util" && !metrics_aware && t.text == "struct" &&
-        v.is_ident(ci + 1)) {
+    // metrics-registry: the registry is the only counter store, so a Stats
+    // struct outside util/ is a parallel store or a mirror of its series.
+    if (f.module != "util" && t.text == "struct" && v.is_ident(ci + 1)) {
       const std::string& name = v.tok(ci + 1).text;
       if (name.size() >= 5 &&
           name.compare(name.size() - 5, 5, "Stats") == 0) {
         report(fi, t.line, "metrics-registry",
                "'struct " + name +
-                   "' is a parallel counter store; register the series with "
-                   "the MetricsRegistry (util/metrics.h) and keep this as a "
-                   "value snapshot of it");
+                   "' keeps counts outside the MetricsRegistry; register the "
+                   "series (util/metrics.h) and read them with "
+                   "counter_value(), or justify with allow(metrics-registry)");
       }
     }
   }
