@@ -382,6 +382,61 @@ std::string git_sha() {
   return sha;
 }
 
+// The idle fleet — the management plane alone — at 56, 224, 448 and 896
+// Pis (4 to 64 racks of 14): booted, then 60 sim-s of heartbeats. Per size
+// it records the host µs per host per sim-s, the registry names a snapshot
+// visits per heartbeat, and the flows per component solve. The last two
+// are deterministic counts. CI gates names per heartbeat (a heartbeat pays
+// for its own series, not the fleet's); flows per component solve is
+// recorded ungated, since the heartbeat incast onto the pimaster makes it
+// grow with the fleet.
+constexpr int kIdleFleetRacks[] = {4, 16, 32, 64};
+constexpr int kIdleFleetHostsPerRack = 14;
+constexpr double kIdleFleetSimSeconds = 60;
+
+util::JsonObject idle_fleet_series() {
+  util::JsonObject series;
+  util::LogLevel prev_level = util::Logging::level();
+  util::Logging::set_level(util::LogLevel::kOff);
+  for (int racks : kIdleFleetRacks) {
+    sim::Simulation sim(1);
+    cloud::PiCloudConfig config;
+    config.racks = racks;
+    config.hosts_per_rack = kIdleFleetHostsPerRack;
+    cloud::PiCloud cloud(sim, config);
+    cloud.power_on();
+    cloud.await_ready();
+    auto heartbeats = [&cloud]() {
+      std::uint64_t n = 0;
+      for (size_t i = 0; i < cloud.node_count(); ++i) {
+        n += cloud.daemon(i).heartbeats_sent();
+      }
+      return n;
+    };
+    const net::FabricSolverStats solver_before = cloud.fabric().solver_stats();
+    const std::uint64_t names_before = sim.metrics().names_visited();
+    const std::uint64_t heartbeats_before = heartbeats();
+    const double wall = wall_seconds([&]() {
+      cloud.run_for(sim::Duration::seconds(kIdleFleetSimSeconds));
+    });
+    const net::FabricSolverStats& solver = cloud.fabric().solver_stats();
+    const int hosts = racks * kIdleFleetHostsPerRack;
+    const std::string key = "idle_fleet_" + std::to_string(hosts) + "_";
+    series[key + "host_us_per_host_per_sim_s"] =
+        wall * 1e6 / hosts / kIdleFleetSimSeconds;
+    series[key + "names_per_heartbeat"] =
+        static_cast<double>(sim.metrics().names_visited() - names_before) /
+        static_cast<double>(heartbeats() - heartbeats_before);
+    series[key + "flows_per_component_solve"] =
+        static_cast<double>(solver.component_flows -
+                            solver_before.component_flows) /
+        static_cast<double>(solver.component_solves -
+                            solver_before.component_solves);
+  }
+  util::Logging::set_level(prev_level);
+  return series;
+}
+
 void write_perf_baseline() {
   const char* env = std::getenv("PICLOUD_PERF_OUT");
   if (env == nullptr || *env == '\0') return;  // opt-in
@@ -533,6 +588,9 @@ void write_perf_baseline() {
     }
   }
 
+  // (8) the idle fleet from 56 to 896 Pis (idle_fleet_series()).
+  util::JsonObject idle_fleet = idle_fleet_series();
+
   util::Json doc(util::JsonObject{
       {"tool", "bench_sim_perf"},
       {"version", 2},
@@ -550,6 +608,7 @@ void write_perf_baseline() {
                      {"mc_configs",
                       static_cast<double>(mc::list_mc_configs().size())},
                      {"fabric_churn_events", kChurnEvents},
+                     {"idle_fleet_sim_seconds", kIdleFleetSimSeconds},
                  })},
       {"metrics", util::Json(util::JsonObject{
                       {"events_per_sec", events_per_sec},
@@ -576,6 +635,7 @@ void write_perf_baseline() {
                        churn_steps_per_event[1] / churn_steps_per_event[0]},
                   })},
   });
+  doc.mutable_object()["metrics"].mutable_object().merge(idle_fleet);
   std::ofstream out(env, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "bench_sim_perf: cannot write %s\n", env);

@@ -14,6 +14,11 @@ namespace {
 // Below this many remaining bytes a flow is considered drained (guards
 // against floating-point residue keeping a flow alive forever).
 constexpr double kDrainEpsilonBytes = 1e-6;
+
+// Orders a per-link flow list (ascending flow id) against an id.
+constexpr auto kFlowIdLess = [](const auto* flow, FlowId id) {
+  return flow->id < id;
+};
 }  // namespace
 
 Fabric::Fabric(sim::Simulation& sim) : sim_(sim) {
@@ -212,7 +217,13 @@ FlowId Fabric::start_flow(FlowSpec spec) {
   flow.remaining_bytes = std::max(flow.spec.bytes, kDrainEpsilonBytes);
   flow.last_update = sim_.now();
   Flow& stored = flows_.emplace(id, std::move(flow)).first->second;
-  for (LinkId lid : stored.path) link_flows_[lid].insert(id);
+  // The newest flow has the largest id, so it goes at the end of each list.
+  for (LinkId lid : stored.path) {
+    PICLOUD_DCHECK(link_flows_[lid].empty() ||
+                   link_flows_[lid].back()->id < id)
+        << "flow path repeats link " << lid;
+    link_flows_[lid].push_back(&stored);
+  }
 
   if (mode_ == SolverMode::kIncremental && pending_dirty_.empty() &&
       path_uncontended(stored.path)) {
@@ -357,12 +368,11 @@ void Fabric::solve_component() {
   while (!bfs_stack_.empty()) {
     LinkId lid = bfs_stack_.back();
     bfs_stack_.pop_back();
-    for (FlowId fid : link_flows_[lid]) {
-      Flow& flow = flows_.find(fid)->second;
-      if (flow.mark_epoch == epoch_) continue;
-      flow.mark_epoch = epoch_;
-      comp_flows_.push_back(&flow);
-      for (LinkId pl : flow.path) {
+    for (Flow* flow : link_flows_[lid]) {
+      if (flow->mark_epoch == epoch_) continue;
+      flow->mark_epoch = epoch_;
+      comp_flows_.push_back(flow);
+      for (LinkId pl : flow->path) {
         if (link_epoch_[pl] == epoch_) continue;
         link_epoch_[pl] = epoch_;
         comp_links_.push_back(pl);
@@ -419,13 +429,12 @@ void Fabric::solve_component() {
     // rate must never be, or the flow would look unfixed to later rounds.
     best = std::max(best, 0.0);
     // Fix every unfixed flow crossing the bottleneck at the fair share.
-    for (FlowId fid : link_flows_[best_link]) {
+    for (Flow* flow : link_flows_[best_link]) {
       ++stats_.flow_visits;
-      Flow& flow = flows_.find(fid)->second;
-      if (flow.rate_bps >= 0) continue;
-      flow.rate_bps = best;
+      if (flow->rate_bps >= 0) continue;
+      flow->rate_bps = best;
       --unfixed_flows;
-      for (LinkId lid : flow.path) {
+      for (LinkId lid : flow->path) {
         residual_[lid] -= best;
         if (--unfixed_[lid] > 0) heap_push(lid);
       }
@@ -449,7 +458,7 @@ void Fabric::solve_component() {
 
 // The reference oracle: whole-fabric progressive-filling max-min fair share.
 // Kept verbatim from the original eager solver, except bottleneck rounds fix
-// flows via the per-link flow sets instead of an O(flows) path scan (same
+// flows via the per-link flow lists instead of an O(flows) path scan (same
 // flows, same ascending-id order, same arithmetic — bit-identical rates).
 void Fabric::run_filling_full() {
   ++stats_.full_solves;
@@ -477,13 +486,12 @@ void Fabric::run_filling_full() {
     }
     if (best_link == kInvalidLink) break;  // defensive; cannot happen
     best = std::max(best, 0.0);
-    for (FlowId fid : link_flows_[best_link]) {
+    for (Flow* flow : link_flows_[best_link]) {
       ++stats_.flow_visits;
-      Flow& flow = flows_.find(fid)->second;
-      if (flow.rate_bps >= 0) continue;
-      flow.rate_bps = best;
+      if (flow->rate_bps >= 0) continue;
+      flow->rate_bps = best;
       --unfixed_flows;
-      for (LinkId lid : flow.path) {
+      for (LinkId lid : flow->path) {
         residual_[lid] -= best;
         --unfixed_[lid];
       }
@@ -513,8 +521,8 @@ void Fabric::finish_flow(FlowId id, bool success) {
   if (flow.completion_event != 0) sim_.cancel(flow.completion_event);
   FlowCallback cb = std::move(flow.spec.on_complete);
   std::vector<LinkId> path = std::move(flow.path);
+  unlink_path(flow, path);
   flows_.erase(it);
-  for (LinkId lid : path) link_flows_[lid].erase(id);
   if (success) {
     flows_completed_->inc();
   } else {
@@ -544,6 +552,26 @@ void Fabric::finish_flow(FlowId id, bool success) {
     resolve_after_change(path);
   }
   if (cb) cb(id, success);
+}
+
+void Fabric::link_path(Flow& flow, const std::vector<LinkId>& path) {
+  for (LinkId lid : path) {
+    std::vector<Flow*>& list = link_flows_[lid];
+    auto at = std::lower_bound(list.begin(), list.end(), flow.id, kFlowIdLess);
+    PICLOUD_DCHECK(at == list.end() || (*at)->id != flow.id)
+        << "flow " << flow.id << " already on link " << lid;
+    list.insert(at, &flow);
+  }
+}
+
+void Fabric::unlink_path(const Flow& flow, const std::vector<LinkId>& path) {
+  for (LinkId lid : path) {
+    std::vector<Flow*>& list = link_flows_[lid];
+    auto at = std::lower_bound(list.begin(), list.end(), flow.id, kFlowIdLess);
+    PICLOUD_CHECK(at != list.end() && *at == &flow)
+        << "flow " << flow.id << " missing from link " << lid;
+    list.erase(at);
+  }
 }
 
 void Fabric::set_link_pair_loss(LinkId id, double loss_p) {
@@ -578,15 +606,19 @@ void Fabric::set_link_pair_up(LinkId id, bool up) {
     return;
   }
   // Reroute or fail the flows that crossed the dead pair. The per-link flow
-  // sets give the affected set directly; merged ascending it matches the
+  // lists give the affected set directly; merged ascending it matches the
   // flow-id order the original whole-map scan produced.
-  std::vector<FlowId> affected(link_flows_[a].begin(), link_flows_[a].end());
-  affected.insert(affected.end(), link_flows_[b].begin(),
-                  link_flows_[b].end());
+  std::vector<FlowId> affected;
+  affected.reserve(link_flows_[a].size() + link_flows_[b].size());
+  for (LinkId lid : {a, b}) {
+    for (const Flow* flow : link_flows_[lid]) affected.push_back(flow->id);
+  }
   std::sort(affected.begin(), affected.end());
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());
   for (FlowId fid : affected) {
+    // Ids, not handles: a failed flow's callback runs inside finish_flow()
+    // and may cancel a later affected flow.
     auto it = flows_.find(fid);
     if (it == flows_.end()) continue;
     Flow& flow = it->second;
@@ -599,14 +631,12 @@ void Fabric::set_link_pair_up(LinkId id, bool up) {
       // Both the abandoned and the adopted links feed the dirty set; the
       // next solve (possibly a finish_flow-triggered one mid-loop) folds
       // them into its component.
-      for (LinkId lid : flow.path) {
-        link_flows_[lid].erase(fid);
-        pending_dirty_.push_back(lid);
-      }
-      for (LinkId lid : new_path) {
-        link_flows_[lid].insert(fid);
-        pending_dirty_.push_back(lid);
-      }
+      unlink_path(flow, flow.path);
+      pending_dirty_.insert(pending_dirty_.end(), flow.path.begin(),
+                            flow.path.end());
+      link_path(flow, new_path);
+      pending_dirty_.insert(pending_dirty_.end(), new_path.begin(),
+                            new_path.end());
       flow.path = std::move(new_path);
       reroutes_->inc();
     }

@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -124,9 +123,13 @@ struct FabricSolverStats {
 class Fabric {
  public:
   explicit Fabric(sim::Simulation& sim);
+  // Completion events capture `this`, and the per-link flow lists point
+  // into flows_, so a fabric never moves or copies.
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
 
   // --- Topology construction -----------------------------------------------
-  // Pre-sizes the node/link/flow-set arrays. Generated topologies (fat-tree
+  // Pre-sizes the node/link/flow-list arrays. Generated topologies (fat-tree
   // k=16 is ~1.3k nodes, ~6.3k directed links) call this with exact counts
   // so construction never rehashes or reallocates mid-build.
   void reserve_topology(size_t nodes, size_t link_pairs);
@@ -154,7 +157,7 @@ class Fabric {
   // Ids of all active flows, ascending. For invariant probes and tests.
   std::vector<FlowId> active_flow_ids() const;
   // Number of active flows whose path crosses a directed link (from the
-  // solver's per-link flow sets; cross-checked against the active_flows
+  // solver's per-link flow lists; cross-checked against the active_flows
   // gauge by the fabric-conservation probe).
   size_t link_flow_count(LinkId id) const {
     return id < link_flows_.size() ? link_flows_[id].size() : 0;
@@ -270,6 +273,10 @@ class Fabric {
   // Constant tier: true when every path link carries exactly one flow.
   bool path_uncontended(const std::vector<LinkId>& path) const;
   void finish_flow(FlowId id, bool success);
+  // Inserts `flow` into / removes it from the flow lists of `path`'s links,
+  // at its ascending-id position (binary search).
+  void link_path(Flow& flow, const std::vector<LinkId>& path);
+  void unlink_path(const Flow& flow, const std::vector<LinkId>& path);
   std::vector<LinkId> route_flow(NetNodeId src, NetNodeId dst, FlowId id);
 
   sim::Simulation& sim_;
@@ -280,10 +287,13 @@ class Fabric {
   FlowId next_flow_id_ = 1;
   SolverMode mode_ = SolverMode::kIncremental;
   FabricSolverStats stats_;
-  // flow ids crossing each directed link (ordered: bottleneck rounds fix
-  // flows in ascending id, matching the oracle's whole-map scan order).
-  std::vector<std::set<FlowId>> link_flows_;
-  // Links whose flow sets or properties changed since the last solve.
+  // The flows crossing each directed link, as handles into flows_ (map
+  // nodes never move) kept in ascending flow id: bottleneck rounds fix
+  // flows in the oracle's whole-map scan order. A new flow has the largest
+  // id, so admission appends; a reroute inserts by binary search. A flow
+  // leaves its lists before it leaves flows_.
+  std::vector<std::vector<Flow*>> link_flows_;
+  // Links whose flow lists or properties changed since the last solve.
   // Mutations (reroutes mid link-cut) accumulate here; the next solve
   // consumes it as the component seed.
   std::vector<LinkId> pending_dirty_;

@@ -174,6 +174,19 @@ std::size_t MetricsRegistry::size() const {
 
 namespace {
 
+// Position of the first id in the name-ordered `by_name` whose name is not
+// less than `name`.
+std::size_t name_rank(const StringTable& names,
+                      const std::vector<std::uint32_t>& by_name,
+                      std::string_view name) {
+  auto at = std::lower_bound(
+      by_name.begin(), by_name.end(), name,
+      [&names](std::uint32_t id, std::string_view n) {
+        return names.str(names.symbol_at(id)) < n;
+      });
+  return static_cast<std::size_t>(at - by_name.begin());
+}
+
 // True when `name` is inside `prefix`'s subtree; on success `out` is the
 // exported key (the name with "prefix." stripped).
 bool in_scope(const std::string& name, const std::string& prefix,
@@ -197,16 +210,27 @@ bool in_scope(const std::string& name, const std::string& prefix,
 
 }  // namespace
 
+void MetricsRegistry::index_name(Symbol s) {
+  const auto at = name_rank(names_, by_name_, names_.str(s));
+  by_name_.insert(by_name_.begin() + static_cast<std::ptrdiff_t>(at), s.id());
+}
+
 Json MetricsRegistry::snapshot(const std::string& prefix) const {
-  // One pass in id (first-use) order; Json::set inserts into JsonObject's
-  // std::map, which alone orders the exported keys.
+  // Every name in scope starts with `prefix`, and those names are one
+  // contiguous run of by_name_. The run also holds names that only share
+  // the string (`node.pi-r0-00-x.*` sorts between `node.pi-r0-00` and its
+  // `.` children), so in_scope() filters inside it rather than ending it.
   Json counters = Json::object();
   Json gauges = Json::object();
   Json histograms = Json::object();
   std::string key;
-  for (std::uint32_t id = 0; id < names_.size(); ++id) {
-    const Symbol s = names_.symbol_at(id);
-    if (!in_scope(names_.str(s), prefix, &key)) continue;
+  for (std::size_t i = name_rank(names_, by_name_, prefix);
+       i < by_name_.size(); ++i) {
+    const Symbol s = names_.symbol_at(by_name_[i]);
+    const std::string& name = names_.str(s);
+    if (name.compare(0, prefix.size(), prefix) != 0) break;
+    ++names_visited_;
+    if (!in_scope(name, prefix, &key)) continue;
     if (const Counter* c = peek(counters_, s)) {
       counters.set(key, static_cast<unsigned long long>(c->value()));
     }

@@ -25,8 +25,9 @@
 // live in a dense vector indexed by Symbol id, so a handle-keyed lookup is
 // one indexed load and a repeated string-keyed lookup is one hash probe —
 // no std::map node chase, no string compares. Canonical strings appear
-// only at the snapshot() boundary, where JsonObject (a std::map) orders the
-// exported keys by name.
+// only at the snapshot() boundary, which walks a name-ordered index of the
+// ids from its prefix, so a scoped snapshot costs its own series, not the
+// registry's.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +123,10 @@ class MetricsRegistry {
   // (construction time) and keep the Counter*/Gauge* instead.
   Symbol name_symbol(std::string_view name) {
     PICLOUD_DCHECK(!name.empty()) << "metric name";
-    return names_.intern(name);
+    const std::size_t known = names_.size();
+    const Symbol s = names_.intern(name);
+    if (names_.size() != known) index_name(s);
+    return s;
   }
   const std::string& name_of(Symbol s) const { return names_.str(s); }
 
@@ -163,16 +167,30 @@ class MetricsRegistry {
   // With a non-empty `prefix`, only metrics named `prefix` or `prefix.*`
   // are exported and the `prefix.` is stripped from the keys — the shape a
   // node daemon serves for its own `node.<hostname>.` scope. JsonObject
-  // keeps keys sorted, so serialization is deterministic.
+  // keeps keys sorted, so serialization is deterministic. The walk visits
+  // only the names that start with `prefix`, however many sibling scopes
+  // the registry holds.
   Json snapshot(const std::string& prefix = "") const;
 
+  // Running count of the names snapshot() has walked: the index entries
+  // that start with its prefix. Deterministic and digest-invisible (not a
+  // registry series): tests and the perf baseline use its deltas to pin
+  // what a snapshot costs.
+  std::uint64_t names_visited() const { return names_visited_; }
+
  private:
+  // Inserts a newly interned name into by_name_.
+  void index_name(Symbol s);
+
   // Dense per-kind storage indexed by Symbol id; a slot is null until that
   // (name, kind) pair is first requested. The three kinds share one symbol
   // space, so each vector has gaps — cheap (8 bytes/gap) next to the O(1)
-  // hot-path lookup it buys. Ids are first-use order; snapshot() walks
-  // them once and JsonObject orders the exported keys.
+  // hot-path lookup it buys. Ids are first-use order; by_name_ holds every
+  // id once, in canonical-name order, so the names under one prefix are a
+  // contiguous run that snapshot() binary-searches to.
   StringTable names_;
+  std::vector<std::uint32_t> by_name_;
+  mutable std::uint64_t names_visited_ = 0;
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<LogHistogram>> histograms_;

@@ -168,7 +168,7 @@ TEST(LoadBalancer, EjectsDeadBackendAndFailsOverTraffic) {
   std::uint64_t completed_before = gen.completed();
 
   // Kill web1: its IP unbinds, probes and proxied attempts fast-fail.
-  w.nodes[1]->find_container("web1")->stop();
+  ASSERT_TRUE(w.nodes[1]->find_container("web1")->stop().ok());
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(10));
 
   EXPECT_GE(lb->backends_ejected(), 1u);
@@ -200,7 +200,7 @@ TEST(LoadBalancer, HalfOpenProbeReadmitsRecoveredBackend) {
   gen.start();
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(3));
 
-  w.nodes[1]->find_container("web1")->stop();
+  ASSERT_TRUE(w.nodes[1]->find_container("web1")->stop().ok());
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(6));
   ASSERT_EQ(lb->backend_state(backends[1]), LbApp::BackendState::kEjected);
 

@@ -198,7 +198,7 @@ TEST(Explorer, FindsScheduleDependentPlantedBugAndReplayIsBitIdentical) {
 // Regression pin: the counterexample committed by this PR keeps failing the
 // same way, bit for bit, on every future revision. If an intentional
 // behaviour change breaks the digest, regenerate the file with
-//   picloud_mc --config=duplicate-spawn --plant=recount-replayed-spawn \
+//   picloud_mc --config=duplicate-spawn --plant=recount-replayed-spawn
 //              --out=tests/data/mc_counterexample_duplicate_spawn.json
 // (minus the minimization differences, see the file's choices) and note the
 // change in the commit message.

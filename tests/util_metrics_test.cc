@@ -124,12 +124,36 @@ TEST(MetricsRegistry, SnapshotJsonRoundTrip) {
   EXPECT_EQ(parsed.value().dump(), dumped);
 }
 
+// The scoped snapshot a prefix must produce, built from the full one: keep
+// `prefix` itself and `prefix.*`, stripping "prefix." from the latter.
+Json filter_and_strip(const Json& full, const std::string& prefix) {
+  Json out = Json::object();
+  for (const auto& [kind, series] : full.as_object()) {
+    Json kept = Json::object();
+    for (const auto& [name, value] : series.as_object()) {
+      if (prefix.empty() || name == prefix) {
+        kept.set(name, value);
+      } else if (name.starts_with(prefix + ".")) {
+        kept.set(name.substr(prefix.size() + 1), value);
+      }
+    }
+    out.set(kind, std::move(kept));
+  }
+  return out;
+}
+
 TEST(MetricsRegistry, SnapshotPrefixFiltersAndStrips) {
   MetricsRegistry m;
   m.counter("node.pi-r0-00.heartbeats_sent").inc(9);
   m.gauge("node.pi-r0-00.cpu_utilization").set(0.5);
   m.counter("node.pi-r0-01.heartbeats_sent").inc(2);
   m.counter("cloud.master.spawns_ok").inc();
+  // Sorts between "node.pi-r0-00" and its "." children ('-' < '.').
+  m.counter("node.pi-r0-00-x.a").inc(4);
+  // Sorts after them.
+  m.counter("node.pi-r0-000.a").inc(5);
+  // A series named exactly as the scope.
+  m.gauge("node.pi-r0-00").set(1.25);
   // "node.pi-r0-0" is not a path component boundary of pi-r0-00's scope.
   Json none = m.snapshot("node.pi-r0-0");
   EXPECT_FALSE(none.get("counters").has("0.heartbeats_sent"));
@@ -137,8 +161,56 @@ TEST(MetricsRegistry, SnapshotPrefixFiltersAndStrips) {
   Json scoped = m.snapshot("node.pi-r0-00");
   EXPECT_EQ(scoped.get("counters").get_number("heartbeats_sent"), 9);
   EXPECT_DOUBLE_EQ(scoped.get("gauges").get_number("cpu_utilization"), 0.5);
+  EXPECT_DOUBLE_EQ(scoped.get("gauges").get_number("node.pi-r0-00"), 1.25);
   EXPECT_FALSE(scoped.get("counters").has("node.pi-r0-01.heartbeats_sent"));
   EXPECT_FALSE(scoped.get("counters").has("cloud.master.spawns_ok"));
+  EXPECT_FALSE(scoped.get("counters").has("x.a"));
+  EXPECT_FALSE(scoped.get("counters").has("0.a"));
+
+  // Registered after the first snapshot: the index takes them in too.
+  m.counter("node.pi-r0-00.late").inc(6);
+  m.histogram("node.pi-r0-00-x.late").observe(0.5);
+  m.counter("a.first").inc();
+  m.counter("z.last").inc();
+
+  const Json full = m.snapshot();
+  for (const std::string prefix :
+       {"node.pi-r0-00", "node.pi-r0-0", "node.absent", ""}) {
+    EXPECT_EQ(m.snapshot(prefix).dump(),
+              filter_and_strip(full, prefix).dump())
+        << "prefix '" << prefix << "'";
+  }
+  EXPECT_EQ(m.snapshot("node.pi-r0-00").get("counters").get_number("late"),
+            6);
+}
+
+TEST(MetricsRegistry, ScopedSnapshotCostIgnoresSiblingScopes) {
+  // A heartbeat snapshots its own node's ~20 series. What that costs must
+  // not grow with the sibling scopes (the rest of the fleet) around it.
+  auto visited_for_scope = [](int siblings) {
+    MetricsRegistry m;
+    for (int i = 0; i <= siblings; ++i) {
+      const std::string n = std::to_string(i);
+      const std::string host = "node.pi-" + std::string(4 - n.size(), '0') + n;
+      for (int k = 0; k < 20; ++k) {
+        m.counter(host + ".series_" + std::to_string(k)).inc();
+      }
+    }
+    const std::uint64_t before = m.names_visited();
+    const Json scoped = m.snapshot("node.pi-0005");
+    EXPECT_EQ(scoped.get("counters").size(), 20u);
+    const std::uint64_t scope_cost = m.names_visited() - before;
+    // A whole-registry walk visits every name.
+    const std::uint64_t before_full = m.names_visited();
+    (void)m.snapshot();
+    EXPECT_EQ(m.names_visited() - before_full,
+              static_cast<std::uint64_t>(20 * (siblings + 1)));
+    return scope_cost;
+  };
+  const std::uint64_t beside_10 = visited_for_scope(10);
+  const std::uint64_t beside_1000 = visited_for_scope(1000);
+  EXPECT_EQ(beside_10, beside_1000);
+  EXPECT_EQ(beside_10, 20u);
 }
 
 TEST(TraceBuffer, RingKeepsNewestAndCountsDrops) {
