@@ -66,7 +66,7 @@ Outcome run_policy(int policy_index) {
       spec.dst = topo.hosts[dst];
       spec.bytes = 2e6;
       sim::SimTime start = sim.now();
-      spec.on_complete = [&, start](net::FlowId, bool success) {
+      spec.on_complete = [&, start](sim::Duration, bool success) {
         if (success) {
           ++out.completed;
           fct.add((sim.now() - start).to_millis());

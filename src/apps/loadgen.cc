@@ -255,26 +255,7 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   if (pending.cost != 1.0) body.set("cost", pending.cost);
 
   pending.timeout_event = sim_.after(params_.request_timeout, [this, id]() {
-    auto at = pending_.find(id);
-    if (at == pending_.end()) return;
-    at->second.timeout_event = 0;
-    record_failure(at->second.target);
-    if (at->second.attempts < params_.max_attempts) {
-      if (retry_tokens_ >= 1.0) {
-        net::Ipv4Addr next;
-        if (pick_target(at->second.target, true, &next)) {
-          retry_tokens_ -= 1.0;
-          ++retries_;
-          at->second.target = next;
-          send_attempt(id);
-          return;
-        }
-      } else {
-        ++retries_denied_;
-      }
-    }
-    pending_.erase(at);
-    ++timed_out_;
+    attempt_failed(id, /*timed_out=*/true);
   });
 
   net::Message msg;
@@ -287,14 +268,15 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   network_.send(std::move(msg));
 }
 
-void HttpLoadGen::attempt_failed(std::uint64_t id) {
+void HttpLoadGen::attempt_failed(std::uint64_t id, bool timed_out) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   Pending& pending = it->second;
-  if (pending.timeout_event != 0) {
+  // A timeout is the attempt's timer firing; an error reply disarms it.
+  if (!timed_out && pending.timeout_event != 0) {
     sim_.cancel(pending.timeout_event);
-    pending.timeout_event = 0;
   }
+  pending.timeout_event = 0;
   record_failure(pending.target);
   if (pending.attempts < params_.max_attempts) {
     if (retry_tokens_ >= 1.0) {
@@ -311,7 +293,7 @@ void HttpLoadGen::attempt_failed(std::uint64_t id) {
     }
   }
   pending_.erase(it);
-  ++failed_;
+  ++(timed_out ? timed_out_ : failed_);
 }
 
 void HttpLoadGen::on_message(const net::Message& msg) {
@@ -326,7 +308,7 @@ void HttpLoadGen::on_message(const net::Message& msg) {
   const double status = reply.get_number("status", 200);
   const bool shed = reply.has("shed") || reply.has("lb_error");
   if (status >= 500 || shed) {
-    attempt_failed(id);
+    attempt_failed(id, /*timed_out=*/false);
     return;
   }
   if (it->second.timeout_event != 0) sim_.cancel(it->second.timeout_event);

@@ -142,7 +142,9 @@ class HttpLoadGen {
   void fire_next();
   void on_arrival();
   void send_attempt(std::uint64_t id);
-  void attempt_failed(std::uint64_t id);
+  // Retries a failed attempt if attempts and retry budget allow, else
+  // settles the request as timed out or failed.
+  void attempt_failed(std::uint64_t id, bool timed_out);
   void on_message(const net::Message& msg);
   bool pick_target(net::Ipv4Addr exclude, bool use_exclude,
                    net::Ipv4Addr* out);

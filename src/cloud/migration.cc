@@ -203,7 +203,7 @@ void MigrationCoordinator::precopy_round(std::shared_ptr<Session> session) {
   flow.src = src->node().fabric_node();
   flow.dst = dst->node().fabric_node();
   flow.bytes = bytes;
-  flow.on_complete = [this, session, bytes, round_start](net::FlowId,
+  flow.on_complete = [this, session, bytes, round_start](sim::Duration,
                                                          bool success) {
     os::Container* container = source_container(*session);
     if (container == nullptr) {
@@ -246,7 +246,7 @@ void MigrationCoordinator::final_copy(std::shared_ptr<Session> session) {
   flow.src = src->node().fabric_node();
   flow.dst = dst->node().fabric_node();
   flow.bytes = bytes;
-  flow.on_complete = [this, session, bytes](net::FlowId, bool success) {
+  flow.on_complete = [this, session, bytes](sim::Duration, bool success) {
     if (source_container(*session) == nullptr) {
       abort_source_dead(session);
       return;
@@ -397,7 +397,6 @@ void MigrationCoordinator::finish(std::shared_ptr<Session> session) {
     session->admitted = false;
   }
   session->report.total_duration = sim_.now() - session->started;
-  history_.push_back(session->report);
   if (session->done) session->done(session->report);
 }
 

@@ -23,7 +23,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "cloud/node_daemon.h"
 #include "net/fabric.h"
@@ -110,7 +109,6 @@ class MigrationCoordinator {
   // the point of no return loses the instance and reports instance_lost.
   void migrate(MigrationParams params, DoneCallback done);
 
-  const std::vector<MigrationReport>& history() const { return history_; }
   size_t in_flight() const { return in_flight_; }
 
  private:
@@ -130,7 +128,6 @@ class MigrationCoordinator {
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   NodeAccessor accessor_;
-  std::vector<MigrationReport> history_;
   std::set<std::string> migrating_;  // instances currently moving
   size_t in_flight_ = 0;
   // Registry handles under `cloud.migration.*` (never null).

@@ -32,11 +32,9 @@ NodeSample NodeSample::from_json(const util::Json& j, sim::SimTime at) {
 }
 
 ClusterMonitor::ClusterMonitor(sim::Simulation& sim,
-                               sim::Duration liveness_window,
-                               size_t history_depth)
+                               sim::Duration liveness_window)
     : sim_(sim),
       liveness_window_(liveness_window),
-      history_depth_(history_depth),
       samples_(&sim.metrics().counter("cloud.monitor.samples_ingested")) {}
 
 void ClusterMonitor::register_node(const std::string& hostname,
@@ -67,8 +65,6 @@ void ClusterMonitor::record_sample(const std::string& hostname,
   }
   rec.last_seen = sample.at;
   rec.latest = sample;
-  rec.history.push_back(sample);
-  while (rec.history.size() > history_depth_) rec.history.pop_front();
   samples_->inc();
 }
 

@@ -1,14 +1,13 @@
 // ClusterMonitor — the pimaster's live view of every node.
 //
 // Node daemons push heartbeat stats over REST; the monitor keeps the latest
-// sample and a short history per node, computes cluster aggregates, and
-// declares nodes dead when heartbeats stop (the panel's red rows). This is
-// the data behind the Fig. 4 web interface and the "remote monitoring of the
-// CPU load on some/all Pi nodes" use case (§II-C).
+// sample per node, computes cluster aggregates, and declares nodes dead when
+// heartbeats stop (the panel's red rows). This is the data behind the Fig. 4
+// web interface and the "remote monitoring of the CPU load on some/all Pi
+// nodes" use case (§II-C).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -56,7 +55,6 @@ struct NodeRecord {
   std::uint64_t baseline_mem = 0;
   bool baseline_set = false;
   NodeSample latest;
-  std::deque<NodeSample> history;  // bounded to the monitor's history_depth
 };
 
 struct ClusterSummary {
@@ -71,13 +69,8 @@ struct ClusterSummary {
 
 class ClusterMonitor {
  public:
-  static constexpr size_t kHistoryDepth = 60;
-
-  // `history_depth` bounds each node's sample ring; the default keeps one
-  // minute of 1 Hz heartbeats (the Fig. 4 sparkline window).
   ClusterMonitor(sim::Simulation& sim,
-                 sim::Duration liveness_window = sim::Duration::seconds(10),
-                 size_t history_depth = kHistoryDepth);
+                 sim::Duration liveness_window = sim::Duration::seconds(10));
 
   // Registration (first contact after DHCP).
   void register_node(const std::string& hostname, const std::string& mac,
@@ -96,13 +89,11 @@ class ClusterMonitor {
   ClusterSummary summary() const;
 
   size_t node_count() const { return records_.size(); }
-  size_t history_depth() const { return history_depth_; }
   std::uint64_t samples_ingested() const { return samples_->value(); }
 
  private:
   sim::Simulation& sim_;
   sim::Duration liveness_window_;
-  size_t history_depth_;
   std::map<std::string, NodeRecord> records_;
   util::Counter* samples_ = nullptr;  // cloud.monitor.samples_ingested
 };

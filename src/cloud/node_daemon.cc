@@ -161,7 +161,7 @@ void NodeDaemon::fetch_layers(util::JsonArray layers, size_t index,
   flow.dst = node_.fabric_node();
   flow.bytes = static_cast<double>(bytes);
   flow.on_complete = [this, id, bytes, layers = std::move(layers), index,
-                      done = std::move(done)](net::FlowId,
+                      done = std::move(done)](sim::Duration,
                                               bool success) mutable {
     if (!success) {
       done(util::Error::make("unavailable", "image transfer failed: " + id));

@@ -168,9 +168,8 @@ FlowId Fabric::start_flow(FlowSpec spec) {
 
   if (spec.src == spec.dst) {
     // Loopback: no fabric involvement.
-    FlowCallback cb = spec.on_complete;
-    sim_.after(kLoopbackDelay, [cb, id]() {
-      if (cb) cb(id, true);
+    sim_.after(kLoopbackDelay, [cb = std::move(spec.on_complete)]() {
+      if (cb) cb(kLoopbackDelay, true);
     });
     flows_completed_->inc();
     return id;
@@ -178,9 +177,8 @@ FlowId Fabric::start_flow(FlowSpec spec) {
 
   std::vector<LinkId> path = route_flow(spec.src, spec.dst, id);
   if (path.empty()) {
-    FlowCallback cb = spec.on_complete;
-    sim_.after(sim::Duration::zero(), [cb, id]() {
-      if (cb) cb(id, false);
+    sim_.after(sim::Duration::zero(), [cb = std::move(spec.on_complete)]() {
+      if (cb) cb(sim::Duration::zero(), false);
     });
     flows_failed_->inc();
     if (routing_ != nullptr) routing_->on_flow_end(id);
@@ -193,9 +191,8 @@ FlowId Fabric::start_flow(FlowSpec spec) {
   for (LinkId lid : path) {
     double p = links_[lid].loss_p;
     if (p > 0 && loss_rng_.chance(p)) {
-      FlowCallback cb = spec.on_complete;
-      sim_.after(links_[lid].delay, [cb, id]() {
-        if (cb) cb(id, false);
+      sim_.after(links_[lid].delay, [cb = std::move(spec.on_complete)]() {
+        if (cb) cb(sim::Duration::zero(), false);
       });
       flows_failed_->inc();
       flows_lost_->inc();
@@ -214,6 +211,7 @@ FlowId Fabric::start_flow(FlowSpec spec) {
   flow.id = id;
   flow.spec = std::move(spec);
   flow.path = std::move(path);
+  flow.delay = path_delay(flow.path);
   flow.remaining_bytes = std::max(flow.spec.bytes, kDrainEpsilonBytes);
   flow.last_update = sim_.now();
   Flow& stored = flows_.emplace(id, std::move(flow)).first->second;
@@ -520,6 +518,7 @@ void Fabric::finish_flow(FlowId id, bool success) {
   settle(flow);
   if (flow.completion_event != 0) sim_.cancel(flow.completion_event);
   FlowCallback cb = std::move(flow.spec.on_complete);
+  sim::Duration delay = flow.delay;
   std::vector<LinkId> path = std::move(flow.path);
   unlink_path(flow, path);
   flows_.erase(it);
@@ -551,7 +550,7 @@ void Fabric::finish_flow(FlowId id, bool success) {
   } else {
     resolve_after_change(path);
   }
-  if (cb) cb(id, success);
+  if (cb) cb(delay, success);
 }
 
 void Fabric::link_path(Flow& flow, const std::vector<LinkId>& path) {

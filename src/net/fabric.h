@@ -81,9 +81,11 @@ class RoutingProvider {
   virtual void on_link_changed(LinkId /*link*/) {}
 };
 
-// Completion callback: success=false when the flow was failed by a link cut
-// with no alternative route, or cancelled.
-using FlowCallback = std::function<void(FlowId, bool success)>;
+// Completion callback. `delay` is the propagation delay of the path the flow
+// was admitted on, kept across reroutes (kLoopbackDelay for src == dst, zero
+// when no path was admitted). success=false when the flow was failed by a
+// link cut with no alternative route, dropped by a lossy link, or cancelled.
+using FlowCallback = std::function<void(sim::Duration delay, bool success)>;
 
 struct FlowSpec {
   NetNodeId src = kInvalidNode;
@@ -211,10 +213,11 @@ class Fabric {
 
   // --- Flows -----------------------------------------------------------------
   // Starts a byte flow. Completion fires when the last byte has been
-  // serialised at the fair-share rate (propagation delay is exposed via
-  // path_delay() and added by the messaging layer). A flow between
-  // unreachable endpoints fails immediately (callback with success=false,
-  // scheduled, not inline). src == dst completes after a loopback delay.
+  // serialised at the fair-share rate; the callback carries the admitted
+  // path's propagation delay, which the messaging layer adds before
+  // delivery. A flow between unreachable endpoints fails immediately
+  // (callback with success=false, scheduled, not inline). src == dst
+  // completes after a loopback delay.
   FlowId start_flow(FlowSpec spec);
   // Cancels a flow; its callback fires with success=false.
   void cancel_flow(FlowId id);
@@ -242,6 +245,9 @@ class Fabric {
     FlowId id = 0;
     FlowSpec spec;
     std::vector<LinkId> path;
+    // Propagation delay of the path the flow was admitted on; a reroute
+    // keeps it (the callback's `delay`).
+    sim::Duration delay;
     double remaining_bytes = 0;
     double rate_bps = 0;
     // Rate the live completion event was computed with (reschedule guard).

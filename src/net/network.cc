@@ -66,7 +66,7 @@ bool Network::send(Message msg) {
       if (!dst_node) continue;
       Message copy = msg;
       copy.dst = target;
-      transmit(*src_node, *dst_node, std::move(copy));
+      transmit(*src_node, *dst_node, std::move(copy), std::nullopt);
     }
     return true;
   }
@@ -77,53 +77,56 @@ bool Network::send(Message msg) {
     LOG_DEBUG("net", "no route to host %s", msg.dst.to_string().c_str());
     return true;
   }
-  transmit(*src_node, *dst_node, std::move(msg));
+  transmit(*src_node, *dst_node, std::move(msg), std::nullopt);
   return true;
 }
 
-void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg) {
+void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
+                       std::optional<NetNodeId> l2_node) {
   FlowSpec spec;
   spec.src = src_node;
   spec.dst = dst_node;
   spec.bytes = msg.wire_bytes();
-  spec.on_complete = [this, msg = std::move(msg)](FlowId id, bool success) {
-    auto delay_it = pending_delay_.find(id);
-    sim::Duration delay = delay_it != pending_delay_.end()
-                              ? delay_it->second
-                              : Fabric::kLoopbackDelay;
-    if (delay_it != pending_delay_.end()) pending_delay_.erase(delay_it);
+  // The fabric fires this once, after the last byte, with the propagation
+  // delay of the path it admitted the flow on.
+  spec.on_complete = [this, l2_node, msg = std::move(msg)](
+                         sim::Duration delay, bool success) mutable {
     if (!success) {
       ++dropped_;
       return;
     }
-    sim_.after(delay, [this, msg]() {
+    sim_.after(delay, [this, l2_node, msg = std::move(msg)]() mutable {
       // Delivery schedule point (DESIGN.md §13): in a default run the hub is
       // empty and the message is handed to its listener right here, exactly
       // where it always was. Under a model-checking strategy the delivery is
       // parked and the strategy picks its place in the interleaving.
       if (!sim_.schedule_points().active()) {
-        deliver(msg);
+        deliver(msg, l2_node);
         return;
       }
       sim::SchedulePoint point;
       point.kind = sim::SchedulePointKind::kDelivery;
-      point.label = "deliver:" + msg.src.to_string() + ":" +
-                    std::to_string(msg.src_port) + ">" + msg.dst.to_string() +
-                    ":" + std::to_string(msg.dst_port);
-      point.object = msg.dst.to_string();
+      if (l2_node) {
+        point.object = "node" + std::to_string(*l2_node);
+        point.label = "deliver-l2:" + point.object + ":" +
+                      std::to_string(msg.dst_port);
+      } else {
+        point.object = msg.dst.to_string();
+        point.label = "deliver:" + msg.src.to_string() + ":" +
+                      std::to_string(msg.src_port) + ">" + point.object +
+                      ":" + std::to_string(msg.dst_port);
+      }
       point.src_ip = msg.src.to_string();
       point.dst_ip = msg.dst.to_string();
       point.src_port = msg.src_port;
       point.dst_port = msg.dst_port;
-      sim_.schedule_points().intercept(std::move(point),
-                                       [this, msg]() { deliver(msg); });
+      sim_.schedule_points().intercept(
+          std::move(point), [this, l2_node, msg = std::move(msg)]() {
+            deliver(msg, l2_node);
+          });
     });
   };
-  FlowId id = fabric_.start_flow(std::move(spec));
-  // The flow is still registered until its completion event fires, so the
-  // assigned path (and its propagation delay) is observable here.
-  std::vector<LinkId> path = fabric_.flow_path(id);
-  if (!path.empty()) pending_delay_[id] = fabric_.path_delay(path);
+  fabric_.start_flow(std::move(spec));
 }
 
 void Network::listen_node(NetNodeId node, std::uint16_t port, Handler handler) {
@@ -138,7 +141,7 @@ void Network::send_to_node(NetNodeId src_node, std::optional<NetNodeId> dst_node
                            Message msg) {
   ++sent_;
   if (dst_node) {
-    transmit_to_node(src_node, *dst_node, std::move(msg));
+    transmit(src_node, *dst_node, std::move(msg), dst_node);
     return;
   }
   // L2 broadcast to every node listener on the port.
@@ -152,75 +155,26 @@ void Network::send_to_node(NetNodeId src_node, std::optional<NetNodeId> dst_node
     ++dropped_;
     return;
   }
-  for (NetNodeId target : targets) {
-    transmit_to_node(src_node, target, msg);
+  for (NetNodeId target : targets) transmit(src_node, target, msg, target);
+}
+
+void Network::deliver(const Message& msg, std::optional<NetNodeId> l2_node) {
+  // Copy the handler: it may unlisten itself while running.
+  Handler handler;
+  if (l2_node) {
+    auto it = node_listeners_.find({*l2_node, msg.dst_port});
+    if (it != node_listeners_.end()) handler = it->second;
+  } else {
+    auto it = listeners_.find({msg.dst.value(), msg.dst_port});
+    if (it != listeners_.end()) handler = it->second;
   }
-}
-
-void Network::transmit_to_node(NetNodeId src_node, NetNodeId dst_node,
-                               Message msg) {
-  FlowSpec spec;
-  spec.src = src_node;
-  spec.dst = dst_node;
-  spec.bytes = msg.wire_bytes();
-  spec.on_complete = [this, dst_node, msg = std::move(msg)](FlowId id,
-                                                            bool success) {
-    auto delay_it = pending_delay_.find(id);
-    sim::Duration delay = delay_it != pending_delay_.end()
-                              ? delay_it->second
-                              : Fabric::kLoopbackDelay;
-    if (delay_it != pending_delay_.end()) pending_delay_.erase(delay_it);
-    if (!success) {
-      ++dropped_;
-      return;
-    }
-    sim_.after(delay, [this, dst_node, msg]() {
-      // Delivery schedule point — see transmit() above.
-      if (!sim_.schedule_points().active()) {
-        deliver_to_node(dst_node, msg);
-        return;
-      }
-      sim::SchedulePoint point;
-      point.kind = sim::SchedulePointKind::kDelivery;
-      point.label = "deliver-l2:node" + std::to_string(dst_node) + ":" +
-                    std::to_string(msg.dst_port);
-      point.object = "node" + std::to_string(dst_node);
-      point.src_ip = msg.src.to_string();
-      point.dst_ip = msg.dst.to_string();
-      point.src_port = msg.src_port;
-      point.dst_port = msg.dst_port;
-      sim_.schedule_points().intercept(
-          std::move(point),
-          [this, dst_node, msg]() { deliver_to_node(dst_node, msg); });
-    });
-  };
-  FlowId id = fabric_.start_flow(std::move(spec));
-  std::vector<LinkId> path = fabric_.flow_path(id);
-  if (!path.empty()) pending_delay_[id] = fabric_.path_delay(path);
-}
-
-void Network::deliver_to_node(NetNodeId node, Message msg) {
-  auto it = node_listeners_.find({node, msg.dst_port});
-  if (it == node_listeners_.end()) {
-    ++dropped_;
-    return;
-  }
-  ++delivered_;
-  Handler handler = it->second;
-  handler(msg);
-}
-
-void Network::deliver(Message msg) {
-  auto it = listeners_.find({msg.dst.value(), msg.dst_port});
-  if (it == listeners_.end()) {
+  if (!handler) {
     ++dropped_;
     LOG_DEBUG("net", "port unreachable %s:%u", msg.dst.to_string().c_str(),
               msg.dst_port);
     return;
   }
   ++delivered_;
-  // Copy the handler: it may unlisten itself while running.
-  Handler handler = it->second;
   handler(msg);
 }
 

@@ -4,6 +4,10 @@
 // listeners, and carries every message as a real flow so that control-plane
 // traffic (REST, DHCP, DNS, heartbeats) contends with data-plane traffic on
 // the same links — the cross-layer coupling the paper's argument rests on.
+// A message reaches its listener when the flow's last byte is serialised
+// plus the propagation delay of the path the fabric admitted the flow on.
+// IP and pre-IP (L2) messages share that one path; they differ only in the
+// listener table they are delivered from.
 //
 // Containers are bridged (paper §II-B): a container's IP binds to its host
 // device's fabric node, so all containers on one Pi share its 100 Mb NIC.
@@ -85,17 +89,20 @@ class Network {
   std::uint64_t messages_dropped() const { return dropped_; }
 
  private:
-  void transmit(NetNodeId src_node, NetNodeId dst_node, Message msg);
-  void transmit_to_node(NetNodeId src_node, NetNodeId dst_node, Message msg);
-  void deliver(Message msg);
-  void deliver_to_node(NetNodeId node, Message msg);
+  // Carries `msg` from src_node to dst_node as one fabric flow and, once the
+  // flow completes and the admitted path's delay has passed, deliver()s it.
+  // `l2_node` is set for pre-IP traffic: the fabric node it is addressed to.
+  void transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
+                std::optional<NetNodeId> l2_node);
+  // Hands `msg` to the listener on its dst_port: the node listener of
+  // `l2_node` when set, else the listener of its dst IP.
+  void deliver(const Message& msg, std::optional<NetNodeId> l2_node);
 
   sim::Simulation& sim_;
   Fabric& fabric_;
   std::map<Ipv4Addr, NetNodeId> ip_to_node_;
   std::map<std::pair<std::uint32_t, std::uint16_t>, Handler> listeners_;
   std::map<std::pair<NetNodeId, std::uint16_t>, Handler> node_listeners_;
-  std::map<FlowId, sim::Duration> pending_delay_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

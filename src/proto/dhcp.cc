@@ -1,7 +1,6 @@
 #include "proto/dhcp.h"
 
-#include <algorithm>
-
+#include "proto/rest.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -235,20 +234,11 @@ void DhcpClient::send_discover() {
   arm_retry();
 }
 
-sim::Duration DhcpClient::next_retry_delay() {
-  sim::Duration backoff = kRetryBase;
-  for (int i = 0; i < retry_attempt_; ++i) {
-    backoff = backoff * kRetryMultiplier;
-    if (backoff >= kRetryCap) break;
-  }
-  backoff = std::min(backoff, kRetryCap);
-  ++retry_attempt_;
-  return backoff * (1.0 - kRetryJitter * rng_.next_double());
-}
-
 void DhcpClient::arm_retry() {
   if (retry_event_ != 0) sim_.cancel(retry_event_);
-  retry_event_ = sim_.after(next_retry_delay(), [this]() {
+  sim::Duration delay =
+      backoff_delay(kRetryBase, kRetryCap, retry_attempt_++, rng_);
+  retry_event_ = sim_.after(delay, [this]() {
     retry_event_ = 0;
     if (state_ == State::kSelecting || state_ == State::kRequesting) {
       send_discover();
@@ -326,7 +316,9 @@ void DhcpClient::on_message(const net::Message& msg) {
     // exhaustion) shouldn't keep the whole rack hammering the server.
     state_ = State::kInit;
     if (retry_event_ != 0) sim_.cancel(retry_event_);
-    retry_event_ = sim_.after(next_retry_delay(), [this]() {
+    sim::Duration delay =
+        backoff_delay(kRetryBase, kRetryCap, retry_attempt_++, rng_);
+    retry_event_ = sim_.after(delay, [this]() {
       retry_event_ = 0;
       if (state_ == State::kInit) send_discover();
     });

@@ -114,18 +114,15 @@ class DhcpClient {
 
   // Retries back off exponentially from kRetryBase up to kRetryCap, with
   // deterministic jitter drawn from a forked util::Rng so a rack of clients
-  // power-cycling together doesn't re-flood the server in lockstep. The
-  // actual delay for attempt n is backoff(n) * U[1 - kRetryJitter, 1].
+  // power-cycling together doesn't re-flood the server in lockstep
+  // (proto::backoff_delay).
   static constexpr sim::Duration kRetryBase = sim::Duration::seconds(2);
   static constexpr sim::Duration kRetryCap = sim::Duration::seconds(30);
-  static constexpr double kRetryMultiplier = 2.0;
-  static constexpr double kRetryJitter = 0.5;
 
  private:
   void send_discover();
   void on_message(const net::Message& msg);
   void arm_retry();
-  sim::Duration next_retry_delay();
 
   net::Network& network_;
   sim::Simulation& sim_;

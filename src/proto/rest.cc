@@ -6,6 +6,19 @@
 
 namespace picloud::proto {
 
+sim::Duration backoff_delay(sim::Duration base, sim::Duration cap, int retries,
+                            util::Rng& rng) {
+  constexpr double kMultiplier = 2.0;
+  constexpr double kJitter = 0.5;
+  sim::Duration backoff = base;
+  for (int i = 0; i < retries; ++i) {
+    backoff = backoff * kMultiplier;
+    if (backoff >= cap) break;
+  }
+  backoff = std::min(backoff, cap);
+  return backoff * (1.0 - kJitter * rng.next_double());
+}
+
 IdempotencyCache::IdempotencyCache(util::MetricsRegistry& registry,
                                    const std::string& prefix,
                                    std::size_t capacity)
@@ -275,18 +288,9 @@ void RestClient::retry_attempt(std::uint64_t retry_id) {
           retry_done(retry_id, std::move(result));
           return;
         }
-        // Capped exponential backoff with deterministic jitter: the delay is
-        // drawn from [backoff * (1 - jitter), backoff] off this client's
-        // forked rng stream.
-        sim::Duration backoff = rc.policy.initial_backoff;
-        for (int i = 1; i < rc.attempts_made; ++i) {
-          backoff = backoff * rc.policy.backoff_multiplier;
-          if (backoff >= rc.policy.max_backoff) break;
-        }
-        backoff = std::min(backoff, rc.policy.max_backoff);
-        if (rc.policy.jitter > 0) {
-          backoff = backoff * (1.0 - rc.policy.jitter * rng_.next_double());
-        }
+        sim::Duration backoff =
+            backoff_delay(rc.policy.initial_backoff, rc.policy.max_backoff,
+                          rc.attempts_made - 1, rng_);
         if (rc.has_deadline && sim_.now() + backoff >= rc.deadline) {
           deadline_exceeded_->inc();
           retry_done(

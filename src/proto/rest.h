@@ -36,6 +36,13 @@
 
 namespace picloud::proto {
 
+// Capped exponential backoff with deterministic jitter, shared by RestClient
+// and DhcpClient: `base` doubled once per earlier retry, capped at `cap`,
+// then scaled by one draw from U[0.5, 1] off `rng`, so a rack of clients
+// retrying in lockstep spreads out.
+sim::Duration backoff_delay(sim::Duration base, sim::Duration cap, int retries,
+                            util::Rng& rng);
+
 // How a RestClient call behaves under loss: per-attempt timeout, capped
 // exponential backoff between attempts, and an optional overall deadline.
 // Retries fire only on transport errors (timeout); an HTTP response of any
@@ -46,14 +53,10 @@ struct RetryPolicy {
   int max_attempts = 1;
   // Timeout for each individual attempt.
   sim::Duration attempt_timeout = sim::Duration::seconds(5);
-  // Backoff before attempt n+1 is min(max_backoff,
-  // initial_backoff * backoff_multiplier^(n-1)), then jittered.
+  // Backoff before attempt n+1 is
+  // backoff_delay(initial_backoff, max_backoff, n - 1).
   sim::Duration initial_backoff = sim::Duration::millis(200);
-  double backoff_multiplier = 2.0;
   sim::Duration max_backoff = sim::Duration::seconds(10);
-  // Fraction of the backoff randomized away: the actual delay is drawn
-  // uniformly from [backoff * (1 - jitter), backoff]. 0 disables jitter.
-  double jitter = 0.5;
   // Wall (simulated) deadline across all attempts and backoffs; zero means
   // no overall deadline.
   sim::Duration overall_deadline = sim::Duration::zero();

@@ -13,6 +13,7 @@
 #include "net/topology.h"
 #include "os/node_os.h"
 #include "sim/simulation.h"
+#include "util/strings.h"
 
 namespace picloud::apps {
 namespace {
@@ -236,7 +237,7 @@ TEST(KvStoreOverload, BoundedQueueShedsInsteadOfCollapsing) {
   KvClient client(w.network, w.client_ip);
   int ok = 0, shed = 0;
   for (int i = 0; i < 300; ++i) {
-    client.put(ip, "k" + std::to_string(i), 1024,
+    client.put(ip, util::format("k%d", i), 1024,
                [&](util::Result<util::Json> r) {
                  if (!r.ok()) return;
                  if (r.value().get_bool("ok")) {

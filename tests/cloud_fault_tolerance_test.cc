@@ -39,7 +39,7 @@ class FaultCloud : public ::testing::Test {
     apps::KvClient kv(cloud_->network(), cloud_->admin_ip());
     int stored = 0;
     for (int i = 0; i < mb; ++i) {
-      kv.put(record.value().ip, "k" + std::to_string(i), 1 << 20,
+      kv.put(record.value().ip, util::format("k%d", i), 1 << 20,
              [&](util::Result<Json> r) {
                if (r.ok() && r.value().get_bool("ok")) ++stored;
              });
@@ -191,7 +191,7 @@ TEST(FaultSweep, DestinationCrashAnywhereNeverDuplicatesOrLeaks) {
     apps::KvClient kv(cloud.network(), cloud.admin_ip());
     int stored = 0;
     for (int i = 0; i < 20; ++i) {
-      kv.put(db.value().ip, "k" + std::to_string(i), 1 << 20,
+      kv.put(db.value().ip, util::format("k%d", i), 1 << 20,
              [&](util::Result<Json> r) {
                if (r.ok() && r.value().get_bool("ok")) ++stored;
              });

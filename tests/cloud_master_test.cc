@@ -267,7 +267,7 @@ TEST_F(SmallCloud, MigrationPreservesKvState) {
   apps::KvClient kv(cloud_->network(), cloud_->admin_ip());
   int stored = 0;
   for (int i = 0; i < 10; ++i) {
-    kv.put(db.value().ip, "k" + std::to_string(i), 1 << 20,
+    kv.put(db.value().ip, util::format("k%d", i), 1 << 20,
            [&](util::Result<Json> r) {
              if (r.ok() && r.value().get_bool("ok")) ++stored;
            });
@@ -281,7 +281,7 @@ TEST_F(SmallCloud, MigrationPreservesKvState) {
   // Every key answers from the new host, same IP.
   int found = 0;
   for (int i = 0; i < 10; ++i) {
-    kv.get(db.value().ip, "k" + std::to_string(i),
+    kv.get(db.value().ip, util::format("k%d", i),
            [&](util::Result<Json> r) {
              if (r.ok() && r.value().get_bool("ok")) ++found;
            });
@@ -302,7 +302,7 @@ TEST_F(SmallCloud, ConcurrentDoubleMigrationRefused) {
   apps::KvClient kv(cloud_->network(), cloud_->admin_ip());
   int stored = 0;
   for (int i = 0; i < 40; ++i) {
-    kv.put(db.value().ip, "k" + std::to_string(i), 1 << 20,
+    kv.put(db.value().ip, util::format("k%d", i), 1 << 20,
            [&](util::Result<Json> r) {
              if (r.ok() && r.value().get_bool("ok")) ++stored;
            });

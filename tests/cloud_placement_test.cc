@@ -203,50 +203,6 @@ TEST(Monitor, SummaryAggregatesOnlyLiveNodes) {
   EXPECT_NEAR(summary.power_watts, 9.0, 1e-12);
 }
 
-TEST(Monitor, HistoryIsBounded) {
-  sim::Simulation sim;
-  ClusterMonitor monitor(sim);
-  monitor.register_node("pi-a", "mac", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
-  for (size_t i = 0; i < ClusterMonitor::kHistoryDepth + 20; ++i) {
-    NodeSample sample;
-    sample.at = sim.now();
-    monitor.record_sample("pi-a", sample);
-  }
-  auto rec = monitor.node("pi-a");
-  ASSERT_TRUE(rec.has_value());
-  EXPECT_EQ(rec->history.size(), ClusterMonitor::kHistoryDepth);
-}
-
-TEST(Monitor, ExplicitHistoryDepthNeverExceededUnderLongRuns) {
-  sim::Simulation sim;
-  constexpr size_t kDepth = 7;
-  ClusterMonitor monitor(sim, sim::Duration::seconds(10), kDepth);
-  EXPECT_EQ(monitor.history_depth(), kDepth);
-  monitor.register_node("pi-a", "mac-a", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
-  monitor.register_node("pi-b", "mac-b", net::Ipv4Addr(10, 0, 1, 2), 0, 700e6);
-  // Thousands of samples across two nodes (with a mid-run re-registration,
-  // as after a crash/repair cycle): the ring must hold the bound at every
-  // step, not just at the end.
-  for (size_t i = 0; i < 5000; ++i) {
-    if (i == 2500) {
-      monitor.register_node("pi-a", "mac-a", net::Ipv4Addr(10, 0, 1, 1), 0,
-                            700e6);
-    }
-    NodeSample sample;
-    sample.at = sim.now();
-    sample.mem_used = i;
-    monitor.record_sample(i % 2 == 0 ? "pi-a" : "pi-b", sample);
-    for (const char* name : {"pi-a", "pi-b"}) {
-      auto rec = monitor.node(name);
-      ASSERT_TRUE(rec.has_value());
-      ASSERT_LE(rec->history.size(), kDepth);
-    }
-  }
-  EXPECT_EQ(monitor.node("pi-a")->history.size(), kDepth);
-  EXPECT_EQ(monitor.node("pi-b")->history.size(), kDepth);
-  EXPECT_EQ(monitor.samples_ingested(), 5000u);
-}
-
 TEST(Monitor, BaselineMemIsFirstSample) {
   sim::Simulation sim;
   ClusterMonitor monitor(sim);
@@ -262,6 +218,7 @@ TEST(Monitor, BaselineMemIsFirstSample) {
   ASSERT_EQ(views.size(), 1u);
   EXPECT_EQ(views[0].baseline_mem, 48 * MiB);
   EXPECT_EQ(views[0].mem_used, 200 * MiB);
+  EXPECT_EQ(monitor.samples_ingested(), 2u);
 }
 
 TEST(Monitor, SamplesForUnknownNodesIgnored) {

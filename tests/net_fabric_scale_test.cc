@@ -55,7 +55,7 @@ TEST(FabricScale, FatTreeK16TenThousandFlowSweep) {
     spec.src = topo.hosts[static_cast<size_t>(src)];
     spec.dst = topo.hosts[static_cast<size_t>(dst)];
     spec.bytes = bytes;
-    spec.on_complete = [&](FlowId, bool success) {
+    spec.on_complete = [&](sim::Duration, bool success) {
       if (success) ++completions;
     };
     fabric.start_flow(std::move(spec));

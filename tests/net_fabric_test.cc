@@ -22,6 +22,7 @@
 #include "util/faults.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace picloud::net {
 namespace {
@@ -53,7 +54,7 @@ TEST(Fabric, SingleFlowFinishesAtLineRate) {
   spec.src = t.a;
   spec.dst = t.b;
   spec.bytes = 12.5e6;  // 12.5 MB at 100 Mb/s = 1 s serialization
-  spec.on_complete = [&](FlowId, bool success) {
+  spec.on_complete = [&](sim::Duration, bool success) {
     done = true;
     EXPECT_TRUE(success);
     finish = t.sim.now();
@@ -73,7 +74,7 @@ TEST(Fabric, TwoFlowsShareTheBottleneckEqually) {
     spec.src = t.a;
     spec.dst = t.b;
     spec.bytes = 12.5e6;
-    spec.on_complete = [&](FlowId, bool) {
+    spec.on_complete = [&](sim::Duration, bool) {
       ++completed;
       last = t.sim.now();
     };
@@ -92,12 +93,12 @@ TEST(Fabric, LateFlowSpeedsUpWhenEarlyFlowLeaves) {
   small.src = t.a;
   small.dst = t.b;
   small.bytes = 6.25e6;  // alone: 0.5s; sharing: 1s
-  small.on_complete = [&](FlowId, bool) { small_done = t.sim.now(); };
+  small.on_complete = [&](sim::Duration, bool) { small_done = t.sim.now(); };
   FlowSpec big;
   big.src = t.a;
   big.dst = t.b;
   big.bytes = 12.5e6;
-  big.on_complete = [&](FlowId, bool) { big_done = t.sim.now(); };
+  big.on_complete = [&](sim::Duration, bool) { big_done = t.sim.now(); };
   t.fabric.start_flow(std::move(small));
   t.fabric.start_flow(std::move(big));
   t.sim.run();
@@ -114,7 +115,7 @@ TEST(Fabric, LoopbackCompletesWithoutTouchingLinks) {
   spec.src = t.a;
   spec.dst = t.a;
   spec.bytes = 1e9;
-  spec.on_complete = [&](FlowId, bool success) {
+  spec.on_complete = [&](sim::Duration, bool success) {
     done = true;
     EXPECT_TRUE(success);
   };
@@ -134,7 +135,7 @@ TEST(Fabric, UnreachableDestinationFailsFlow) {
   spec.src = a;
   spec.dst = b;
   spec.bytes = 100;
-  spec.on_complete = [&](FlowId, bool success) { failed = !success; };
+  spec.on_complete = [&](sim::Duration, bool success) { failed = !success; };
   fabric.start_flow(std::move(spec));
   sim.run();
   EXPECT_TRUE(failed);
@@ -148,7 +149,7 @@ TEST(Fabric, CancelFailsTheFlow) {
   spec.src = t.a;
   spec.dst = t.b;
   spec.bytes = 1e12;
-  spec.on_complete = [&](FlowId, bool s) { success = s; };
+  spec.on_complete = [&](sim::Duration, bool s) { success = s; };
   FlowId id = t.fabric.start_flow(std::move(spec));
   t.sim.after(sim::Duration::seconds(1),
               [&]() { t.fabric.cancel_flow(id); });
@@ -176,7 +177,7 @@ TEST(Fabric, LinkCutReroutesOverAlternatePath) {
   spec.src = a;
   spec.dst = b;
   spec.bytes = 12.5e6;
-  spec.on_complete = [&](FlowId, bool success) {
+  spec.on_complete = [&](sim::Duration, bool success) {
     done = true;
     ok = success;
   };
@@ -196,7 +197,7 @@ TEST(Fabric, LinkCutWithNoAlternativeFailsFlow) {
   spec.src = t.a;
   spec.dst = t.b;
   spec.bytes = 1e12;
-  spec.on_complete = [&](FlowId, bool success) {
+  spec.on_complete = [&](sim::Duration, bool success) {
     done = true;
     ok = success;
   };
@@ -358,7 +359,7 @@ TEST(Fabric, PerLinkDropOdometersSumToFlowsLost) {
     spec.src = t.a;
     spec.dst = t.b;
     spec.bytes = 1000;
-    spec.on_complete = [&](FlowId, bool success) {
+    spec.on_complete = [&](sim::Duration, bool success) {
       if (!success) ++failed;
     };
     t.fabric.start_flow(std::move(spec));
@@ -392,7 +393,7 @@ TEST(Fabric, SkipAccountingKnobDivergesOdometerFromCounter) {
     spec.src = t.a;
     spec.dst = t.b;
     spec.bytes = 1000;
-    spec.on_complete = [&](FlowId, bool success) {
+    spec.on_complete = [&](sim::Duration, bool success) {
       if (!success) ++failed;
     };
     t.fabric.start_flow(std::move(spec));
@@ -518,7 +519,7 @@ TEST(FabricSolver, FullOracleSolveReproducesIncrementalRatesBitExactly) {
   NetNodeId sink = fabric.add_node(NodeKind::kHost, "sink");
   fabric.add_link(sw, sink, 50e6, sim::Duration::micros(10));
   for (int i = 0; i < 8; ++i) {
-    NetNodeId h = fabric.add_node(NodeKind::kHost, "h" + std::to_string(i));
+    NetNodeId h = fabric.add_node(NodeKind::kHost, util::format("h%d", i));
     fabric.add_link(h, sw, 4e6 + i * 2e6, sim::Duration::micros(10));
     FlowSpec spec;
     spec.src = h;
@@ -553,7 +554,7 @@ void build_single_bottleneck(Fabric& fabric, int flows) {
   NetNodeId sink = fabric.add_node(NodeKind::kHost, "sink");
   fabric.add_link(sw, sink, 1e15, sim::Duration::micros(10));
   for (int i = 0; i < flows; ++i) {
-    NetNodeId h = fabric.add_node(NodeKind::kHost, "h" + std::to_string(i));
+    NetNodeId h = fabric.add_node(NodeKind::kHost, util::format("h%d", i));
     fabric.add_link(h, sw, 10e6 + i * 1e6, sim::Duration::micros(10));
     FlowSpec spec;
     spec.src = h;
@@ -660,13 +661,13 @@ std::vector<LinkId> build_diff_side(DiffSide& side, const DiffTopology& topo,
   std::vector<NetNodeId> nodes;
   for (int h = 0; h < topo.hosts; ++h) {
     NetNodeId id =
-        side.fabric.add_node(NodeKind::kHost, "h" + std::to_string(h));
+        side.fabric.add_node(NodeKind::kHost, util::format("h%d", h));
     nodes.push_back(id);
     side.hosts.push_back(id);
   }
   for (int s = 0; s < topo.switches; ++s) {
     nodes.push_back(
-        side.fabric.add_node(NodeKind::kSwitch, "s" + std::to_string(s)));
+        side.fabric.add_node(NodeKind::kSwitch, util::format("s%d", s)));
   }
   std::vector<LinkId> pairs;
   for (const auto& [a, b, cap] : topo.links) {

@@ -71,6 +71,149 @@ TEST(Network, UnicastDeliveryWithLatency) {
   EXPECT_EQ(w.network.messages_delivered(), 1u);
 }
 
+// Delivery timing: a message arrives when its flow's last byte is
+// serialised plus the propagation delay of the path the flow was admitted on.
+
+// Sends `msg` on an idle fabric and returns how long it took to arrive.
+sim::Duration one_way(sim::Simulation& sim, Network& network, Message msg) {
+  const sim::SimTime sent = sim.now();
+  sim::SimTime arrived = sent;
+  network.listen(msg.dst, msg.dst_port,
+                 [&](const Message&) { arrived = sim.now(); });
+  EXPECT_TRUE(network.send(std::move(msg)));
+  sim.run();
+  return arrived - sent;
+}
+
+TEST(Network, UnicastArrivesAtFlowCompletionPlusPathDelay) {
+  MessageWorld w;
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  w.network.bind_ip(a, w.topo.hosts[0]);
+  w.network.bind_ip(b, w.topo.hosts[1]);
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.payload = "hello";
+
+  // A bare flow of the message's wire size over the same idle path.
+  FlowSpec spec;
+  spec.src = w.topo.hosts[0];
+  spec.dst = w.topo.hosts[1];
+  spec.bytes = msg.wire_bytes();
+  sim::SimTime flow_done;
+  spec.on_complete = [&](auto, bool ok) {
+    EXPECT_TRUE(ok);
+    flow_done = w.sim.now();
+  };
+  const sim::SimTime flow_start = w.sim.now();
+  FlowId id = w.fabric.start_flow(std::move(spec));
+  const sim::Duration path_delay = w.fabric.path_delay(w.fabric.flow_path(id));
+  w.sim.run();
+  EXPECT_EQ(path_delay, sim::Duration::micros(100));  // 2 hops of 50 us
+
+  EXPECT_EQ(one_way(w.sim, w.network, msg),
+            (flow_done - flow_start) + path_delay);
+}
+
+TEST(Network, SameHostMessageTakesTwoLoopbackDelays) {
+  MessageWorld w;
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  w.network.bind_ip(a, w.topo.hosts[0]);
+  w.network.bind_ip(b, w.topo.hosts[0]);  // two containers on one Pi
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.payload = "hello";
+  EXPECT_EQ(one_way(w.sim, w.network, msg),
+            Fabric::kLoopbackDelay + Fabric::kLoopbackDelay);
+}
+
+TEST(Network, L2UnicastArrivesWithIpUnicastTiming) {
+  MessageWorld w;
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  w.network.bind_ip(a, w.topo.hosts[0]);
+  w.network.bind_ip(b, w.topo.hosts[1]);
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 67;
+  msg.payload = "discover";
+  const sim::Duration ip_latency = one_way(w.sim, w.network, msg);
+
+  const sim::SimTime sent = w.sim.now();
+  sim::SimTime arrived = sent;
+  w.network.listen_node(w.topo.hosts[1], 67,
+                        [&](const Message&) { arrived = w.sim.now(); });
+  w.network.send_to_node(w.topo.hosts[0], w.topo.hosts[1], msg);
+  w.sim.run();
+  EXPECT_GT(ip_latency, sim::Duration::zero());
+  EXPECT_EQ(arrived - sent, ip_latency);
+}
+
+// Hosts a and b joined by two equal-hop paths: a fast one (50 us a hop) that
+// shortest-path routing admits flows on, and a slow one (5 ms a hop).
+struct TwoPathWorld {
+  sim::Simulation sim;
+  Fabric fabric{sim};
+  Network network{sim, fabric};
+  NetNodeId a = fabric.add_node(NodeKind::kHost, "a");
+  NetNodeId b = fabric.add_node(NodeKind::kHost, "b");
+  NetNodeId fast = fabric.add_node(NodeKind::kSwitch, "fast");
+  NetNodeId slow = fabric.add_node(NodeKind::kSwitch, "slow");
+  LinkId a_fast =
+      fabric.add_link(a, fast, 100e6, sim::Duration::micros(50)).first;
+
+  TwoPathWorld() {
+    fabric.add_link(a, slow, 100e6, sim::Duration::millis(5));
+    fabric.add_link(fast, b, 100e6, sim::Duration::micros(50));
+    fabric.add_link(slow, b, 100e6, sim::Duration::millis(5));
+  }
+  // Cuts the fast path halfway through a 0.1 s transfer.
+  void cut_fast_path_midway() {
+    sim.after(sim::Duration::millis(50),
+              [this]() { fabric.set_link_pair_up(a_fast, false); });
+  }
+};
+
+TEST(Network, RerouteKeepsTheAdmittedPathDelay) {
+  Message msg;
+  msg.src = Ipv4Addr(10, 0, 0, 1);
+  msg.dst = Ipv4Addr(10, 0, 0, 2);
+  msg.dst_port = 80;
+  msg.padding_bytes = 1.25e6;  // 0.1 s at 100 Mb/s
+
+  // A bare flow of the message's size, moved onto the slow path mid-transfer.
+  TwoPathWorld bare;
+  FlowSpec spec;
+  spec.src = bare.a;
+  spec.dst = bare.b;
+  spec.bytes = msg.wire_bytes();
+  sim::SimTime flow_done;
+  spec.on_complete = [&](auto, bool ok) {
+    EXPECT_TRUE(ok);
+    flow_done = bare.sim.now();
+  };
+  FlowId id = bare.fabric.start_flow(std::move(spec));
+  const sim::Duration admitted =
+      bare.fabric.path_delay(bare.fabric.flow_path(id));
+  EXPECT_EQ(admitted, sim::Duration::micros(100));
+  bare.cut_fast_path_midway();
+  bare.sim.run();
+  EXPECT_EQ(bare.sim.metrics().counter_value("net.fabric.reroutes"), 1u);
+
+  // The same transfer as a message: delivered after the fast path's 100 us,
+  // not the slow path's 10 ms.
+  TwoPathWorld w;
+  w.network.bind_ip(msg.src, w.a);
+  w.network.bind_ip(msg.dst, w.b);
+  w.cut_fast_path_midway();
+  EXPECT_EQ(sim::SimTime::zero() + one_way(w.sim, w.network, msg),
+            flow_done + admitted);
+  EXPECT_EQ(w.sim.metrics().counter_value("net.fabric.reroutes"), 1u);
+}
+
 TEST(Network, UnboundSourceRefused) {
   MessageWorld w;
   Message msg;

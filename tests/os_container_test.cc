@@ -8,6 +8,7 @@
 #include "os/memory.h"
 #include "os/node_os.h"
 #include "sim/simulation.h"
+#include "util/strings.h"
 
 namespace picloud::os {
 namespace {
@@ -89,7 +90,7 @@ TEST(NodeOs, ThreeIdleContainersFitTheFourthAppDoesNot) {
   // 240 MB alongside the 48 MB system; memory-hungry additions do not.
   NodeWorld w;
   for (int i = 0; i < 3; ++i) {
-    auto c = w.node->create_container({.name = "c" + std::to_string(i)});
+    auto c = w.node->create_container({.name = util::format("c%d", i)});
     ASSERT_TRUE(c.ok());
     ASSERT_TRUE(c.value()->start(net::Ipv4Addr(10, 0, 0, 10 + i)).ok());
   }
@@ -125,7 +126,7 @@ TEST(Container, StartFailsCleanlyWhenRamExhausted) {
   NodeWorld w;
   // Fill the node: 240 - 48 = 192 MB free; 6 x 30 = 180, 7th fails.
   for (int i = 0; i < 6; ++i) {
-    auto c = w.node->create_container({.name = "f" + std::to_string(i)});
+    auto c = w.node->create_container({.name = util::format("f%d", i)});
     ASSERT_TRUE(c.ok());
     ASSERT_TRUE(c.value()->start(net::Ipv4Addr(10, 0, 0, 20 + i)).ok());
   }

@@ -119,7 +119,7 @@ util::Json random_json(util::Rng& rng, int depth) {
   util::Json obj = util::Json::object();
   int n = static_cast<int>(rng.uniform_int(0, 5));
   for (int i = 0; i < n; ++i) {
-    obj.set("k" + std::to_string(i), random_json(rng, depth + 1));
+    obj.set(util::format("k%d", i), random_json(rng, depth + 1));
   }
   return obj;
 }
@@ -162,7 +162,7 @@ TEST(FabricConservation, BytesCarriedEqualFlowBytesTimesHops) {
     spec.src = topo.hosts[src];
     spec.dst = topo.hosts[dst];
     spec.bytes = bytes;
-    spec.on_complete = [&completed](net::FlowId, bool ok) {
+    spec.on_complete = [&completed](sim::Duration, bool ok) {
       if (ok) ++completed;
     };
     net::FlowId id = fabric.start_flow(std::move(spec));

@@ -154,7 +154,9 @@ struct Lexer {
   std::size_t scan_raw_string_end(std::size_t k) {  // k at '"' after R
     std::size_t open = s.text.find('(', k);
     if (open == std::string::npos || open - k > 17) return scan_string_end(k);
-    std::string close = ")" + s.text.substr(k + 1, open - k - 1) + "\"";
+    std::string close = ")";
+    close.append(s.text, k + 1, open - k - 1);
+    close += '"';
     std::size_t end = s.text.find(close, open + 1);
     if (end == std::string::npos) return s.text.size();
     return end + close.size();
