@@ -31,14 +31,12 @@ void DfsNodeApp::stop() {
 void DfsNodeApp::reply(net::Ipv4Addr to, std::uint16_t port, Json body,
                        double padding) {
   if (container_ == nullptr) return;
-  container_->send(to, port, body.dump(), kDfsPort, padding);
+  container_->send(to, port, std::move(body), kDfsPort, padding);
 }
 
 void DfsNodeApp::on_message(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  Json request = std::move(parsed).value();
+  const Json& request = msg.payload;
   std::string op = request.get_string("op");
   std::string block = request.get_string("block");
   net::Ipv4Addr reply_to = msg.src;
@@ -110,7 +108,7 @@ void DfsNodeApp::on_message(const net::Message& msg) {
           store.set("block", block);
           store.set("bytes", static_cast<unsigned long long>(bytes));
           store.set("id", 0);  // peer's ack is dropped; namenode re-probes
-          container_->send(peer, kDfsPort, store.dump(), kDfsPort,
+          container_->send(peer, kDfsPort, std::move(store), kDfsPort,
                            static_cast<double>(bytes));
         });
     ack.set("ok", true);
@@ -217,20 +215,19 @@ void DfsNamenode::send_op(net::Ipv4Addr datanode, Json body, double padding,
   msg.dst = datanode;
   msg.src_port = port_;
   msg.dst_port = kDfsPort;
-  msg.payload = body.dump();
+  msg.payload = std::move(body);
   msg.padding_bytes = padding;
   network_.send(std::move(msg));
 }
 
 void DfsNamenode::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  auto id = static_cast<std::uint64_t>(parsed.value().get_number("id"));
+  const Json& ack = msg.payload;
+  auto id = static_cast<std::uint64_t>(ack.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   AckCallback cb = std::move(it->second);
   pending_.erase(it);
-  cb(parsed.value().get_bool("ok"), parsed.value().get_number("bytes"));
+  cb(ack.get_bool("ok"), ack.get_number("bytes"));
 }
 
 void DfsNamenode::write(const std::string& file, std::uint64_t bytes,

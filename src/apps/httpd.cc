@@ -105,7 +105,7 @@ void HttpdApp::shed(const QueueEntry& entry, const char* cause) {
   body.set("id", entry.id);
   body.set("status", 503);
   body.set("shed", std::string(cause));
-  container_->send(entry.reply_to, entry.reply_port, body.dump(),
+  container_->send(entry.reply_to, entry.reply_port, std::move(body),
                    params_.port, 128);
 }
 
@@ -124,9 +124,7 @@ void HttpdApp::update_brownout() {
 
 void HttpdApp::on_request(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  Json request = std::move(parsed).value();
+  const Json& request = msg.payload;
 
   // Liveness probes (LB health checks) bypass admission: a loaded-but-alive
   // server must keep answering them or the LB would eject it exactly when
@@ -137,7 +135,8 @@ void HttpdApp::on_request(const net::Message& msg) {
     body.set("id", request.get_number("id"));
     body.set("status", 200);
     body.set("health", true);
-    container_->send(msg.src, msg.src_port, body.dump(), params_.port, 64);
+    container_->send(msg.src, msg.src_port, std::move(body), params_.port,
+                     64);
     return;
   }
 
@@ -219,7 +218,7 @@ void HttpdApp::serve(QueueEntry entry) {
     body.set("status", 200);
     body.set("path", entry.path);
     if (degraded) body.set("brownout", true);
-    container_->send(entry.reply_to, entry.reply_port, body.dump(),
+    container_->send(entry.reply_to, entry.reply_port, std::move(body),
                      params_.port, bytes);
     if (params_.admission_control) pump();
   });

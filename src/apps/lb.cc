@@ -226,9 +226,6 @@ bool LbApp::choose_backend(net::Ipv4Addr exclude, bool use_exclude,
 
 void LbApp::on_client(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  Json request = std::move(parsed).value();
 
   ++requests_received_;
   if (m_received_ != nullptr) m_received_->inc();
@@ -237,9 +234,9 @@ void LbApp::on_client(const net::Message& msg) {
   Proxy proxy;
   proxy.client = msg.src;
   proxy.client_port = msg.src_port;
-  proxy.client_id = request.get_number("id");
-  request.set("id", static_cast<unsigned long long>(pid));
-  proxy.payload = request.dump();
+  proxy.client_id = msg.payload.get_number("id");
+  proxy.payload = msg.payload;
+  proxy.payload.set("id", static_cast<unsigned long long>(pid));
   proxy.padding = msg.padding_bytes;
 
   net::Ipv4Addr target;
@@ -251,7 +248,7 @@ void LbApp::on_client(const net::Message& msg) {
     body.set("id", proxy.client_id);
     body.set("status", 503);
     body.set("lb_error", std::string("no_backend"));
-    container_->send(proxy.client, proxy.client_port, body.dump(),
+    container_->send(proxy.client, proxy.client_port, std::move(body),
                      params_.port, 128);
     return;
   }
@@ -325,11 +322,11 @@ void LbApp::attempt_failed(std::uint64_t pid) {
   body.set("id", proxy.client_id);
   body.set("status", 503);
   body.set("lb_error", std::string("upstream_failed"));
-  finish(pid, body.dump(), 128, /*ok=*/false);
+  finish(pid, std::move(body), 128, /*ok=*/false);
 }
 
-void LbApp::finish(std::uint64_t pid, const std::string& payload,
-                   double padding, bool ok) {
+void LbApp::finish(std::uint64_t pid, util::Json payload, double padding,
+                   bool ok) {
   auto it = proxies_.find(pid);
   if (it == proxies_.end()) return;
   Proxy proxy = std::move(it->second);
@@ -340,15 +337,13 @@ void LbApp::finish(std::uint64_t pid, const std::string& payload,
   } else {
     ++responses_error_;
   }
-  container_->send(proxy.client, proxy.client_port, payload, params_.port,
-                   padding);
+  container_->send(proxy.client, proxy.client_port, std::move(payload),
+                   params_.port, padding);
 }
 
 void LbApp::on_upstream(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  Json reply = std::move(parsed).value();
+  const Json& reply = msg.payload;
   auto id = static_cast<std::uint64_t>(reply.get_number("id"));
 
   if (reply.has("health")) {
@@ -388,8 +383,9 @@ void LbApp::on_upstream(const net::Message& msg) {
     return;
   }
   backend_success(proxy.backend);
-  reply.set("id", proxy.client_id);
-  finish(id, reply.dump(), msg.padding_bytes, /*ok=*/true);
+  Json response = reply;
+  response.set("id", proxy.client_id);
+  finish(id, std::move(response), msg.padding_bytes, /*ok=*/true);
 }
 
 void LbApp::on_health_reply(net::Ipv4Addr backend) {
@@ -476,7 +472,7 @@ void LbApp::probe(net::Ipv4Addr ip) {
     backend_failure(backend);
   });
   probes_.emplace(hid, pending);
-  bool sent = container_->send(ip, params_.backend_port, body.dump(),
+  bool sent = container_->send(ip, params_.backend_port, std::move(body),
                                params_.upstream_port, 64);
   if (!sent) {
     auto it = probes_.find(hid);

@@ -263,7 +263,7 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   msg.dst = pending.target;
   msg.src_port = port_;
   msg.dst_port = params_.server_port;
-  msg.payload = body.dump();
+  msg.payload = std::move(body);
   msg.padding_bytes = static_cast<double>(params_.request_bytes);
   network_.send(std::move(msg));
 }
@@ -297,9 +297,7 @@ void HttpLoadGen::attempt_failed(std::uint64_t id, bool timed_out) {
 }
 
 void HttpLoadGen::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& reply = parsed.value();
+  const Json& reply = msg.payload;
   auto id = static_cast<std::uint64_t>(reply.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;  // late reply after timeout
@@ -424,11 +422,11 @@ void KvClient::request(net::Ipv4Addr server, std::uint16_t server_port,
   msg.dst = server;
   msg.src_port = port_;
   msg.dst_port = server_port;
-  msg.payload = body.dump();
   // put carries the value's bytes on the wire.
   if (body.get_string("op") == "put") {
     msg.padding_bytes = body.get_number("bytes");
   }
+  msg.payload = std::move(body);
   network_.send(std::move(msg));
 }
 
@@ -459,15 +457,13 @@ void KvClient::del(net::Ipv4Addr server, const std::string& key, Callback cb,
 }
 
 void KvClient::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  auto id = static_cast<std::uint64_t>(parsed.value().get_number("id"));
+  auto id = static_cast<std::uint64_t>(msg.payload.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   sim_.cancel(it->second.timeout_event);
   Callback cb = std::move(it->second.cb);
   pending_.erase(it);
-  cb(std::move(parsed).value());
+  cb(msg.payload);
 }
 
 }  // namespace picloud::apps

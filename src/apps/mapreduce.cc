@@ -31,9 +31,7 @@ util::Json MapReduceWorkerApp::status() const {
 
 void MapReduceWorkerApp::on_message(const net::Message& msg) {
   if (container_ == nullptr) return;
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& request = parsed.value();
+  const Json& request = msg.payload;
   std::string op = request.get_string("op");
   if (op == "map") {
     handle_map(request, msg.src, msg.src_port);
@@ -50,9 +48,11 @@ void MapReduceWorkerApp::handle_map(const Json& request, net::Ipv4Addr from,
   double cycles = bytes * request.get_number("cpb", 1.0);
   std::string job = request.get_string("job");
   double shuffle_frac = request.get_number("shuffle_frac", 0.4);
-  // Copy the reducer list out of the request.
+  // Copy the reducer list out of the request, skipping entries that are
+  // not address strings.
   std::vector<net::Ipv4Addr> reducers;
   for (const Json& r : request.get("reducers").as_array()) {
+    if (!r.is_string()) continue;
     auto ip = net::Ipv4Addr::parse(r.as_string());
     if (ip) reducers.push_back(*ip);
   }
@@ -76,11 +76,11 @@ void MapReduceWorkerApp::handle_map(const Json& request, net::Ipv4Addr from,
         part.set("op", "partition");
         part.set("job", job);
         part.set("bytes", partition);
-        container_->send(reducer, kMapReducePort, part.dump(), kMapReducePort,
-                         partition);
+        container_->send(reducer, kMapReducePort, std::move(part),
+                         kMapReducePort, partition);
       }
     }
-    container_->send(from, from_port, done.dump(), kMapReducePort);
+    container_->send(from, from_port, done, kMapReducePort);
   });
 }
 
@@ -125,7 +125,7 @@ void MapReduceWorkerApp::maybe_run_reduce(const std::string& job) {
                         if (!completed || container_ == nullptr) return;
                         ++reduces_done_;
                         reduce_jobs_.erase(job);
-                        container_->send(driver, driver_port, done.dump(),
+                        container_->send(driver, driver_port, done,
                                          kMapReducePort);
                       });
 }
@@ -151,7 +151,7 @@ void MapReduceDriver::send(net::Ipv4Addr to, Json body) {
   msg.dst = to;
   msg.src_port = port_;
   msg.dst_port = kMapReducePort;
-  msg.payload = body.dump();
+  msg.payload = std::move(body);
   network_.send(std::move(msg));
 }
 
@@ -214,9 +214,7 @@ void MapReduceDriver::order_reduces(JobState& job) {
 }
 
 void MapReduceDriver::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& body = parsed.value();
+  const Json& body = msg.payload;
   std::string job_id = body.get_string("job");
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;

@@ -17,11 +17,11 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <string>
 
 #include "net/addr.h"
 #include "net/fabric.h"
 #include "sim/simulation.h"
+#include "util/json.h"
 
 namespace picloud::net {
 
@@ -30,16 +30,19 @@ struct Message {
   Ipv4Addr dst;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
-  std::string payload;
-  // Bulk body size carried on the wire but not materialised as bytes in the
-  // payload string (MapReduce shuffle partitions, file chunks). The fabric
-  // charges it; receivers read it as metadata.
+  // The body, handed to the receiver as a value. On the wire it is its JSON
+  // text, so the fabric charges payload.dump_size() bytes for it.
+  util::Json payload;
+  // Bulk body size carried on the wire but not materialised in the payload
+  // (MapReduce shuffle partitions, file chunks). The fabric charges it;
+  // receivers read it as metadata.
   double padding_bytes = 0;
 
   // L2-L4 framing overhead charged to the fabric per message.
   static constexpr double kHeaderBytes = 64;
   double wire_bytes() const {
-    return kHeaderBytes + static_cast<double>(payload.size()) + padding_bytes;
+    return kHeaderBytes + static_cast<double>(payload.dump_size()) +
+           padding_bytes;
   }
 };
 

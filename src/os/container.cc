@@ -125,7 +125,7 @@ void Container::free_memory(std::uint64_t bytes) {
 }
 
 bool Container::send(net::Ipv4Addr dst, std::uint16_t dst_port,
-                     std::string payload, std::uint16_t src_port,
+                     util::Json payload, std::uint16_t src_port,
                      double padding_bytes) {
   if (state_ != ContainerState::kRunning) return false;
   net::Message msg;

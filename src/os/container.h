@@ -110,7 +110,7 @@ class Container {
 
   // Datagram API, bridged through the host NIC. `padding_bytes` models bulk
   // body size charged on the wire without materialising the bytes.
-  bool send(net::Ipv4Addr dst, std::uint16_t dst_port, std::string payload,
+  bool send(net::Ipv4Addr dst, std::uint16_t dst_port, util::Json payload,
             std::uint16_t src_port = 0, double padding_bytes = 0);
   void listen(std::uint16_t port, net::Network::Handler handler);
   void unlisten(std::uint16_t port);

@@ -79,14 +79,12 @@ void DhcpServer::send_to_client(net::NetNodeId client_node, Json payload) {
   msg.src = ip_;
   msg.src_port = kDhcpServerPort;
   msg.dst_port = kDhcpClientPort;
-  msg.payload = payload.dump();
+  msg.payload = std::move(payload);
   network_.send_to_node(node_, client_node, std::move(msg));
 }
 
 void DhcpServer::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& j = parsed.value();
+  const Json& j = msg.payload;
   std::string type = j.get_string("type");
   std::string mac = j.get_string("mac");
   std::string hostname = j.get_string("hostname");
@@ -229,7 +227,7 @@ void DhcpClient::send_discover() {
   msg.src = net::Ipv4Addr::any();
   msg.src_port = kDhcpClientPort;
   msg.dst_port = kDhcpServerPort;
-  msg.payload = discover.dump();
+  msg.payload = std::move(discover);
   network_.send_to_node(node_, std::nullopt, std::move(msg));
   arm_retry();
 }
@@ -247,9 +245,7 @@ void DhcpClient::arm_retry() {
 }
 
 void DhcpClient::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& j = parsed.value();
+  const Json& j = msg.payload;
   std::string type = j.get_string("type");
 
   if (type == "offer" && state_ == State::kSelecting) {
@@ -269,7 +265,7 @@ void DhcpClient::on_message(const net::Message& msg) {
     req.src = net::Ipv4Addr::any();
     req.src_port = kDhcpClientPort;
     req.dst_port = kDhcpServerPort;
-    req.payload = request.dump();
+    req.payload = std::move(request);
     network_.send_to_node(node_, server_node_, std::move(req));
     arm_retry();
     return;
@@ -303,7 +299,7 @@ void DhcpClient::on_message(const net::Message& msg) {
       req.src = net::Ipv4Addr::any();
       req.src_port = kDhcpClientPort;
       req.dst_port = kDhcpServerPort;
-      req.payload = request.dump();
+      req.payload = std::move(request);
       network_.send_to_node(node_, server_node_, std::move(req));
       arm_retry();
     });

@@ -56,9 +56,7 @@ std::vector<std::string> DnsServer::names() const {
 }
 
 void DnsServer::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& j = parsed.value();
+  const Json& j = msg.payload;
   std::string name = j.get_string("q");
   ++queries_;
   Json answer = Json::object();
@@ -75,7 +73,7 @@ void DnsServer::on_message(const net::Message& msg) {
   reply.dst = msg.src;
   reply.src_port = kDnsPort;
   reply.dst_port = msg.src_port;
-  reply.payload = answer.dump();
+  reply.payload = std::move(answer);
   network_.send(std::move(reply));
 }
 
@@ -130,14 +128,12 @@ void DnsResolver::resolve(const std::string& name, ResolveCallback cb,
   msg.dst = server_;
   msg.src_port = port_;
   msg.dst_port = kDnsPort;
-  msg.payload = query.dump();
+  msg.payload = std::move(query);
   network_.send(std::move(msg));
 }
 
 void DnsResolver::on_message(const net::Message& msg) {
-  auto parsed = Json::parse(msg.payload);
-  if (!parsed.ok()) return;
-  const Json& j = parsed.value();
+  const Json& j = msg.payload;
   std::uint64_t id = static_cast<std::uint64_t>(j.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;

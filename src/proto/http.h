@@ -2,8 +2,8 @@
 //
 // The paper's management plane is RESTful (§II-C: "controls workloads
 // running on the Pi devices using RESTful interfaces"), so the model carries
-// real method/path/status semantics. Requests serialize to a compact JSON
-// envelope on the wire (the fabric charges the serialized size).
+// real method/path/status semantics. Requests and responses travel as a
+// JSON envelope value (the fabric charges its encoded size).
 //
 // Router supports literal segments and ":param" captures:
 //   router.handle(Method::kPost, "/containers/:name/freeze", handler);
@@ -34,8 +34,10 @@ struct HttpRequest {
   util::Json body;         // JSON payload (null for body-less requests)
   std::uint64_t id = 0;    // correlation id, set by the client
 
-  std::string serialize() const;
-  static util::Result<HttpRequest> parse(const std::string& wire);
+  // The envelope {"m", "p", "b", "i"}; the path and body move into it.
+  util::Json to_json() &&;
+  // Rejects an unknown method and a path that does not start with '/'.
+  static util::Result<HttpRequest> from_json(const util::Json& wire);
 };
 
 struct HttpResponse {
@@ -44,8 +46,10 @@ struct HttpResponse {
   std::uint64_t id = 0;  // echoes the request id
 
   bool ok() const { return status >= 200 && status < 300; }
-  std::string serialize() const;
-  static util::Result<HttpResponse> parse(const std::string& wire);
+  // The envelope {"s", "b", "i"}; the body moves into it.
+  util::Json to_json() &&;
+  // Rejects a status outside 100-599.
+  static util::Result<HttpResponse> from_json(const util::Json& wire);
 
   static HttpResponse make(int status, util::Json body = util::Json());
   // Convenience bodies: {"error": code, "message": ...}.

@@ -118,10 +118,10 @@ void RestServer::on_message(const net::Message& msg) {
     reply.dst = reply_to;
     reply.src_port = self_port;
     reply.dst_port = reply_port;
-    reply.payload = response.serialize();
+    reply.payload = std::move(response).to_json();
     network.send(std::move(reply));
   };
-  auto request = HttpRequest::parse(msg.payload);
+  auto request = HttpRequest::from_json(msg.payload);
   if (!request.ok()) {
     send_reply(HttpResponse::bad_request(request.error().message));
     return;
@@ -218,7 +218,7 @@ void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
   msg.dst = server;
   msg.src_port = port_;
   msg.dst_port = port;
-  msg.payload = request.serialize();
+  msg.payload = std::move(request).to_json();
   network_.send(std::move(msg));
   // Drops are handled by the timeout: a datagram network, reliability here.
 }
@@ -314,12 +314,13 @@ void RestClient::retry_done(std::uint64_t retry_id,
 }
 
 void RestClient::on_message(const net::Message& msg) {
-  auto response = HttpResponse::parse(msg.payload);
+  auto response = HttpResponse::from_json(msg.payload);
   if (!response.ok()) {
-    LOG_WARN("rest", "unparseable response at %s", self_.to_string().c_str());
+    LOG_WARN("rest", "invalid response at %s", self_.to_string().c_str());
     return;
   }
-  finish(response.value().id, response.value());
+  const std::uint64_t id = response.value().id;
+  finish(id, std::move(response));
 }
 
 void RestClient::finish(std::uint64_t id, util::Result<HttpResponse> result) {

@@ -1,7 +1,8 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -132,104 +133,144 @@ bool Json::operator==(const Json& other) const {
 
 namespace {
 
-void escape_string(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
+// Where the encoder writes: the text itself (dump/pretty) or only its length
+// (dump_size). One encoder feeds both, so the two cannot disagree.
+struct TextSink {
+  std::string* out;
+  void put(char c) { out->push_back(c); }
+  void put(std::string_view s) { out->append(s); }
+  void fill(size_t n, char c) { out->append(n, c); }
+};
+
+struct SizeSink {
+  size_t bytes = 0;
+  void put(char) { ++bytes; }
+  void put(std::string_view s) { bytes += s.size(); }
+  void fill(size_t n, char) { bytes += n; }
+};
+
+template <typename Sink>
+void encode_string(std::string_view s, Sink& out) {
+  out.put('"');
+  size_t run = 0;  // start of the pending run of characters written as-is
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    std::string_view escape;
     switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
+      case '\b': escape = "\\b"; break;
+      case '\f': escape = "\\f"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += format("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out.put(s.substr(run, i - run));
+    if (!escape.empty()) {
+      out.put(escape);
+    } else {  // other control characters: \u00xx, lower-case hex
+      static constexpr char kHex[] = "0123456789abcdef";
+      const char code[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
+                           kHex[c & 0xF]};
+      out.put(std::string_view(code, sizeof(code)));
+    }
+    run = i + 1;
+  }
+  out.put(s.substr(run));
+  out.put('"');
+}
+
+// Integers below 2^53 print as %lld would, everything else as %.17g would:
+// 17 significant digits, so the text parses back to the same double. `d` is
+// finite: Json(double) stores NaN and +-inf as null.
+template <typename Sink>
+void encode_number(double d, Sink& out) {
+  char buf[32];
+  std::to_chars_result r;
+  if (std::nearbyint(d) == d && std::fabs(d) < 9.007199254740992e15) {
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(d));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), d, std::chars_format::general,
+                      17);
+  }
+  out.put(std::string_view(buf, static_cast<size_t>(r.ptr - buf)));
+}
+
+template <typename Sink>
+void newline_indent(Sink& out, int indent, int depth) {
+  if (indent <= 0) return;
+  out.put('\n');
+  out.fill(static_cast<size_t>(indent * depth), ' ');
+}
+
+template <typename Sink>
+void encode(const Json& v, Sink& out, int indent, int depth) {
+  switch (v.type()) {
+    case Json::Type::kNull: out.put("null"); break;
+    case Json::Type::kBool: out.put(v.as_bool() ? "true" : "false"); break;
+    case Json::Type::kNumber: encode_number(v.as_number(), out); break;
+    case Json::Type::kString: encode_string(v.as_string(), out); break;
+    case Json::Type::kArray: {
+      const JsonArray& a = v.as_array();
+      if (a.empty()) {
+        out.put("[]");
+        break;
+      }
+      out.put('[');
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (i > 0) out.put(',');
+        newline_indent(out, indent, depth + 1);
+        encode(a[i], out, indent, depth + 1);
+      }
+      newline_indent(out, indent, depth);
+      out.put(']');
+      break;
+    }
+    case Json::Type::kObject: {
+      const JsonObject& o = v.as_object();
+      if (o.empty()) {
+        out.put("{}");
+        break;
+      }
+      out.put('{');
+      bool first = true;
+      for (const auto& [k, member] : o) {
+        if (!first) out.put(',');
+        first = false;
+        newline_indent(out, indent, depth + 1);
+        encode_string(k, out);
+        out.put(indent > 0 ? ": " : ":");
+        encode(member, out, indent, depth + 1);
+      }
+      newline_indent(out, indent, depth);
+      out.put('}');
+      break;
     }
   }
-  out->push_back('"');
-}
-
-void dump_number(double d, std::string* out) {
-  if (std::isnan(d) || std::isinf(d)) {  // not representable in JSON
-    *out += "null";
-    return;
-  }
-  double rounded = std::nearbyint(d);
-  if (rounded == d && std::fabs(d) < 9.007199254740992e15) {
-    *out += format("%lld", static_cast<long long>(d));
-  } else {
-    *out += format("%.17g", d);
-  }
-}
-
-void newline_indent(std::string* out, int indent, int depth) {
-  if (indent <= 0) return;
-  out->push_back('\n');
-  out->append(static_cast<size_t>(indent * depth), ' ');
 }
 
 }  // namespace
 
-void Json::dump_to(std::string* out, int indent, int depth) const {
-  switch (type_) {
-    case Type::kNull: *out += "null"; break;
-    case Type::kBool: *out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: dump_number(num_, out); break;
-    case Type::kString: escape_string(str_, out); break;
-    case Type::kArray: {
-      const JsonArray& a = as_array();
-      if (a.empty()) {
-        *out += "[]";
-        break;
-      }
-      out->push_back('[');
-      for (size_t i = 0; i < a.size(); ++i) {
-        if (i > 0) out->push_back(',');
-        newline_indent(out, indent, depth + 1);
-        a[i].dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out->push_back(']');
-      break;
-    }
-    case Type::kObject: {
-      const JsonObject& o = as_object();
-      if (o.empty()) {
-        *out += "{}";
-        break;
-      }
-      out->push_back('{');
-      bool first = true;
-      for (const auto& [k, v] : o) {
-        if (!first) out->push_back(',');
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        escape_string(k, out);
-        *out += indent > 0 ? ": " : ":";
-        v.dump_to(out, indent, depth + 1);
-      }
-      newline_indent(out, indent, depth);
-      out->push_back('}');
-      break;
-    }
-  }
-}
-
 std::string Json::dump() const {
   std::string out;
-  dump_to(&out, /*indent=*/0, /*depth=*/0);
+  TextSink sink{&out};
+  encode(*this, sink, /*indent=*/0, /*depth=*/0);
   return out;
 }
 
 std::string Json::pretty() const {
   std::string out;
-  dump_to(&out, /*indent=*/2, /*depth=*/0);
+  TextSink sink{&out};
+  encode(*this, sink, /*indent=*/2, /*depth=*/0);
   return out;
+}
+
+size_t Json::dump_size() const {
+  SizeSink sink;
+  encode(*this, sink, /*indent=*/0, /*depth=*/0);
+  return sink.bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -301,6 +342,7 @@ class Parser {
     ++depth_;
     eat('{');
     Json obj = Json::object();
+    JsonObject& members = obj.mutable_object();
     skip_ws();
     if (eat('}')) {
       --depth_;
@@ -318,7 +360,10 @@ class Parser {
       skip_ws();
       Result<Json> value = parse_value();
       if (!value.ok()) return value;
-      obj.set(key.value(), std::move(value).value());
+      // A repeated key wins last. dump() writes keys in order, so the end
+      // hint makes each insert constant time on encoder output.
+      members.insert_or_assign(members.end(), std::move(key).value(),
+                               std::move(value).value());
       skip_ws();
       if (eat(',')) continue;
       if (eat('}')) break;
@@ -354,71 +399,88 @@ class Parser {
   Result<std::string> parse_string() {
     eat('"');
     std::string out;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return error("bad escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return error("bad \\u escape");
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else return error("bad hex digit in \\u escape");
-            }
-            // UTF-8 encode (basic multilingual plane only; surrogate pairs
-            // are passed through as replacement characters — management
-            // payloads are ASCII in practice).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
+    while (true) {
+      // Copy the run of plain characters up to the next quote or escape.
+      size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' &&
+             text_[stop] != '\\') {
+        ++stop;
+      }
+      out.append(text_.substr(pos_, stop - pos_));
+      pos_ = stop;
+      if (pos_ >= text_.size()) return error("unterminated string");
+      if (text_[pos_++] == '"') return out;
+      if (pos_ >= text_.size()) return error("bad escape");
+      char e = text_[pos_++];
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) return error("bad \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else return error("bad hex digit in \\u escape");
           }
-          default:
-            return error("unknown escape");
+          // UTF-8 encode (basic multilingual plane only; surrogate pairs
+          // are passed through as replacement characters — management
+          // payloads are ASCII in practice).
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
         }
-      } else {
-        out.push_back(c);
+        default:
+          return error("unknown escape");
       }
     }
-    return error("unterminated string");
   }
 
-  Result<Json> parse_number() {
-    size_t start = pos_;
-    if (eat('-')) { /* sign */ }
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
+  bool eat_digits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    if (pos_ == start) return error("expected value");
-    std::string num(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double d = std::strtod(num.c_str(), &end);
-    if (end != num.c_str() + num.size()) return error("bad number");
+    return pos_ > start;
+  }
+
+  // RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  Result<Json> parse_number() {
+    const size_t start = pos_;
+    eat('-');
+    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
+      return error(pos_ == start ? "expected value" : "bad number");
+    }
+    if (!eat('0')) eat_digits();
+    if (eat('.') && !eat_digits()) return error("bad number");
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (!eat_digits()) return error("bad number");
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double d = 0;
+    if (std::from_chars(first, last, d).ec == std::errc::result_out_of_range) {
+      // Overflow or underflow: take strtod's +-inf (stored as null) or +-0.
+      d = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
     return Json(d);
   }
 

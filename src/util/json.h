@@ -6,8 +6,13 @@
 // implementation. Supports the full JSON data model except that numbers are
 // stored as double (adequate for management payloads: counters, loads,
 // sizes up to 2^53).
+//
+// Messages inside the simulation carry Json values, not their text; the
+// encoder runs at the boundaries (/metrics, /trace, scenario and
+// counterexample files) and in dump_size(), which the fabric charges.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -34,7 +39,11 @@ class Json {
   Json() : type_(Type::kNull) {}
   Json(std::nullptr_t) : type_(Type::kNull) {}                 // NOLINT
   Json(bool b) : type_(Type::kBool), bool_(b) {}               // NOLINT
-  Json(double d) : type_(Type::kNumber), num_(d) {}            // NOLINT
+  // JSON cannot spell NaN or +-inf, and dump() writes -0 as 0, so those
+  // enter as null and +0: every value equals the parse of its own dump.
+  Json(double d)                                               // NOLINT
+      : type_(std::isfinite(d) ? Type::kNumber : Type::kNull),
+        num_(std::isfinite(d) && d != 0 ? d : 0.0) {}
   Json(int i) : type_(Type::kNumber), num_(i) {}               // NOLINT
   Json(unsigned u) : type_(Type::kNumber), num_(u) {}          // NOLINT
   Json(long long i) : type_(Type::kNumber), num_(static_cast<double>(i)) {}  // NOLINT
@@ -64,8 +73,12 @@ class Json {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  // Typed accessors. Calling the wrong accessor is a programming error
-  // (asserts in debug; returns a zero value in release).
+  // Typed accessors. as_bool/as_number/as_int/as_array/as_object return
+  // false, 0 or an empty container on a value of another type. as_string
+  // returns "" on null and aborts (PICLOUD_CHECK, every build) on any other
+  // type, so check is_string() before reading a string from received data.
+  // mutable_array/mutable_object turn null into an empty container and
+  // abort on any other type.
   bool as_bool() const { return is_bool() ? bool_ : false; }
   double as_number() const { return is_number() ? num_ : 0.0; }
   std::int64_t as_int() const { return static_cast<std::int64_t>(as_number()); }
@@ -91,17 +104,18 @@ class Json {
   const Json& operator[](size_t i) const;  // array index
 
   // Serialization. dump() is compact; pretty() indents with two spaces.
+  // dump_size() is dump().size(), computed without building the string.
   std::string dump() const;
   std::string pretty() const;
+  size_t dump_size() const;
 
-  // Parsing. Accepts strict JSON; returns parse errors with position info.
+  // Parsing. Accepts strict JSON (RFC 8259 numbers: no '+', leading zeros,
+  // or bare '.'); returns parse errors with position info.
   static Result<Json> parse(std::string_view text);
 
   bool operator==(const Json& other) const;
 
  private:
-  void dump_to(std::string* out, int indent, int depth) const;
-
   Type type_;
   bool bool_ = false;
   double num_ = 0.0;

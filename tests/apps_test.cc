@@ -255,6 +255,38 @@ TEST(MapReduce, RejectsBadSpecs) {
   EXPECT_TRUE(failed);
 }
 
+// A received map request is outside input: a reducer entry that is not a
+// string is skipped, and the worker keeps serving.
+TEST(MapReduce, MapSkipsReducerEntriesThatAreNotStrings) {
+  AppWorld w(1);
+  const net::Ipv4Addr worker =
+      w.launch(0, "mr", std::make_unique<MapReduceWorkerApp>());
+  int map_done = 0;
+  w.network.listen(w.client_ip, 9000, [&](const net::Message& msg) {
+    if (msg.payload.get_string("op") == "map_done") ++map_done;
+  });
+  net::Message msg;
+  msg.src = w.client_ip;
+  msg.dst = worker;
+  msg.src_port = 9000;
+  msg.dst_port = kMapReducePort;
+  msg.payload = util::Json::object()
+                    .set("op", "map")
+                    .set("job", "j")
+                    .set("task", 0)
+                    .set("id", 0)
+                    .set("bytes", 1024)
+                    .set("reducers", util::Json::array().push_back(7).push_back(
+                                         worker.to_string()));
+  ASSERT_TRUE(w.network.send(std::move(msg)));
+  w.sim.run();
+  EXPECT_EQ(map_done, 1);
+  auto* app = dynamic_cast<MapReduceWorkerApp*>(
+      w.nodes[0]->find_container("mr")->app());
+  ASSERT_NE(app, nullptr);
+  EXPECT_EQ(app->map_tasks_done(), 1u);
+}
+
 TEST(BackgroundTraffic, OffersHeavyTailedFlows) {
   AppWorld w(4);
   BackgroundTraffic::Params params;

@@ -55,7 +55,7 @@ TEST(Network, UnicastDeliveryWithLatency) {
   sim::SimTime delivered_at;
   std::string got;
   w.network.listen(b, 80, [&](const Message& msg) {
-    got = msg.payload;
+    got = msg.payload.as_string();
     delivered_at = w.sim.now();
   });
   Message msg;
@@ -66,7 +66,7 @@ TEST(Network, UnicastDeliveryWithLatency) {
   EXPECT_TRUE(w.network.send(msg));
   w.sim.run();
   EXPECT_EQ(got, "hello");
-  // Serialization (69 B over 100 Mb) + 2 hops of 50 us propagation.
+  // Serialization (71 B over 100 Mb) + 2 hops of 50 us propagation.
   EXPECT_GT(delivered_at.to_seconds(), 100e-6);
   EXPECT_EQ(w.network.messages_delivered(), 1u);
 }
@@ -112,6 +112,39 @@ TEST(Network, UnicastArrivesAtFlowCompletionPlusPathDelay) {
   w.sim.run();
   EXPECT_EQ(path_delay, sim::Duration::micros(100));  // 2 hops of 50 us
 
+  EXPECT_EQ(one_way(w.sim, w.network, msg),
+            (flow_done - flow_start) + path_delay);
+}
+
+// The fabric charges the header, the payload's encoded size and the padding:
+// {"id":7,"op":"get"} encodes to 19 bytes, so with 100 bytes of padding the
+// message is a 64 + 19 + 100 = 183-byte flow.
+TEST(Network, WireBytesAreHeaderEncodedPayloadAndPadding) {
+  MessageWorld w;
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  w.network.bind_ip(a, w.topo.hosts[0]);
+  w.network.bind_ip(b, w.topo.hosts[1]);
+
+  FlowSpec spec;
+  spec.src = w.topo.hosts[0];
+  spec.dst = w.topo.hosts[1];
+  spec.bytes = 183;
+  sim::SimTime flow_done;
+  spec.on_complete = [&](auto, bool ok) {
+    EXPECT_TRUE(ok);
+    flow_done = w.sim.now();
+  };
+  const sim::SimTime flow_start = w.sim.now();
+  FlowId id = w.fabric.start_flow(std::move(spec));
+  const sim::Duration path_delay = w.fabric.path_delay(w.fabric.flow_path(id));
+  w.sim.run();
+
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.payload = util::Json::object().set("id", 7).set("op", "get");
+  msg.padding_bytes = 100;
   EXPECT_EQ(one_way(w.sim, w.network, msg),
             (flow_done - flow_start) + path_delay);
 }

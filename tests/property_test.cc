@@ -3,6 +3,7 @@
 // churn.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "apps/loadgen.h"
@@ -91,7 +92,14 @@ util::Json random_json(util::Rng& rng, int depth) {
       case 0: return util::Json(nullptr);
       case 1: return util::Json(rng.chance(0.5));
       case 2: {
-        // Mix integers and awkward doubles.
+        // Mix integers, awkward doubles and the values JSON text cannot
+        // hold as they are (NaN, +-inf, -0) or only just holds.
+        static const double kEdges[] = {std::nan(""), HUGE_VAL, -HUGE_VAL,
+                                        -0.0,         0x1p53,   1e300,
+                                        5e-324};
+        if (rng.chance(0.2)) {
+          return util::Json(kEdges[rng.uniform_int(0, 6)]);
+        }
         if (rng.chance(0.5)) {
           return util::Json(static_cast<long long>(
               rng.uniform_int(-1000000000000LL, 1000000000000LL)));
@@ -133,6 +141,8 @@ TEST_P(JsonRoundTrip, DumpParseIsIdentity) {
     auto reparsed = util::Json::parse(original.dump());
     ASSERT_TRUE(reparsed.ok()) << original.dump();
     EXPECT_EQ(original, reparsed.value()) << original.dump();
+    // The fabric charges dump_size(), so it must be the dumped length.
+    EXPECT_EQ(original.dump_size(), original.dump().size()) << original.dump();
     // pretty() parses back to the same document too.
     auto repretty = util::Json::parse(original.pretty());
     ASSERT_TRUE(repretty.ok());

@@ -19,13 +19,17 @@ using util::Json;
 // ---------------------------------------------------------------------------
 // HTTP envelope + Router
 
-TEST(Http, RequestSerializeParseRoundTrip) {
+TEST(Http, RequestEnvelopeRoundTrip) {
   HttpRequest req;
   req.method = Method::kPost;
   req.path = "/containers/web-1/freeze";
   req.body = Json::object().set("x", 1);
   req.id = 77;
-  auto parsed = HttpRequest::parse(req.serialize());
+  const Json envelope = HttpRequest(req).to_json();
+  EXPECT_EQ(
+      envelope.dump(),
+      R"({"b":{"x":1},"i":77,"m":"POST","p":"/containers/web-1/freeze"})");
+  auto parsed = HttpRequest::from_json(envelope);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().method, Method::kPost);
   EXPECT_EQ(parsed.value().path, req.path);
@@ -33,21 +37,25 @@ TEST(Http, RequestSerializeParseRoundTrip) {
   EXPECT_EQ(parsed.value().id, 77u);
 }
 
-TEST(Http, ResponseSerializeParseRoundTrip) {
+TEST(Http, ResponseEnvelopeRoundTrip) {
   HttpResponse resp = HttpResponse::make(201, Json("created"));
   resp.id = 9;
-  auto parsed = HttpResponse::parse(resp.serialize());
+  const Json envelope = HttpResponse(resp).to_json();
+  EXPECT_EQ(envelope.dump(), R"({"b":"created","i":9,"s":201})");
+  auto parsed = HttpResponse::from_json(envelope);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().status, 201);
   EXPECT_TRUE(parsed.value().ok());
   EXPECT_EQ(parsed.value().id, 9u);
 }
 
-TEST(Http, ParseRejectsGarbage) {
-  EXPECT_FALSE(HttpRequest::parse("not json").ok());
-  EXPECT_FALSE(HttpRequest::parse(R"({"m":"FETCH","p":"/x"})").ok());
-  EXPECT_FALSE(HttpRequest::parse(R"({"m":"GET","p":"no-slash"})").ok());
-  EXPECT_FALSE(HttpResponse::parse(R"({"s":9999})").ok());
+TEST(Http, FromJsonRejectsBadEnvelopes) {
+  EXPECT_FALSE(HttpRequest::from_json(Json("not an envelope")).ok());
+  Json unknown_method = Json::object().set("m", "FETCH").set("p", "/x");
+  EXPECT_FALSE(HttpRequest::from_json(unknown_method).ok());
+  Json relative_path = Json::object().set("m", "GET").set("p", "no-slash");
+  EXPECT_FALSE(HttpRequest::from_json(relative_path).ok());
+  EXPECT_FALSE(HttpResponse::from_json(Json::object().set("s", 9999)).ok());
 }
 
 TEST(Router, LiteralAndParamRoutes) {

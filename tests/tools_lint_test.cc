@@ -1048,6 +1048,37 @@ TEST(LintFullSolve, SuppressionCommentSilences) {
 }
 
 // ---------------------------------------------------------------------------
+// json-boundary
+
+TEST(LintJsonBoundary, FlagsMessageTextInMessageLayers) {
+  auto diags = lint_content("src/apps/httpd.cc",
+                            "void HttpdApp::on_request(const Message& msg) {\n"
+                            "  auto parsed = util::Json::parse(msg.text);\n"
+                            "  send(parsed.value().dump());\n"
+                            "}\n");
+  auto findings = with_rule(diags, "json-boundary");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("Json::parse"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 3);
+  EXPECT_NE(findings[1].message.find("dump()"), std::string::npos);
+  // The boundaries themselves (scenario files, counterexamples) are exempt.
+  EXPECT_FALSE(has_rule(
+      lint_content("src/testing/scenario.cc",
+                   "auto j = util::Json::parse(text);\n"
+                   "std::string s = j.pretty();\n"),
+      "json-boundary"));
+}
+
+TEST(LintJsonBoundary, SuppressionCommentSilences) {
+  auto diags = lint_content(
+      "src/cloud/control_panel.cc",
+      "// picloud-lint: allow(json-boundary)\n"
+      "std::string text = body.pretty();\n");
+  EXPECT_FALSE(has_rule(diags, "json-boundary"));
+}
+
+// ---------------------------------------------------------------------------
 // suppressions
 
 TEST(LintSuppression, TrailingCommentSilencesThatLine) {

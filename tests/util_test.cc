@@ -121,6 +121,19 @@ TEST(Json, ScalarRoundTrip) {
   EXPECT_EQ(Json(42).dump(), "42");
   EXPECT_EQ(Json(2.5).dump(), "2.5");
   EXPECT_EQ(Json("hi").dump(), "\"hi\"");
+  // Non-integers carry 17 significant digits, as printf's %.17g writes them.
+  EXPECT_EQ(Json(0.1).dump(), "0.10000000000000001");
+  EXPECT_EQ(Json(1.0 / 3).dump(), "0.33333333333333331");
+  EXPECT_EQ(Json(1e21).dump(), "1e+21");
+  EXPECT_EQ(Json(1e-7).dump(), "9.9999999999999995e-08");
+  EXPECT_EQ(Json(5e-324).dump(), "4.9406564584124654e-324");
+  // Integers from 2^53 up take the same form.
+  EXPECT_EQ(Json(18014398509481984.0).dump(), "18014398509481984");
+  // JSON has no -0, NaN or infinity.
+  EXPECT_EQ(Json(-0.0).dump(), "0");
+  EXPECT_EQ(Json(std::nan("")).dump(), "null");
+  EXPECT_EQ(Json(HUGE_VAL).dump(), "null");
+  EXPECT_EQ(Json(-HUGE_VAL).dump(), "null");
 }
 
 TEST(Json, ObjectAndArrayBuilders) {
@@ -149,6 +162,12 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("tru").ok());
   EXPECT_FALSE(Json::parse("1 2").ok());
   EXPECT_FALSE(Json::parse("\"unterminated").ok());
+  // Numbers outside the RFC 8259 grammar.
+  EXPECT_FALSE(Json::parse("+5").ok());
+  EXPECT_FALSE(Json::parse("01").ok());
+  EXPECT_FALSE(Json::parse("1.").ok());
+  EXPECT_FALSE(Json::parse(".5").ok());
+  EXPECT_FALSE(Json::parse("-.5").ok());
 }
 
 TEST(Json, UnicodeEscapes) {

@@ -6,7 +6,7 @@
 // by-reference lambda capture firing from the event queue — so the analyzer
 // lexes the whole tree (lexer.h), builds a cross-file project model
 // (model.h: include graph, computed module layering, symbol index) and runs
-// fourteen rules over it:
+// fifteen rules over it:
 //
 //   nondeterminism       banned wall-clock / libc-RNG / threading APIs
 //                        (rand/srand, std::random_device, time(),
@@ -46,6 +46,10 @@
 //                        identifier containing "client", method
 //                        call/get/post) must state their reliability — a
 //                        RetryPolicy or timeout/Duration argument.
+//   json-boundary        Json::parse and .dump()/.pretty() calls in src/net,
+//                        src/os, src/proto, src/apps and src/cloud —
+//                        messages carry util::Json values; JSON text is
+//                        written and read only at the boundaries.
 //   metrics-registry     telemetry flows through the unified spine
 //                        (DESIGN.md §9): a `struct *Stats` in src/ outside
 //                        util/ is a counter store beside the registry and

@@ -289,6 +289,44 @@ void schedule_point_rule(const ProjectModel& model, int fi,
   }
 }
 
+// --- json-boundary -----------------------------------------------------------
+//
+// Messages inside the simulation carry util::Json values, and the fabric
+// charges their encoded size without writing the text (DESIGN.md §6). JSON
+// text is written and read only at the boundaries: /metrics and /trace
+// consumers, scenario, counterexample and baseline files. None of those live
+// in the layers that exchange messages, so a Json::parse or a .dump() /
+// .pretty() call there is a message being encoded or decoded again.
+
+constexpr const char* kMessageLayers[] = {"net", "os", "proto", "apps",
+                                          "cloud"};
+
+void json_boundary_rule(const ProjectModel& model, int fi,
+                        const Reporter& report) {
+  const SourceFile& f = model.files()[fi];
+  if (std::find(std::begin(kMessageLayers), std::end(kMessageLayers),
+                f.module) == std::end(kMessageLayers)) {
+    return;
+  }
+  const FileView v(f);
+  for (int ci = 0; ci < v.n; ++ci) {
+    if (!v.is_ident(ci) || !v.punct(ci + 1, "(")) continue;
+    const std::string& name = v.tok(ci).text;
+    const bool parse =
+        name == "parse" && v.punct(ci - 1, "::") && v.ident(ci - 2, "Json");
+    const bool encode = (name == "dump" || name == "pretty") &&
+                        (v.punct(ci - 1, ".") || v.punct(ci - 1, "->")) &&
+                        v.punct(ci + 2, ")");
+    if (!parse && !encode) continue;
+    const std::string call = parse ? "Json::parse" : name + "()";
+    report(fi, v.tok(ci).line, "json-boundary",
+           "'" + call + "' in src/" + f.module +
+               " turns a message into JSON text or back; messages carry "
+               "util::Json values and text stays at the boundaries "
+               "(DESIGN.md §6), or justify with allow(json-boundary)");
+  }
+}
+
 // --- rest-retry --------------------------------------------------------------
 
 void rest_retry_rule(const ProjectModel& model, int fi,
@@ -709,6 +747,10 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "capacity check"},
       {"rest-retry",
        "RestClient call must state a RetryPolicy or timeout"},
+      {"json-boundary",
+       "Json::parse / .dump() / .pretty() in src/net, os, proto, apps or "
+       "cloud: messages carry Json values, JSON text stays at the "
+       "boundaries"},
       {"metrics-registry",
        "telemetry must flow through the MetricsRegistry / PICLOUD_LOG spine"},
       {"invariant-catalogue",
@@ -735,6 +777,7 @@ std::vector<Diagnostic> analyze(const ProjectModel& model,
     event_capture_rule(model, fi, report);
     schedule_point_rule(model, fi, report);
     rest_retry_rule(model, fi, report);
+    json_boundary_rule(model, fi, report);
     invariant_catalogue_rule(model, fi, report);
     hot_path_alloc_rule(model, fi, report);
     if (options.whole_program) {
