@@ -388,8 +388,9 @@ std::string git_sha() {
 // visits per heartbeat, and the flows per component solve. The last two
 // are deterministic counts. CI gates names per heartbeat (a heartbeat pays
 // for its own series, not the fleet's); flows per component solve is
-// recorded ungated, since the heartbeat incast onto the pimaster makes it
-// grow with the fleet.
+// recorded ungated, since it grows with the fleet: every 15 s the
+// reconciler sends GET /containers to every live node at one instant, and
+// those flows share the pimaster uplink. Heartbeats alone do not overlap.
 constexpr int kIdleFleetRacks[] = {4, 16, 32, 64};
 constexpr int kIdleFleetHostsPerRack = 14;
 constexpr double kIdleFleetSimSeconds = 60;
@@ -635,7 +636,10 @@ void write_perf_baseline() {
                        churn_steps_per_event[1] / churn_steps_per_event[0]},
                   })},
   });
-  doc.mutable_object()["metrics"].mutable_object().merge(idle_fleet);
+  util::JsonObject& metrics = doc.mutable_object()["metrics"].mutable_object();
+  for (const auto& [name, value] : idle_fleet) {
+    metrics.insert_or_assign(name, value);
+  }
   std::ofstream out(env, std::ios::binary);
   if (!out) {
     std::fprintf(stderr, "bench_sim_perf: cannot write %s\n", env);

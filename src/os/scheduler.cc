@@ -103,33 +103,37 @@ void CpuScheduler::settle_all() {
   }
 }
 
+// Runs on every task start and finish; builds no container.
+// picloud-hot
 void CpuScheduler::reallocate() {
   reallocations_->inc();
   settle_all();
 
   // Phase 1: group rates — weighted fair share with per-group caps
   // (water-filling: capped groups bind first, the rest re-share).
-  for (auto& [gid, g] : groups_) g.rate = 0;
+  for (auto& [gid, g] : groups_) {
+    g.rate = 0;
+    g.decided = false;
+  }
 
-  std::map<CgroupId, bool> decided;
   double remaining_capacity = capacity_;
   while (true) {
     double total_shares = 0;
     for (auto& [gid, g] : groups_) {
-      if (decided.count(gid) > 0 || g.frozen || g.task_count == 0) continue;
+      if (g.decided || g.frozen || g.task_count == 0) continue;
       total_shares += g.shares;
     }
     if (total_shares <= 0) break;
     bool capped_someone = false;
     // First pass: bind groups whose cap is below their fair share.
     for (auto& [gid, g] : groups_) {
-      if (decided.count(gid) > 0 || g.frozen || g.task_count == 0) continue;
+      if (g.decided || g.frozen || g.task_count == 0) continue;
       double fair = remaining_capacity * g.shares / total_shares;
       double cap = g.limit_fraction > 0 ? g.limit_fraction * capacity_
                                         : capacity_;
       if (cap < fair) {
         g.rate = cap;
-        decided[gid] = true;
+        g.decided = true;
         remaining_capacity -= cap;
         capped_someone = true;
       }
@@ -137,24 +141,21 @@ void CpuScheduler::reallocate() {
     if (capped_someone) continue;
     // No caps bind: everyone gets the fair share.
     for (auto& [gid, g] : groups_) {
-      if (decided.count(gid) > 0 || g.frozen || g.task_count == 0) continue;
+      if (g.decided || g.frozen || g.task_count == 0) continue;
       g.rate = remaining_capacity * g.shares / total_shares;
-      decided[gid] = true;
+      g.decided = true;
     }
     break;
   }
 
   // Phase 2: split each group's rate equally across its runnable tasks and
   // reschedule completions.
-  std::map<CgroupId, int> live_tasks;
-  for (const auto& [tid, task] : tasks_) ++live_tasks[task.group];
-
   for (auto& [tid, task] : tasks_) {
     const Group& g = groups_[task.group];
     double task_rate =
-        (g.frozen || live_tasks[task.group] == 0)
+        (g.frozen || g.task_count == 0)
             ? 0.0
-            : g.rate / static_cast<double>(live_tasks[task.group]);
+            : g.rate / static_cast<double>(g.task_count);
     task.rate = task_rate;
     // Unchanged rate -> unchanged finish time: keep the existing event
     // (bounds event churn under heavy request turnover).

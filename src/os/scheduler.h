@@ -87,6 +87,8 @@ class CpuScheduler {
     double shares = 1024;
     double limit_fraction = 0;
     bool frozen = false;
+    bool decided = false;       // reallocate(): rate fixed this round
+    // The group's entries in tasks_: run() and finish_task() keep it equal.
     int task_count = 0;
     double rate = 0;            // cycles/sec granted to the group
     double cycles_used = 0;     // settled consumption

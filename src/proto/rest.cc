@@ -265,10 +265,16 @@ void RestClient::retry_attempt(std::uint64_t retry_id) {
   attempts_->inc();
   if (rc.attempts_made > 1) retries_->inc();
 
+  // The last attempt the policy allows takes the body: nothing reads it
+  // after that attempt.
+  const bool last_attempt = rc.policy.max_attempts > 0 &&
+                            rc.attempts_made == rc.policy.max_attempts;
+  util::Json body = last_attempt ? std::move(rc.body) : rc.body;
+
   // Each attempt is a fresh single-shot call with its own correlation id, so
   // a late response to a timed-out attempt can never satisfy a newer one.
   call(
-      rc.server, rc.port, rc.method, rc.path, rc.body,
+      rc.server, rc.port, rc.method, rc.path, std::move(body),
       [this, retry_id](util::Result<HttpResponse> result) {
         auto rit = retry_calls_.find(retry_id);
         if (rit == retry_calls_.end()) return;

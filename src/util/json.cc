@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <type_traits>
 
 #include "util/check.h"
 #include "util/strings.h"
@@ -16,28 +17,61 @@ const JsonObject kEmptyObject;
 const Json kNullJson;
 }  // namespace
 
-Json::Json(JsonArray a)
-    : type_(Type::kArray), arr_(std::make_unique<JsonArray>(std::move(a))) {}
+static_assert(std::is_nothrow_move_constructible_v<JsonObject::value_type>,
+              "vector growth must move members, not copy them");
 
-Json::Json(JsonObject o)
-    : type_(Type::kObject), obj_(std::make_unique<JsonObject>(std::move(o))) {}
-
-Json::Json(const Json& other)
-    : type_(other.type_), bool_(other.bool_), num_(other.num_), str_(other.str_) {
-  if (other.arr_) arr_ = std::make_unique<JsonArray>(*other.arr_);
-  if (other.obj_) obj_ = std::make_unique<JsonObject>(*other.obj_);
+JsonObject::JsonObject(std::initializer_list<value_type> members) {
+  members_.reserve(members.size());
+  for (const value_type& m : members) {
+    const size_t i = lower_bound(m.first);
+    if (i == members_.size() || members_[i].first != m.first) {
+      members_.insert(members_.begin() + static_cast<std::ptrdiff_t>(i), m);
+    }
+  }
 }
 
-Json::Json(Json&&) noexcept = default;
-
-Json& Json::operator=(const Json& other) {
-  if (this != &other) *this = Json(other);
-  return *this;
+void JsonObject::insert_at(size_t at, std::string&& key, Json&& value) {
+  constexpr size_t kFirstCapacity = 4;
+  if (members_.capacity() == 0) members_.reserve(kFirstCapacity);
+  members_.emplace(members_.begin() + static_cast<std::ptrdiff_t>(at),
+                   std::move(key), std::move(value));
 }
 
-Json& Json::operator=(Json&&) noexcept = default;
+bool JsonObject::operator==(const JsonObject& other) const {
+  return members_ == other.members_;
+}
 
-Json::~Json() = default;
+void Json::destroy() noexcept {
+  switch (type_) {
+    case Type::kString: str_.~basic_string(); break;
+    case Type::kArray: arr_.~JsonArray(); break;
+    case Type::kObject: obj_.~JsonObject(); break;
+    default: break;
+  }
+  type_ = Type::kNull;
+}
+
+void Json::move_owned(Json&& other) noexcept {
+  switch (other.type_) {
+    case Type::kString: new (&str_) std::string(std::move(other.str_)); break;
+    case Type::kArray: new (&arr_) JsonArray(std::move(other.arr_)); break;
+    case Type::kObject: new (&obj_) JsonObject(std::move(other.obj_)); break;
+    default: break;
+  }
+  type_ = other.type_;
+}
+
+void Json::construct(const Json& other) {
+  switch (other.type_) {
+    case Type::kNull: break;
+    case Type::kBool: bool_ = other.bool_; break;
+    case Type::kNumber: num_ = other.num_; break;
+    case Type::kString: new (&str_) std::string(other.str_); break;
+    case Type::kArray: new (&arr_) JsonArray(other.arr_); break;
+    case Type::kObject: new (&obj_) JsonObject(other.obj_); break;
+  }
+  type_ = other.type_;
+}
 
 const std::string& Json::as_string() const {
   PICLOUD_CHECK(is_string() || is_null()) << "as_string on non-string Json";
@@ -45,60 +79,60 @@ const std::string& Json::as_string() const {
 }
 
 const JsonArray& Json::as_array() const {
-  return is_array() && arr_ ? *arr_ : kEmptyArray;
+  return is_array() ? arr_ : kEmptyArray;
 }
 
 const JsonObject& Json::as_object() const {
-  return is_object() && obj_ ? *obj_ : kEmptyObject;
+  return is_object() ? obj_ : kEmptyObject;
 }
 
 JsonArray& Json::mutable_array() {
   if (!is_array()) {
     PICLOUD_CHECK(is_null()) << "mutable_array on non-array Json";
+    new (&arr_) JsonArray();
     type_ = Type::kArray;
-    arr_ = std::make_unique<JsonArray>();
   }
-  return *arr_;
+  return arr_;
 }
 
 JsonObject& Json::mutable_object() {
   if (!is_object()) {
     PICLOUD_CHECK(is_null()) << "mutable_object on non-object Json";
+    new (&obj_) JsonObject();
     type_ = Type::kObject;
-    obj_ = std::make_unique<JsonObject>();
   }
-  return *obj_;
+  return obj_;
 }
 
-bool Json::has(const std::string& key) const {
-  return is_object() && obj_ && obj_->count(key) > 0;
+bool Json::has(std::string_view key) const {
+  return is_object() && obj_.count(key) > 0;
 }
 
-const Json& Json::get(const std::string& key) const {
-  if (is_object() && obj_) {
-    auto it = obj_->find(key);
-    if (it != obj_->end()) return it->second;
+const Json& Json::get(std::string_view key) const {
+  if (is_object()) {
+    auto it = obj_.find(key);
+    if (it != obj_.end()) return it->second;
   }
   return kNullJson;
 }
 
-double Json::get_number(const std::string& key, double fallback) const {
+double Json::get_number(std::string_view key, double fallback) const {
   const Json& v = get(key);
   return v.is_number() ? v.as_number() : fallback;
 }
 
-std::string Json::get_string(const std::string& key, std::string fallback) const {
+std::string Json::get_string(std::string_view key, std::string fallback) const {
   const Json& v = get(key);
   return v.is_string() ? v.as_string() : std::move(fallback);
 }
 
-bool Json::get_bool(const std::string& key, bool fallback) const {
+bool Json::get_bool(std::string_view key, bool fallback) const {
   const Json& v = get(key);
   return v.is_bool() ? v.as_bool() : fallback;
 }
 
-Json& Json::set(const std::string& key, Json value) {
-  mutable_object()[key] = std::move(value);
+Json& Json::set(std::string key, Json value) {
+  mutable_object().insert_or_assign(std::move(key), std::move(value));
   return *this;
 }
 
@@ -108,13 +142,13 @@ Json& Json::push_back(Json value) {
 }
 
 size_t Json::size() const {
-  if (is_array() && arr_) return arr_->size();
-  if (is_object() && obj_) return obj_->size();
+  if (is_array()) return arr_.size();
+  if (is_object()) return obj_.size();
   return 0;
 }
 
 const Json& Json::operator[](size_t i) const {
-  if (is_array() && arr_ && i < arr_->size()) return (*arr_)[i];
+  if (is_array() && i < arr_.size()) return arr_[i];
   return kNullJson;
 }
 
@@ -125,8 +159,8 @@ bool Json::operator==(const Json& other) const {
     case Type::kBool: return bool_ == other.bool_;
     case Type::kNumber: return num_ == other.num_;
     case Type::kString: return str_ == other.str_;
-    case Type::kArray: return as_array() == other.as_array();
-    case Type::kObject: return as_object() == other.as_object();
+    case Type::kArray: return arr_ == other.arr_;
+    case Type::kObject: return obj_ == other.obj_;
   }
   return false;
 }
@@ -360,9 +394,9 @@ class Parser {
       skip_ws();
       Result<Json> value = parse_value();
       if (!value.ok()) return value;
-      // A repeated key wins last. dump() writes keys in order, so the end
-      // hint makes each insert constant time on encoder output.
-      members.insert_or_assign(members.end(), std::move(key).value(),
+      // A repeated key wins last. dump() writes keys in order, so each
+      // insert on encoder output is an append.
+      members.insert_or_assign(std::move(key).value(),
                                std::move(value).value());
       skip_ws();
       if (eat(',')) continue;

@@ -136,5 +136,49 @@ TEST_F(ReconcilerTest, ClaimedContainerIsNeverCollected) {
   EXPECT_TRUE(cloud_->master().instance_healthy("web"));
 }
 
+// Idle heartbeats do not pile up on the pimaster uplink: each node sends at
+// its own instant within the period, so between reconciler sweeps no
+// component solve holds more than two flows (at 56 hosts every heartbeat
+// takes the uncontended fast path). The sweep is what fans out: it sends
+// GET /containers to every live node from one loop, so those flows start
+// together on the uplink and are re-solved together.
+TEST(ReconcilerFanOut, OnlySweepsShareTheUplink) {
+  sim::Simulation sim(1);
+  PiCloud cloud(sim, PiCloudConfig{});  // 4 racks x 14 hosts
+  ASSERT_EQ(cloud.node_count(), 56u);
+  cloud.power_on();
+  ASSERT_TRUE(cloud.await_ready());
+  auto sweeps = [&sim]() {
+    return sim.metrics().counter_value("cloud.reconciler.sweeps");
+  };
+  struct Window {
+    std::uint64_t sweeps, solves, component_solves, component_flows;
+  };
+  auto measure = [&](sim::Duration length) {
+    const std::uint64_t sweeps_before = sweeps();
+    const net::FabricSolverStats before = cloud.fabric().solver_stats();
+    cloud.run_for(length);
+    const net::FabricSolverStats after = cloud.fabric().solver_stats();
+    return Window{sweeps() - sweeps_before, after.solves - before.solves,
+                  after.component_solves - before.component_solves,
+                  after.component_flows - before.component_flows};
+  };
+  // Start once a sweep's audits have landed; the next sweep is 15 s after
+  // it, so the first window holds none and the second holds one.
+  const std::uint64_t seen = sweeps();
+  ASSERT_TRUE(cloud.run_until(sim::Duration::minutes(1),
+                              [&]() { return sweeps() > seen; }));
+  cloud.run_for(sim::Duration::seconds(3));
+
+  const Window quiet = measure(sim::Duration::seconds(10));
+  ASSERT_EQ(quiet.sweeps, 0u);
+  ASSERT_GT(quiet.solves, 0u);  // heartbeats flowed
+  EXPECT_LE(quiet.component_flows, 2 * quiet.component_solves);
+
+  const Window sweep = measure(sim::Duration::seconds(4));
+  ASSERT_EQ(sweep.sweeps, 1u);
+  EXPECT_GT(sweep.component_flows, 2 * sweep.component_solves);
+}
+
 }  // namespace
 }  // namespace picloud

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 
 #include "apps/loadgen.h"
@@ -85,6 +86,19 @@ TEST(Determinism, DifferentSeedsDiverge) {
 // ---------------------------------------------------------------------------
 // JSON round-trip over random documents.
 
+// A short key over an alphabet with upper and lower case, a byte >= 0x80 and
+// a control character, so byte order is not alphabetical order. Repeats are
+// likely.
+std::string random_key(util::Rng& rng) {
+  static constexpr char kAlphabet[] = {'a', 'b', 'B', 'Z', '\xc3', '\x01', '_'};
+  std::string key;
+  const int len = static_cast<int>(rng.uniform_int(0, 3));
+  for (int i = 0; i < len; ++i) {
+    key.push_back(kAlphabet[rng.uniform_int(0, sizeof(kAlphabet) - 1)]);
+  }
+  return key;
+}
+
 util::Json random_json(util::Rng& rng, int depth) {
   double leaf_bias = depth >= 4 ? 1.0 : 0.55;
   if (rng.next_double() < leaf_bias) {
@@ -126,9 +140,7 @@ util::Json random_json(util::Rng& rng, int depth) {
   }
   util::Json obj = util::Json::object();
   int n = static_cast<int>(rng.uniform_int(0, 5));
-  for (int i = 0; i < n; ++i) {
-    obj.set(util::format("k%d", i), random_json(rng, depth + 1));
-  }
+  for (int i = 0; i < n; ++i) obj.set(random_key(rng), random_json(rng, depth + 1));
   return obj;
 }
 
@@ -151,6 +163,40 @@ TEST_P(JsonRoundTrip, DumpParseIsIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JsonRoundTrip, ::testing::Range(1, 9));
+
+// An object holds what a std::map fed the same writes holds, in the same
+// order: each key once, sorted by byte, the last write winning. Writes go
+// through set(), operator[] and insert_or_assign in random order.
+TEST(JsonObjectOrder, MatchesStdMapUnderRandomWrites) {
+  util::Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    util::Json obj = util::Json::object();
+    std::map<std::string, util::Json> reference;
+    const int writes = static_cast<int>(rng.uniform_int(0, 40));
+    for (int i = 0; i < writes; ++i) {
+      const std::string key = random_key(rng);
+      const util::Json value(static_cast<long long>(rng.uniform_int(0, 99)));
+      reference.insert_or_assign(key, value);
+      switch (rng.uniform_int(0, 2)) {
+        case 0: obj.set(key, value); break;
+        case 1: obj.mutable_object()[key] = value; break;
+        default: obj.mutable_object().insert_or_assign(key, value); break;
+      }
+    }
+    const util::JsonObject& members = obj.as_object();
+    ASSERT_EQ(members.size(), reference.size());
+    auto want = reference.begin();
+    for (const auto& [key, value] : members) {
+      EXPECT_EQ(key, want->first);
+      EXPECT_EQ(value, want->second);
+      ++want;
+    }
+    const std::string probe = random_key(rng);
+    EXPECT_EQ(members.count(probe), reference.count(probe));
+    EXPECT_EQ(obj.get(probe), reference.count(probe) > 0 ? reference.at(probe)
+                                                         : util::Json());
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Fabric conservation: bytes carried per link sum to flow bytes x hops.

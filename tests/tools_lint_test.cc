@@ -970,14 +970,13 @@ TEST(LintHotPathAlloc, TrailingMarkerAnnotatesItsOwnLinesBlock) {
 
 TEST(LintHotPathAlloc, PoolMachineryAndColdFilesAreClean) {
   // Placement new and operator-new overloads are the pool's own machinery;
-  // comments/strings are opaque; non-string map keys compare cheaply.
+  // comments/strings are opaque.
   auto diags = lint_content(
       "src/sim/pool.cc",
       "void f(void* buf) {\n"
       "  int* p = new (buf) int(3);\n"
       "  // new and std::function discussed in a comment\n"
       "  const char* s = \"make_unique in a string\";\n"
-      "  std::map<int, int> by_id;\n"
       "}\n"
       "void* operator new(std::size_t n);\n");
   EXPECT_FALSE(has_rule(diags, "hot-path-alloc"));
@@ -990,6 +989,53 @@ TEST(LintHotPathAlloc, PoolMachineryAndColdFilesAreClean) {
       lint_content("bench/bench_x.cc",
                    "// picloud-hot\nvoid f() { int* p = new int(1); }\n"),
       "hot-path-alloc"));
+}
+
+TEST(LintHotPathAlloc, NodeContainerBuiltPerCallIsFlagged) {
+  // Inside a function body a named node-based container is built on every
+  // call, one allocation per element, whatever its key type.
+  auto diags = lint_content(
+      "src/os/x.cc",
+      "// picloud-hot\n"
+      "void reallocate() {\n"
+      "  std::map<CgroupId, bool> decided;\n"
+      "  std::set<int> seen;\n"
+      "  std::list<Task*> order;\n"
+      "}\n");
+  auto findings = with_rule(diags, "hot-path-alloc");
+  ASSERT_EQ(findings.size(), 3u);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("std::map"), std::string::npos);
+  EXPECT_NE(findings[1].message.find("std::set"), std::string::npos);
+  EXPECT_NE(findings[2].message.find("std::list"), std::string::npos);
+}
+
+TEST(LintHotPathAlloc, MemberContainerLookupIsClean) {
+  // A lookup in a member container names no type: nothing is built. Nor do
+  // a Json set() call or an unqualified local name.
+  auto diags = lint_content(
+      "src/apps/x.cc",
+      "// picloud-hot\n"
+      "void route(Ip ip) {\n"
+      "  auto it = backends_.find(ip);\n"
+      "  if (it != backends_.end()) ++it->second.hits;\n"
+      "  groups_[ip].decided = true;\n"
+      "  body.set(\"ip\", ip.to_string());\n"
+      "  int list = 0;\n"
+      "}\n");
+  EXPECT_FALSE(has_rule(diags, "hot-path-alloc"));
+}
+
+TEST(LintHotPathAlloc, AllowSilencesANodeContainer) {
+  auto diags = lint_content(
+      "src/os/x.cc",
+      "// picloud-hot\n"
+      "void rebuild() {\n"
+      "  // Runs once per topology change.\n"
+      "  // picloud-lint: allow(hot-path-alloc)\n"
+      "  std::map<int, int> by_id;\n"
+      "}\n");
+  EXPECT_FALSE(has_rule(diags, "hot-path-alloc"));
 }
 
 TEST(LintHotPathAlloc, SuppressionCommentSilences) {

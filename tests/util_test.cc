@@ -203,6 +203,33 @@ TEST(Json, AsIntTruncatesAndDefaults) {
   EXPECT_EQ(Json("nan").as_int(), 0);  // wrong type: zero value
 }
 
+TEST(Json, InitializerListKeepsTheFirstOfARepeatedKey) {
+  // As std::map's initializer-list constructor does.
+  const Json j(JsonObject{{"a", 1}, {"b", 2}, {"a", 3}});
+  EXPECT_EQ(j.size(), 2u);
+  EXPECT_EQ(j.get_number("a"), 1.0);
+  EXPECT_EQ(j.dump(), R"({"a":1,"b":2})");
+}
+
+TEST(Json, ParseKeepsTheLastOfARepeatedKey) {
+  auto parsed = Json::parse(R"({"a":1,"b":2,"a":3})");
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ(parsed.value().size(), 2u);
+  EXPECT_EQ(parsed.value().get_number("a"), 3.0);
+  EXPECT_EQ(parsed.value().dump(), R"({"a":3,"b":2})");
+}
+
+TEST(Json, InsertionOrderReachesNeitherEqualityNorBytes) {
+  Json forward = Json::object();
+  forward.set("B", 1).set("a", 2).set("b", 3).set("\xc3\xa9", 4);
+  Json backward = Json::object();
+  backward.set("\xc3\xa9", 4).set("b", 3).set("a", 2).set("B", 1);
+  EXPECT_EQ(forward, backward);
+  EXPECT_EQ(forward.dump(), backward.dump());
+  // Byte order: upper case before lower case, bytes >= 0x80 last.
+  EXPECT_EQ(forward.dump(), "{\"B\":1,\"a\":2,\"b\":3,\"\xc3\xa9\":4}");
+}
+
 // ---------------------------------------------------------------------------
 // stats
 

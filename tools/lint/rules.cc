@@ -587,10 +587,26 @@ void bounded_queue_rule(const ProjectModel& model, int fi,
 //     allocate per call; take a template parameter or use a pooled slot;
 //   * std::map / std::unordered_map keyed by std::string — every lookup
 //     hashes/compares full strings; intern to util::Symbol (util/intern.h);
+//   * any other node-based container named in a hot region — std::map,
+//     set, list, forward_list and their multi and unordered forms: inside a
+//     function body the name declares a container built on every call, one
+//     allocation per element. A lookup in a member container
+//     (`backends_.find(ip)`) names no type and stays clean;
 //   * non-placement `new`, make_unique, make_shared — per-call heap
 //     allocation; preallocate or pool.
 // Genuinely cold code inside a hot file (error paths, one-time growth)
 // carries allow(hot-path-alloc) with its justification.
+
+constexpr const char* kNodeContainers[] = {
+    "map",           "multimap",           "set",
+    "multiset",      "unordered_map",      "unordered_multimap",
+    "unordered_set", "unordered_multiset", "list",
+    "forward_list"};
+
+bool is_node_container(const std::string& name) {
+  return std::find(std::begin(kNodeContainers), std::end(kNodeContainers),
+                   name) != std::end(kNodeContainers);
+}
 
 struct HotRegion {
   int begin_line;
@@ -663,6 +679,15 @@ void hot_path_alloc_rule(const ProjectModel& model, int fi,
                  "' keyed by std::string hashes/compares full strings on "
                  "every hot-path lookup; intern the keys to util::Symbol "
                  "handles (util/intern.h)");
+      continue;
+    }
+    if (v.punct(ci - 1, "::") && v.ident(ci - 2, "std") &&
+        is_node_container(v.tok(ci).text)) {
+      report(fi, line, "hot-path-alloc",
+             "std::" + v.tok(ci).text +
+                 " in a hot region allocates a node per element each time "
+                 "it is built; keep the state on a member (a flag, a count, "
+                 "a reused vector) or move this off the hot path");
       continue;
     }
     // Non-placement new: `new (addr) T` and `::operator new` are the pool's
