@@ -7,6 +7,7 @@
 //
 //   $ ./build/examples/sdn_playground
 #include <cstdio>
+#include <vector>
 
 #include "net/sdn.h"
 #include "net/topology.h"
@@ -76,7 +77,8 @@ int main() {
 
   std::printf("\n3. Administrative pinning (policy override):\n");
   // Pin the pair to the OTHER root.
-  auto chosen = controller.route(fabric, src, dst, 0);
+  std::vector<net::LinkId> chosen;
+  controller.route(fabric, src, dst, 0, &chosen);
   size_t other = paths[0] == chosen ? 1 : 0;
   controller.install_path(fabric, src, dst, paths[other]);
   net::FlowSpec pinned;

@@ -1,7 +1,6 @@
 #include "net/fabric.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "util/check.h"
@@ -153,12 +152,43 @@ bool Fabric::path_up(const std::vector<LinkId>& path) const {
   return true;
 }
 
-std::vector<LinkId> Fabric::route_flow(NetNodeId src, NetNodeId dst,
-                                       FlowId id) {
-  if (routing_ != nullptr) return routing_->route(*this, src, dst, id);
-  return shortest_path(src, dst);
+void Fabric::route_flow(NetNodeId src, NetNodeId dst, FlowId id,
+                        std::vector<LinkId>* path) {
+  if (routing_ != nullptr) {
+    routing_->route(*this, src, dst, id, path);
+  } else {
+    *path = shortest_path(src, dst);
+  }
 }
 
+Fabric::Flow* Fabric::acquire_record(FlowId id) {
+  Flow* flow;
+  if (free_records_.empty()) {
+    flow = &records_.emplace_back();
+  } else {
+    flow = free_records_.back();
+    free_records_.pop_back();
+  }
+  flow->id = id;
+  return flow;
+}
+
+void Fabric::release_record(Flow* flow) {
+  std::vector<LinkId> path = std::move(flow->path);
+  path.clear();
+  *flow = Flow{};
+  flow->path = std::move(path);
+  free_records_.push_back(flow);
+}
+
+Fabric::Flow* Fabric::find_live(FlowId id) const {
+  auto at = std::lower_bound(live_.begin(), live_.end(), id, kFlowIdLess);
+  return at != live_.end() && (*at)->id == id ? *at : nullptr;
+}
+
+// Runs once per message. A recycled record and its path make admission
+// allocation-free once the pool is warm.
+// picloud-hot
 FlowId Fabric::start_flow(FlowSpec spec) {
   PICLOUD_CHECK(spec.src < nodes_.size() && spec.dst < nodes_.size())
       << "start_flow endpoints: src=" << spec.src << " dst=" << spec.dst;
@@ -175,8 +205,10 @@ FlowId Fabric::start_flow(FlowSpec spec) {
     return id;
   }
 
-  std::vector<LinkId> path = route_flow(spec.src, spec.dst, id);
-  if (path.empty()) {
+  Flow* flow = acquire_record(id);
+  route_flow(spec.src, spec.dst, id, &flow->path);
+  if (flow->path.empty()) {
+    release_record(flow);
     sim_.after(sim::Duration::zero(), [cb = std::move(spec.on_complete)]() {
       if (cb) cb(sim::Duration::zero(), false);
     });
@@ -188,7 +220,7 @@ FlowId Fabric::start_flow(FlowSpec spec) {
   // Lossy-link chaos: each lossy hop gets an independent chance to drop the
   // flow at admission. The rng is consumed only when a lossy link is on the
   // path, so loss-free simulations keep bit-identical streams.
-  for (LinkId lid : path) {
+  for (LinkId lid : flow->path) {
     double p = links_[lid].loss_p;
     if (p > 0 && loss_rng_.chance(p)) {
       sim_.after(links_[lid].delay, [cb = std::move(spec.on_complete)]() {
@@ -203,28 +235,27 @@ FlowId Fabric::start_flow(FlowSpec spec) {
         ++links_[lid].flows_dropped;
       }
       if (routing_ != nullptr) routing_->on_flow_end(id);
+      release_record(flow);  // last: the loop walks its path
       return id;
     }
   }
 
-  Flow flow;
-  flow.id = id;
-  flow.spec = std::move(spec);
-  flow.path = std::move(path);
-  flow.delay = path_delay(flow.path);
-  flow.remaining_bytes = std::max(flow.spec.bytes, kDrainEpsilonBytes);
-  flow.last_update = sim_.now();
-  Flow& stored = flows_.emplace(id, std::move(flow)).first->second;
-  // The newest flow has the largest id, so it goes at the end of each list.
-  for (LinkId lid : stored.path) {
+  flow->spec = std::move(spec);
+  flow->delay = path_delay(flow->path);
+  flow->remaining_bytes = std::max(flow->spec.bytes, kDrainEpsilonBytes);
+  flow->last_update = sim_.now();
+  // The newest flow has the largest id, so it goes at the end of live_ and
+  // of each link's list.
+  live_.push_back(flow);
+  for (LinkId lid : flow->path) {
     PICLOUD_DCHECK(link_flows_[lid].empty() ||
                    link_flows_[lid].back()->id < id)
         << "flow path repeats link " << lid;
-    link_flows_[lid].push_back(&stored);
+    link_flows_[lid].push_back(flow);
   }
 
   if (mode_ == SolverMode::kIncremental && pending_dirty_.empty() &&
-      path_uncontended(stored.path)) {
+      path_uncontended(flow->path)) {
     // Constant tier: no link on the path carries another flow, so the new
     // flow runs at the path's narrowest capacity and nothing else moves.
     // This equals what progressive filling computes for a singleton
@@ -234,35 +265,33 @@ FlowId Fabric::start_flow(FlowSpec spec) {
     ++stats_.fast_path;
     settle_all();
     double rate = std::numeric_limits<double>::infinity();
-    for (LinkId lid : stored.path) {
+    for (LinkId lid : flow->path) {
       rate = std::min(rate, links_[lid].capacity_bps);
     }
-    stored.rate_bps = std::max(rate, 0.0);
-    for (LinkId lid : stored.path) {
-      links_[lid].allocated_bps = stored.rate_bps;
+    flow->rate_bps = std::max(rate, 0.0);
+    for (LinkId lid : flow->path) {
+      links_[lid].allocated_bps = flow->rate_bps;
       links_[lid].active_flows = 1;
     }
-    schedule_completion(stored);
+    schedule_completion(*flow);
   } else {
-    resolve_after_change(stored.path);
+    resolve_after_change(flow->path);
   }
   return id;
 }
 
 void Fabric::cancel_flow(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  finish_flow(id, /*success=*/false);
+  if (Flow* flow = find_live(id)) finish_flow(flow, /*success=*/false);
 }
 
 std::vector<LinkId> Fabric::flow_path(FlowId id) const {
-  auto it = flows_.find(id);
-  return it != flows_.end() ? it->second.path : std::vector<LinkId>{};
+  const Flow* flow = find_live(id);
+  return flow != nullptr ? flow->path : std::vector<LinkId>{};
 }
 
 double Fabric::flow_rate_bps(FlowId id) const {
-  auto it = flows_.find(id);
-  return it != flows_.end() ? it->second.rate_bps : 0.0;
+  const Flow* flow = find_live(id);
+  return flow != nullptr ? flow->rate_bps : 0.0;
 }
 
 // Runs once per flow per rate change — the fabric's hottest path.
@@ -279,7 +308,7 @@ void Fabric::settle(Flow& flow) {
 }
 
 void Fabric::settle_all() {
-  for (auto& [id, flow] : flows_) settle(flow);
+  for (Flow* flow : live_) settle(*flow);
 }
 
 bool Fabric::path_uncontended(const std::vector<LinkId>& path) const {
@@ -308,10 +337,10 @@ void Fabric::schedule_completion(Flow& flow) {
     return;
   }
   double seconds = flow.remaining_bytes * 8.0 / flow.rate_bps;
-  FlowId fid = flow.id;
+  Flow* handle = &flow;
   flow.completion_event =
       sim_.after(sim::Duration::seconds(seconds),
-                 [this, fid]() { finish_flow(fid, /*success=*/true); });
+                 [this, handle]() { finish_flow(handle, /*success=*/true); });
 }
 
 void Fabric::resolve_after_change(const std::vector<LinkId>& seed) {
@@ -346,7 +375,7 @@ void Fabric::solve_component() {
   if (++epoch_ == 0) {
     // Stamp wrap (once per 2^32 solves): clear stale marks and restart.
     std::fill(link_epoch_.begin(), link_epoch_.end(), 0u);
-    for (auto& [id, flow] : flows_) flow.mark_epoch = 0;
+    for (Flow* flow : live_) flow->mark_epoch = 0;
     epoch_ = 1;
   }
   link_epoch_.resize(links_.size(), 0u);
@@ -463,12 +492,12 @@ void Fabric::run_filling_full() {
   residual_.assign(links_.size(), 0.0);
   unfixed_.assign(links_.size(), 0);
   for (const auto& l : links_) residual_[l.id] = l.capacity_bps;
-  for (auto& [id, flow] : flows_) {
-    flow.rate_bps = -1;  // unfixed marker
-    for (LinkId lid : flow.path) ++unfixed_[lid];
+  for (Flow* flow : live_) {
+    flow->rate_bps = -1;  // unfixed marker
+    for (LinkId lid : flow->path) ++unfixed_[lid];
   }
 
-  size_t unfixed_flows = flows_.size();
+  size_t unfixed_flows = live_.size();
   while (unfixed_flows > 0) {
     // Find the bottleneck link: minimum fair share among loaded links.
     double best = std::numeric_limits<double>::infinity();
@@ -501,27 +530,30 @@ void Fabric::run_filling_full() {
     l.allocated_bps = 0;
     l.active_flows = 0;
   }
-  for (const auto& [id, flow] : flows_) {
-    for (LinkId lid : flow.path) {
-      links_[lid].allocated_bps += flow.rate_bps;
+  for (const Flow* flow : live_) {
+    for (LinkId lid : flow->path) {
+      links_[lid].allocated_bps += flow->rate_bps;
       links_[lid].active_flows += 1;
     }
   }
 
-  for (auto& [id, flow] : flows_) schedule_completion(flow);
+  for (Flow* flow : live_) schedule_completion(*flow);
 }
 
-void Fabric::finish_flow(FlowId id, bool success) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  Flow& flow = it->second;
-  settle(flow);
-  if (flow.completion_event != 0) sim_.cancel(flow.completion_event);
-  FlowCallback cb = std::move(flow.spec.on_complete);
-  sim::Duration delay = flow.delay;
-  std::vector<LinkId> path = std::move(flow.path);
-  unlink_path(flow, path);
-  flows_.erase(it);
+// Runs once per message.
+// picloud-hot
+void Fabric::finish_flow(Flow* flow, bool success) {
+  settle(*flow);
+  if (flow->completion_event != 0) sim_.cancel(flow->completion_event);
+  const FlowId id = flow->id;
+  FlowCallback cb = std::move(flow->spec.on_complete);
+  sim::Duration delay = flow->delay;
+  const std::vector<LinkId>& path = flow->path;
+  unlink_path(*flow, path);
+  auto at = std::lower_bound(live_.begin(), live_.end(), id, kFlowIdLess);
+  PICLOUD_CHECK(at != live_.end() && *at == flow)
+      << "flow " << id << " is not live";
+  live_.erase(at);
   if (success) {
     flows_completed_->inc();
   } else {
@@ -550,6 +582,9 @@ void Fabric::finish_flow(FlowId id, bool success) {
   } else {
     resolve_after_change(path);
   }
+  // Nothing refers to the record now: its event has fired or was cancelled
+  // above, and it left live_ and every link list.
+  release_record(flow);
   if (cb) cb(delay, success);
 }
 
@@ -608,6 +643,7 @@ void Fabric::set_link_pair_up(LinkId id, bool up) {
   // lists give the affected set directly; merged ascending it matches the
   // flow-id order the original whole-map scan produced.
   std::vector<FlowId> affected;
+  std::vector<LinkId> new_path;
   affected.reserve(link_flows_[a].size() + link_flows_[b].size());
   for (LinkId lid : {a, b}) {
     for (const Flow* flow : link_flows_[lid]) affected.push_back(flow->id);
@@ -617,26 +653,24 @@ void Fabric::set_link_pair_up(LinkId id, bool up) {
                  affected.end());
   for (FlowId fid : affected) {
     // Ids, not handles: a failed flow's callback runs inside finish_flow()
-    // and may cancel a later affected flow.
-    auto it = flows_.find(fid);
-    if (it == flows_.end()) continue;
-    Flow& flow = it->second;
-    settle(flow);
-    std::vector<LinkId> new_path =
-        route_flow(flow.spec.src, flow.spec.dst, fid);
+    // and may cancel a later affected flow, whose record is then recycled.
+    Flow* flow = find_live(fid);
+    if (flow == nullptr) continue;
+    settle(*flow);
+    route_flow(flow->spec.src, flow->spec.dst, fid, &new_path);
     if (new_path.empty()) {
-      finish_flow(fid, /*success=*/false);
+      finish_flow(flow, /*success=*/false);
     } else {
       // Both the abandoned and the adopted links feed the dirty set; the
       // next solve (possibly a finish_flow-triggered one mid-loop) folds
       // them into its component.
-      unlink_path(flow, flow.path);
-      pending_dirty_.insert(pending_dirty_.end(), flow.path.begin(),
-                            flow.path.end());
-      link_path(flow, new_path);
+      unlink_path(*flow, flow->path);
+      pending_dirty_.insert(pending_dirty_.end(), flow->path.begin(),
+                            flow->path.end());
+      link_path(*flow, new_path);
       pending_dirty_.insert(pending_dirty_.end(), new_path.begin(),
                             new_path.end());
-      flow.path = std::move(new_path);
+      flow->path.swap(new_path);
       reroutes_->inc();
     }
   }
@@ -661,8 +695,8 @@ void Fabric::set_link_pair_capacity(LinkId id, double capacity_bps) {
 
 std::vector<FlowId> Fabric::active_flow_ids() const {
   std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [id, flow] : flows_) ids.push_back(id);
+  ids.reserve(live_.size());
+  for (const Flow* flow : live_) ids.push_back(flow->id);
   return ids;
 }
 

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,9 +69,12 @@ class Fabric;
 class RoutingProvider {
  public:
   virtual ~RoutingProvider() = default;
-  // Returns directed link ids from src to dst, or empty when unreachable.
-  virtual std::vector<LinkId> route(Fabric& fabric, NetNodeId src,
-                                    NetNodeId dst, FlowId flow) = 0;
+  // Replaces `*path` with the directed link ids from src to dst, or leaves
+  // it empty when dst is unreachable. The fabric passes the path vector of
+  // the flow's recycled record, so a router that writes hop by hop reuses
+  // its capacity and allocates nothing once the pool is warm.
+  virtual void route(Fabric& fabric, NetNodeId src, NetNodeId dst,
+                     FlowId flow, std::vector<LinkId>* path) = 0;
   // Notified when a flow finishes or is cancelled (lets SDN age rules).
   virtual void on_flow_end(FlowId /*flow*/) {}
   // Notified when a directed link's properties (capacity) change so cached
@@ -125,8 +128,8 @@ struct FabricSolverStats {
 class Fabric {
  public:
   explicit Fabric(sim::Simulation& sim);
-  // Completion events capture `this`, and the per-link flow lists point
-  // into flows_, so a fabric never moves or copies.
+  // Completion events capture `this` and a flow record, and the per-link
+  // flow lists point at records, so a fabric never moves or copies.
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -155,7 +158,7 @@ class Fabric {
   std::optional<NetNodeId> find_node(const std::string& name) const;
   // The reverse direction of a directed link.
   LinkId reverse(LinkId id) const;
-  size_t active_flow_count() const { return flows_.size(); }
+  size_t active_flow_count() const { return live_.size(); }
   // Ids of all active flows, ascending. For invariant probes and tests.
   std::vector<FlowId> active_flow_ids() const;
   // Number of active flows whose path crosses a directed link (from the
@@ -241,6 +244,9 @@ class Fabric {
   static constexpr sim::Duration kLoopbackDelay = sim::Duration::micros(20);
 
  private:
+  // A flow's state, in a pooled record: a handle stays valid for the flow's
+  // lifetime, and a new flow routes into the path vector an ended one left
+  // behind.
   struct Flow {
     FlowId id = 0;
     FlowSpec spec;
@@ -278,26 +284,46 @@ class Fabric {
   void run_filling_full();
   // Constant tier: true when every path link carries exactly one flow.
   bool path_uncontended(const std::vector<LinkId>& path) const;
-  void finish_flow(FlowId id, bool success);
+  // Ends a live flow: its completion event is cancelled (or is the one
+  // firing), it leaves its link lists and live_, the solver runs, and its
+  // record goes back on the free list before its callback fires.
+  void finish_flow(Flow* flow, bool success);
+  // A record for flow `id`: a recycled one when there is one.
+  Flow* acquire_record(FlowId id);
+  // Resets every field of `flow` but its path's capacity (a leftover
+  // completion_event and scheduled_rate would trip the reschedule guard)
+  // and puts it on the free list.
+  void release_record(Flow* flow);
+  // The live flow with `id` (binary search of live_), or null once it ended.
+  Flow* find_live(FlowId id) const;
   // Inserts `flow` into / removes it from the flow lists of `path`'s links,
   // at its ascending-id position (binary search).
   void link_path(Flow& flow, const std::vector<LinkId>& path);
   void unlink_path(const Flow& flow, const std::vector<LinkId>& path);
-  std::vector<LinkId> route_flow(NetNodeId src, NetNodeId dst, FlowId id);
+  // Writes the route from src to dst into `*path` (empty: unreachable).
+  void route_flow(NetNodeId src, NetNodeId dst, FlowId id,
+                  std::vector<LinkId>* path);
 
   sim::Simulation& sim_;
   std::vector<NetNode> nodes_;
   std::vector<DirectedLink> links_;
   RoutingProvider* routing_ = nullptr;
-  std::map<FlowId, Flow> flows_;  // ordered -> deterministic allocation
+  // Every flow record ever made (the pool's high water); deque elements
+  // never move.
+  std::deque<Flow> records_;
+  std::vector<Flow*> free_records_;
+  // The active flows in ascending id: admission appends (a new flow has
+  // the largest id), an ending flow is erased by binary search. Settles,
+  // the oracle and every id lookup walk this, in the order the solver's
+  // bit-identity depends on (DESIGN.md §14.2).
+  std::vector<Flow*> live_;
   FlowId next_flow_id_ = 1;
   SolverMode mode_ = SolverMode::kIncremental;
   FabricSolverStats stats_;
-  // The flows crossing each directed link, as handles into flows_ (map
-  // nodes never move) kept in ascending flow id: bottleneck rounds fix
-  // flows in the oracle's whole-map scan order. A new flow has the largest
-  // id, so admission appends; a reroute inserts by binary search. A flow
-  // leaves its lists before it leaves flows_.
+  // The flows crossing each directed link, as record handles kept in
+  // ascending flow id: bottleneck rounds fix flows in the oracle's live_
+  // order. Admission appends; a reroute inserts by binary search. A flow
+  // leaves its lists before its record is recycled.
   std::vector<std::vector<Flow*>> link_flows_;
   // Links whose flow lists or properties changed since the last solve.
   // Mutations (reroutes mid link-cut) accumulate here; the next solve

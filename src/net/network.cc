@@ -81,52 +81,74 @@ bool Network::send(Message msg) {
   return true;
 }
 
+// Runs once per message. The slot table and its free list grow only to
+// their high water, and both closures fit inline.
+// picloud-hot
 void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
                        std::optional<NetNodeId> l2_node) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{std::move(msg), l2_node});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = InFlight{std::move(msg), l2_node};
+  }
   FlowSpec spec;
   spec.src = src_node;
   spec.dst = dst_node;
-  spec.bytes = msg.wire_bytes();
+  spec.bytes = in_flight_[slot].msg.wire_bytes();
   // The fabric fires this once, after the last byte, with the propagation
   // delay of the path it admitted the flow on.
-  spec.on_complete = [this, l2_node, msg = std::move(msg)](
-                         sim::Duration delay, bool success) mutable {
+  spec.on_complete = [this, slot](sim::Duration delay, bool success) {
     if (!success) {
       ++dropped_;
+      unpark(slot);
       return;
     }
-    sim_.after(delay, [this, l2_node, msg = std::move(msg)]() mutable {
-      // Delivery schedule point (DESIGN.md §13): in a default run the hub is
-      // empty and the message is handed to its listener right here, exactly
-      // where it always was. Under a model-checking strategy the delivery is
-      // parked and the strategy picks its place in the interleaving.
-      if (!sim_.schedule_points().active()) {
-        deliver(msg, l2_node);
-        return;
-      }
-      sim::SchedulePoint point;
-      point.kind = sim::SchedulePointKind::kDelivery;
-      if (l2_node) {
-        point.object = "node" + std::to_string(*l2_node);
-        point.label = "deliver-l2:" + point.object + ":" +
-                      std::to_string(msg.dst_port);
-      } else {
-        point.object = msg.dst.to_string();
-        point.label = "deliver:" + msg.src.to_string() + ":" +
-                      std::to_string(msg.src_port) + ">" + point.object +
-                      ":" + std::to_string(msg.dst_port);
-      }
-      point.src_ip = msg.src.to_string();
-      point.dst_ip = msg.dst.to_string();
-      point.src_port = msg.src_port;
-      point.dst_port = msg.dst_port;
-      sim_.schedule_points().intercept(
-          std::move(point), [this, l2_node, msg = std::move(msg)]() {
-            deliver(msg, l2_node);
-          });
-    });
+    sim_.after(delay, [this, slot]() { arrive(slot); });
   };
   fabric_.start_flow(std::move(spec));
+}
+
+Network::InFlight Network::unpark(std::uint32_t slot) {
+  InFlight parked = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  return parked;
+}
+
+void Network::arrive(std::uint32_t slot) {
+  InFlight parked = unpark(slot);
+  // Delivery schedule point (DESIGN.md §13): in a default run the hub is
+  // empty and the message is handed to its listener right here, exactly
+  // where it always was. Under a model-checking strategy the delivery is
+  // parked and the strategy picks its place in the interleaving.
+  if (!sim_.schedule_points().active()) {
+    deliver(parked.msg, parked.l2_node);
+    return;
+  }
+  const Message& msg = parked.msg;
+  sim::SchedulePoint point;
+  point.kind = sim::SchedulePointKind::kDelivery;
+  if (parked.l2_node) {
+    point.object = "node" + std::to_string(*parked.l2_node);
+    point.label = "deliver-l2:" + point.object + ":" +
+                  std::to_string(msg.dst_port);
+  } else {
+    point.object = msg.dst.to_string();
+    point.label = "deliver:" + msg.src.to_string() + ":" +
+                  std::to_string(msg.src_port) + ">" + point.object + ":" +
+                  std::to_string(msg.dst_port);
+  }
+  point.src_ip = msg.src.to_string();
+  point.dst_ip = msg.dst.to_string();
+  point.src_port = msg.src_port;
+  point.dst_port = msg.dst_port;
+  sim_.schedule_points().intercept(
+      std::move(point), [this, parked = std::move(parked)]() {
+        deliver(parked.msg, parked.l2_node);
+      });
 }
 
 void Network::listen_node(NetNodeId node, std::uint16_t port, Handler handler) {

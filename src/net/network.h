@@ -7,7 +7,9 @@
 // A message reaches its listener when the flow's last byte is serialised
 // plus the propagation delay of the path the fabric admitted the flow on.
 // IP and pre-IP (L2) messages share that one path; they differ only in the
-// listener table they are delivered from.
+// listener table they are delivered from. In flight, a message waits in a
+// recycled slot of this Network, so its fabric callback and its delivery
+// event each hold only (this, slot) and neither allocates.
 //
 // Containers are bridged (paper §II-B): a container's IP binds to its host
 // device's fabric node, so all containers on one Pi share its 100 Mb NIC.
@@ -17,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "net/addr.h"
 #include "net/fabric.h"
@@ -92,11 +95,24 @@ class Network {
   std::uint64_t messages_dropped() const { return dropped_; }
 
  private:
-  // Carries `msg` from src_node to dst_node as one fabric flow and, once the
-  // flow completes and the admitted path's delay has passed, deliver()s it.
-  // `l2_node` is set for pre-IP traffic: the fabric node it is addressed to.
+  // A message between transmit() and its arrival.
+  struct InFlight {
+    Message msg;
+    // For pre-IP traffic, the fabric node it is addressed to.
+    std::optional<NetNodeId> l2_node;
+  };
+
+  // Parks `msg` in a slot and carries it from src_node to dst_node as one
+  // fabric flow; once the flow completes and the admitted path's delay has
+  // passed, arrive() takes it out.
   void transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
                 std::optional<NetNodeId> l2_node);
+  // Moves the message out of `slot` and frees the slot, so a handler that
+  // sends (and grows the slot table) never sees it.
+  InFlight unpark(std::uint32_t slot);
+  // The delivery event: unparks the message and hands it to deliver(), or
+  // to the schedule-point hub when a strategy is installed.
+  void arrive(std::uint32_t slot);
   // Hands `msg` to the listener on its dst_port: the node listener of
   // `l2_node` when set, else the listener of its dst IP.
   void deliver(const Message& msg, std::optional<NetNodeId> l2_node);
@@ -106,6 +122,9 @@ class Network {
   std::map<Ipv4Addr, NetNodeId> ip_to_node_;
   std::map<std::pair<std::uint32_t, std::uint16_t>, Handler> listeners_;
   std::map<std::pair<NetNodeId, std::uint16_t>, Handler> node_listeners_;
+  // In-flight messages by slot; a freed slot is reused by the next send.
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

@@ -75,9 +75,11 @@ SdnController::SdnController(sim::Simulation& sim, SdnPolicy policy,
   reroutes_ = &m.counter("net.sdn.reroutes");
 }
 
-std::optional<std::vector<LinkId>> SdnController::follow_rules(
-    Fabric& fabric, NetNodeId src, NetNodeId dst) {
-  std::vector<LinkId> path;
+// Runs once per message that hits the installed rules.
+// picloud-hot
+bool SdnController::follow_rules(Fabric& fabric, NetNodeId src, NetNodeId dst,
+                                 std::vector<LinkId>* path) {
+  path->clear();
   // First hop: the host's access link (hosts are single-homed; pick the
   // first live uplink).
   NetNodeId current = src;
@@ -89,28 +91,28 @@ std::optional<std::vector<LinkId>> SdnController::follow_rules(
       break;
     }
   }
-  if (access == kInvalidLink) return std::nullopt;
-  path.push_back(access);
+  if (access == kInvalidLink) return false;
+  path->push_back(access);
   current = fabric.link(access).to;
 
   // Walk switch tables until the destination (bounded by the node count to
   // catch rule loops).
   for (size_t hop = 0; hop < fabric.node_count(); ++hop) {
-    if (current == dst) return path;
+    if (current == dst) return true;
     auto table_it = tables_.find(current);
-    if (table_it == tables_.end()) return std::nullopt;
+    if (table_it == tables_.end()) return false;
     auto out = table_it->second.lookup(src, dst, sim_.now());
-    if (!out) return std::nullopt;
+    if (!out) return false;
     const DirectedLink& l = fabric.link(*out);
     if (!l.up) {
       // Stale rule over a dead link: invalidate and miss.
       table_it->second.remove(src, dst);
-      return std::nullopt;
+      return false;
     }
-    path.push_back(*out);
+    path->push_back(*out);
     current = l.to;
   }
-  return std::nullopt;  // loop
+  return false;  // loop
 }
 
 std::vector<LinkId> SdnController::compute_path(Fabric& fabric, NetNodeId src,
@@ -149,17 +151,15 @@ std::vector<LinkId> SdnController::compute_path(Fabric& fabric, NetNodeId src,
   return {};
 }
 
-std::vector<LinkId> SdnController::route(Fabric& fabric, NetNodeId src,
-                                         NetNodeId dst, FlowId /*flow*/) {
-  if (auto cached = follow_rules(fabric, src, dst)) {
+void SdnController::route(Fabric& fabric, NetNodeId src, NetNodeId dst,
+                          FlowId /*flow*/, std::vector<LinkId>* path) {
+  if (follow_rules(fabric, src, dst, path)) {
     table_hits_->inc();
-    return *cached;
+    return;
   }
   packet_ins_->inc();
-  std::vector<LinkId> path = compute_path(fabric, src, dst);
-  if (path.empty()) return path;
-  install_path(fabric, src, dst, path);
-  return path;
+  *path = compute_path(fabric, src, dst);
+  if (!path->empty()) install_path(fabric, src, dst, *path);
 }
 
 void SdnController::install_path(Fabric& fabric, NetNodeId src, NetNodeId dst,
@@ -228,15 +228,17 @@ void SpanningTreeRouting::rebuild(const Fabric& fabric) {
   valid_ = true;
 }
 
-std::vector<LinkId> SpanningTreeRouting::route(Fabric& fabric, NetNodeId src,
-                                               NetNodeId dst, FlowId /*flow*/) {
+void SpanningTreeRouting::route(Fabric& fabric, NetNodeId src, NetNodeId dst,
+                                FlowId /*flow*/, std::vector<LinkId>* path) {
+  path->clear();
   if (src == dst || src >= fabric.node_count() || dst >= fabric.node_count()) {
-    return {};
+    return;
   }
   if (!valid_ || parent_link_.size() != fabric.node_count()) rebuild(fabric);
 
   // Splice the two root-ward spines at their lowest common ancestor.
-  auto compute = [&]() -> std::vector<LinkId> {
+  auto compute = [&]() {
+    path->clear();
     auto spine = [&](NetNodeId n) {
       std::vector<NetNodeId> chain{n};
       while (parent_link_[chain.back()] != kInvalidLink) {
@@ -246,30 +248,27 @@ std::vector<LinkId> SpanningTreeRouting::route(Fabric& fabric, NetNodeId src,
     };
     std::vector<NetNodeId> up_src = spine(src);
     std::vector<NetNodeId> up_dst = spine(dst);
-    if (up_src.back() != up_dst.back()) return {};  // different components
+    if (up_src.back() != up_dst.back()) return;  // different components
     size_t i = up_src.size();
     size_t j = up_dst.size();
     while (i > 0 && j > 0 && up_src[i - 1] == up_dst[j - 1]) {
       --i;
       --j;
     }
-    std::vector<LinkId> path;
-    for (size_t k = 0; k < i; ++k) path.push_back(parent_link_[up_src[k]]);
+    for (size_t k = 0; k < i; ++k) path->push_back(parent_link_[up_src[k]]);
     for (size_t k = j; k-- > 0;) {
-      path.push_back(fabric.reverse(parent_link_[up_dst[k]]));
+      path->push_back(fabric.reverse(parent_link_[up_dst[k]]));
     }
-    return path;
   };
 
-  std::vector<LinkId> path = compute();
-  if (path.empty() || !fabric.path_up(path)) {
+  compute();
+  if (path->empty() || !fabric.path_up(*path)) {
     // A tree link died: re-converge (as real spanning tree does, slowly)
     // and try once more.
     rebuild(fabric);
-    path = compute();
-    if (!path.empty() && !fabric.path_up(path)) path.clear();
+    compute();
+    if (!path->empty() && !fabric.path_up(*path)) path->clear();
   }
-  return path;
 }
 
 }  // namespace picloud::net

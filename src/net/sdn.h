@@ -68,8 +68,10 @@ class SdnController : public RoutingProvider {
   SdnController(sim::Simulation& sim, SdnPolicy policy,
                 sim::Duration rule_idle_timeout = sim::Duration::seconds(30));
 
-  std::vector<LinkId> route(Fabric& fabric, NetNodeId src, NetNodeId dst,
-                            FlowId flow) override;
+  // A table hit walks the installed rules straight into `*path`; a miss
+  // raises a packet-in, computes the path under the policy and installs it.
+  void route(Fabric& fabric, NetNodeId src, NetNodeId dst, FlowId flow,
+             std::vector<LinkId>* path) override;
 
   // Link property change (capacity): evicts every rule forwarding over the
   // link, so paths picked under the old capacity (kLeastCongested) get
@@ -92,9 +94,11 @@ class SdnController : public RoutingProvider {
   size_t total_rules() const;
 
  private:
-  // Follows installed rules hop by hop; nullopt on any miss or dead link.
-  std::optional<std::vector<LinkId>> follow_rules(Fabric& fabric,
-                                                  NetNodeId src, NetNodeId dst);
+  // Follows installed rules hop by hop, writing each link into `*path`.
+  // False on any miss, dead link or rule loop (`*path` then holds the
+  // partial walk).
+  bool follow_rules(Fabric& fabric, NetNodeId src, NetNodeId dst,
+                    std::vector<LinkId>* path);
   std::vector<LinkId> compute_path(Fabric& fabric, NetNodeId src,
                                    NetNodeId dst);
 
@@ -123,8 +127,8 @@ class SpanningTreeRouting : public RoutingProvider {
   // link-state change signalled via invalidate().
   SpanningTreeRouting() = default;
 
-  std::vector<LinkId> route(Fabric& fabric, NetNodeId src, NetNodeId dst,
-                            FlowId flow) override;
+  void route(Fabric& fabric, NetNodeId src, NetNodeId dst, FlowId flow,
+             std::vector<LinkId>* path) override;
 
   // Links NOT in the tree (blocked ports). Valid after the first route().
   const std::set<LinkId>& blocked_links() const { return blocked_; }

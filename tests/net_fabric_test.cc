@@ -1,12 +1,15 @@
 // Fabric tests: flow completion timing, max-min fairness (including the
 // property-based sweep over random topologies, run against both solvers),
-// link failure behaviour, the incremental-vs-oracle differential harness,
-// solver step budgets, and the fat-tree golden digests.
+// link failure behaviour, recycled flow records, the incremental-vs-oracle
+// differential harness, solver step budgets, and the fat-tree golden digests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -208,6 +211,128 @@ TEST(Fabric, LinkCutWithNoAlternativeFailsFlow) {
   t.sim.run();
   EXPECT_TRUE(done);
   EXPECT_FALSE(ok);
+}
+
+// --- Recycled flow records -------------------------------------------------
+//
+// An ended flow's record is reused by a later flow. A recycled record must
+// start as clean as a new one, and an ended flow's id must no longer reach
+// the record.
+
+// Four hosts on one switch.
+struct Star {
+  sim::Simulation sim;
+  Fabric fabric{sim};
+  std::vector<NetNodeId> hosts;
+
+  Star() {
+    NetNodeId sw = fabric.add_node(NodeKind::kSwitch, "sw");
+    for (int i = 0; i < 4; ++i) {
+      hosts.push_back(fabric.add_node(NodeKind::kHost, util::format("h%d", i)));
+      fabric.add_link(hosts.back(), sw, 100e6, sim::Duration::micros(50));
+    }
+  }
+
+  FlowId start(int src, int dst, double bytes, FlowCallback on_complete) {
+    FlowSpec spec;
+    spec.src = hosts[src];
+    spec.dst = hosts[dst];
+    spec.bytes = bytes;
+    spec.on_complete = std::move(on_complete);
+    return fabric.start_flow(std::move(spec));
+  }
+};
+
+// What a fixed schedule of contending flows did, relative to its start.
+struct ScheduleOutcome {
+  std::vector<std::int64_t> finished_ns;  // per flow; -1 if it never did
+  std::vector<double> rates_mid_run;      // flow_rate_bps() 0.5 s in
+};
+
+// Starts four flows at fixed offsets: three share h3's downlink, and the
+// fourth shares h0's uplink with the first. `mid_run` runs 0.5 s in, after
+// the rates are read. Returns once the fabric is idle.
+ScheduleOutcome run_contending_schedule(
+    Star& s, const std::function<void()>& mid_run = {}) {
+  struct Planned {
+    double at_s;
+    int src;
+    int dst;
+    double bytes;
+  };
+  static constexpr Planned kPlan[] = {
+      {0.0, 0, 3, 12.5e6},
+      {0.1, 1, 3, 6.25e6},
+      {0.2, 2, 3, 3e6},
+      {0.3, 0, 1, 2e6},
+  };
+  const sim::SimTime start = s.sim.now();
+  ScheduleOutcome out;
+  out.finished_ns.assign(std::size(kPlan), -1);
+  std::vector<FlowId> ids(std::size(kPlan), 0);
+  for (size_t i = 0; i < std::size(kPlan); ++i) {
+    s.sim.at(start + sim::Duration::seconds(kPlan[i].at_s), [&, i]() {
+      const Planned& p = kPlan[i];
+      ids[i] = s.start(p.src, p.dst, p.bytes, [&, i](sim::Duration, bool ok) {
+        if (ok) out.finished_ns[i] = (s.sim.now() - start).ns();
+      });
+    });
+  }
+  s.sim.at(start + sim::Duration::millis(500), [&]() {
+    for (FlowId id : ids) {
+      out.rates_mid_run.push_back(s.fabric.flow_rate_bps(id));
+    }
+    if (mid_run) mid_run();
+  });
+  s.sim.run();
+  return out;
+}
+
+TEST(FabricRecords, RecycledRecordsStartClean) {
+  Star fresh;
+  const ScheduleOutcome expected = run_contending_schedule(fresh);
+  for (std::int64_t ns : expected.finished_ns) ASSERT_GT(ns, 0);
+  for (double rate : expected.rates_mid_run) ASSERT_GT(rate, 0);
+
+  // Recycle every record the schedule will need: flows that finished, flows
+  // that were cancelled, and a flow failed by a link cut, in that order, so
+  // the schedule's first flow reuses the cut flow's record.
+  Star used;
+  std::vector<FlowId> ended;
+  int ended_callbacks = 0;
+  auto count = [&ended_callbacks](sim::Duration, bool) { ++ended_callbacks; };
+  for (int i = 0; i < 4; ++i) {
+    ended.push_back(used.start(i, (i + 1) % 4, 1e6, count));
+  }
+  used.sim.run();
+  for (int i = 0; i < 3; ++i) ended.push_back(used.start(i, 3, 1e12, count));
+  used.sim.run_for(sim::Duration::millis(10));
+  for (size_t i = ended.size() - 3; i < ended.size(); ++i) {
+    used.fabric.cancel_flow(ended[i]);
+  }
+  ended.push_back(used.start(0, 3, 1e12, count));
+  used.sim.run_for(sim::Duration::millis(10));
+  const LinkId h0_link = used.fabric.node(used.hosts[0]).out_links[0];
+  used.fabric.set_link_pair_up(h0_link, false);
+  used.fabric.set_link_pair_up(h0_link, true);
+  used.sim.run();
+  ASSERT_EQ(used.fabric.active_flow_count(), 0u);
+  ASSERT_EQ(ended_callbacks, static_cast<int>(ended.size()));
+  ASSERT_EQ(used.fabric.flows_failed(), 4u);
+
+  // Mid-run, while the schedule's flows occupy the recycled records, an
+  // ended flow's id reaches none of them.
+  const ScheduleOutcome recycled = run_contending_schedule(used, [&]() {
+    for (FlowId id : ended) {
+      EXPECT_EQ(used.fabric.flow_rate_bps(id), 0.0) << "flow " << id;
+      EXPECT_TRUE(used.fabric.flow_path(id).empty()) << "flow " << id;
+      used.fabric.cancel_flow(id);
+    }
+  });
+  EXPECT_EQ(ended_callbacks, static_cast<int>(ended.size()))
+      << "cancel_flow() of an ended flow fired a callback";
+  EXPECT_EQ(recycled.finished_ns, expected.finished_ns);
+  EXPECT_EQ(recycled.rates_mid_run, expected.rates_mid_run);
 }
 
 // --- Property-based max-min fairness ----------------------------------------
