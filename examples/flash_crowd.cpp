@@ -97,8 +97,8 @@ int main() {
       if (auto* app = find_app<apps::HttpdApp>(cloud, util::format("web-%d", i))) {
         ok += app->served_ok();
         degraded += app->served_brownout();
-        shed += app->requests_dropped();
-        brownout = brownout || app->brownout_active();
+        shed += app->admission().dropped();
+        brownout = brownout || app->admission().brownout();
       }
     }
     std::printf("%8d %8llu %8llu %8llu %8llu %8llu %10s\n", t,

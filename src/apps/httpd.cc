@@ -15,15 +15,7 @@ HttpdParams HttpdParams::from_json(const Json& j) {
       static_cast<std::uint64_t>(j.get_number("response_bytes", 8192));
   p.working_set_bytes = static_cast<std::uint64_t>(
       j.get_number("working_set_bytes", 10.0 * (1 << 20)));
-  p.admission_control = j.get_number("admission_control", 1) != 0;
-  p.queue_capacity = static_cast<int>(j.get_number("queue_capacity", 64));
-  p.service_concurrency =
-      static_cast<int>(j.get_number("service_concurrency", 4));
-  p.queue_deadline = sim::Duration::nanos(static_cast<std::int64_t>(
-      j.get_number("queue_deadline_ns", 750.0 * 1e6)));
-  p.brownout_enter_fill = j.get_number("brownout_enter_fill", 0.75);
-  p.brownout_exit_fill = j.get_number("brownout_exit_fill", 0.25);
-  p.brownout_cycles_factor = j.get_number("brownout_cycles_factor", 0.25);
+  p.read_json(j);
   p.brownout_bytes_factor = j.get_number("brownout_bytes_factor", 0.125);
   return p;
 }
@@ -35,40 +27,20 @@ Json HttpdParams::to_json() const {
   j.set("response_bytes", static_cast<unsigned long long>(response_bytes));
   j.set("working_set_bytes",
         static_cast<unsigned long long>(working_set_bytes));
-  j.set("admission_control", admission_control ? 1 : 0);
-  j.set("queue_capacity", queue_capacity);
-  j.set("service_concurrency", service_concurrency);
-  j.set("queue_deadline_ns", static_cast<double>(queue_deadline.ns()));
-  j.set("brownout_enter_fill", brownout_enter_fill);
-  j.set("brownout_exit_fill", brownout_exit_fill);
-  j.set("brownout_cycles_factor", brownout_cycles_factor);
+  write_json(j);
   j.set("brownout_bytes_factor", brownout_bytes_factor);
   return j;
 }
 
 HttpdApp::HttpdApp(HttpdParams params) : params_(params) {}
 
-void HttpdApp::bind_metrics(os::Container& container) {
-  if (m_received_ != nullptr) return;
-  util::MetricsRegistry& reg = container.node().simulation().metrics();
-  m_received_ = &reg.counter("apps.httpd.requests_received");
-  m_served_ok_ = &reg.counter("apps.httpd.served_ok");
-  m_served_brownout_ = &reg.counter("apps.httpd.served_brownout");
-  m_shed_admission_ = &reg.counter("apps.httpd.shed_admission");
-  m_shed_deadline_ = &reg.counter("apps.httpd.shed_deadline");
-  m_refused_at_start_ = &reg.counter("apps.httpd.refused_at_start");
-  m_brownout_entered_ = &reg.counter("apps.httpd.brownout_entered");
-  m_queue_depth_ = &reg.gauge("apps.httpd.queue_depth");
-}
-
-void HttpdApp::set_queue_gauge(double delta) {
-  if (m_queue_depth_ != nullptr) m_queue_depth_->add(delta);
-}
-
 void HttpdApp::start(os::Container& container) {
   container_ = &container;
-  sim_ = &container.node().simulation();
-  bind_metrics(container);
+  sim::Simulation& sim = container.node().simulation();
+  admission_.start(sim, "apps.httpd.", "requests_received",
+                   /*count_brownouts=*/true);
+  m_served_ok_ = &sim.metrics().counter("apps.httpd.served_ok");
+  m_served_brownout_ = &sim.metrics().counter("apps.httpd.served_brownout");
   // Page cache / doc root resident set.
   working_set_resident_ =
       container.alloc_memory(params_.working_set_bytes).ok();
@@ -83,14 +55,7 @@ void HttpdApp::start(os::Container& container) {
 void HttpdApp::stop() {
   if (container_ == nullptr) return;
   container_->unlisten(params_.port);
-  // Queued-but-unserved requests die with the listener; account them so the
-  // conservation invariant survives a stop (migration freeze, node drain).
-  while (!queue_.empty()) {
-    ++refused_at_start_;
-    if (m_refused_at_start_ != nullptr) m_refused_at_start_->inc();
-    queue_.pop_front();
-    set_queue_gauge(-1);
-  }
+  admission_.stop();
   if (working_set_resident_) {
     container_->free_memory(params_.working_set_bytes);
     working_set_resident_ = false;
@@ -98,7 +63,7 @@ void HttpdApp::stop() {
   container_ = nullptr;
 }
 
-void HttpdApp::shed(const QueueEntry& entry, const char* cause) {
+void HttpdApp::shed(const Request& entry, const char* cause) {
   // A shed response is deliberately cheap: no cycles, a header-sized body —
   // fast feedback is what lets client breakers and retry budgets react.
   Json body = Json::object();
@@ -109,19 +74,6 @@ void HttpdApp::shed(const QueueEntry& entry, const char* cause) {
                    params_.port, 128);
 }
 
-void HttpdApp::update_brownout() {
-  const double fill = params_.queue_capacity > 0
-                          ? static_cast<double>(queue_.size()) /
-                                static_cast<double>(params_.queue_capacity)
-                          : 0.0;
-  if (!brownout_ && fill >= params_.brownout_enter_fill) {
-    brownout_ = true;
-    if (m_brownout_entered_ != nullptr) m_brownout_entered_->inc();
-  } else if (brownout_ && fill <= params_.brownout_exit_fill) {
-    brownout_ = false;
-  }
-}
-
 void HttpdApp::on_request(const net::Message& msg) {
   if (container_ == nullptr) return;
   const Json& request = msg.payload;
@@ -130,7 +82,6 @@ void HttpdApp::on_request(const net::Message& msg) {
   // server must keep answering them or the LB would eject it exactly when
   // shedding is doing its job.
   if (request.get_string("op") == "health") {
-    ++health_probes_;
     Json body = Json::object();
     body.set("id", request.get_number("id"));
     body.set("status", 200);
@@ -140,58 +91,17 @@ void HttpdApp::on_request(const net::Message& msg) {
     return;
   }
 
-  ++requests_received_;
-  if (m_received_ != nullptr) m_received_->inc();
-
-  QueueEntry entry;
+  Request entry;
   entry.reply_to = msg.src;
   entry.reply_port = msg.src_port;
   entry.id = request.get_number("id");
   entry.path = request.get_string("path", "/");
   entry.cost = request.get_number("cost", 1.0);
   if (entry.cost < 1e-3) entry.cost = 1.0;
-  entry.deadline = sim_->now() + params_.queue_deadline;
-
-  if (!params_.admission_control) {
-    // Pre-resilience behaviour: unbounded concurrency, no shedding — the
-    // baseline that collapses under a flash crowd.
-    ++in_service_;
-    serve(std::move(entry));
-    return;
-  }
-
-  if (static_cast<int>(queue_.size()) >= params_.queue_capacity) {
-    ++shed_admission_;
-    if (m_shed_admission_ != nullptr) m_shed_admission_->inc();
-    shed(entry, "admission");
-    return;
-  }
-  queue_.push_back(std::move(entry));
-  set_queue_gauge(1);
-  update_brownout();
-  pump();
+  admission_.admit(std::move(entry));
 }
 
-void HttpdApp::pump() {
-  while (container_ != nullptr && in_service_ < params_.service_concurrency &&
-         !queue_.empty()) {
-    QueueEntry entry = std::move(queue_.front());
-    queue_.pop_front();
-    set_queue_gauge(-1);
-    if (sim_->now() > entry.deadline) {
-      ++shed_deadline_;
-      if (m_shed_deadline_ != nullptr) m_shed_deadline_->inc();
-      shed(entry, "deadline");
-      continue;
-    }
-    ++in_service_;
-    serve(std::move(entry));
-  }
-  update_brownout();
-}
-
-void HttpdApp::serve(QueueEntry entry) {
-  const bool degraded = params_.admission_control && brownout_;
+void HttpdApp::serve(Request entry, bool degraded) {
   const double cycles =
       params_.cycles_per_request * entry.cost *
       (degraded ? params_.brownout_cycles_factor : 1.0);
@@ -200,18 +110,13 @@ void HttpdApp::serve(QueueEntry entry) {
       (degraded ? params_.brownout_bytes_factor : 1.0);
   container_->run_cpu(cycles, [this, entry = std::move(entry), degraded,
                                bytes](bool completed) {
-    --in_service_;
-    if (!completed || container_ == nullptr) {
-      ++refused_at_start_;
-      if (m_refused_at_start_ != nullptr) m_refused_at_start_->inc();
-      return;
-    }
+    if (!admission_.finish(completed)) return;
     if (degraded) {
       ++served_brownout_;
-      if (m_served_brownout_ != nullptr) m_served_brownout_->inc();
+      m_served_brownout_->inc();
     } else {
       ++served_ok_;
-      if (m_served_ok_ != nullptr) m_served_ok_->inc();
+      m_served_ok_->inc();
     }
     Json body = Json::object();
     body.set("id", entry.id);
@@ -220,23 +125,18 @@ void HttpdApp::serve(QueueEntry entry) {
     if (degraded) body.set("brownout", true);
     container_->send(entry.reply_to, entry.reply_port, std::move(body),
                      params_.port, bytes);
-    if (params_.admission_control) pump();
+    admission_.pump();
   });
 }
 
 util::Json HttpdApp::status() const {
   Json j = Json::object();
-  j.set("requests", static_cast<unsigned long long>(requests_received_));
+  j.set("requests", static_cast<unsigned long long>(admission_.received()));
   j.set("served_ok", static_cast<unsigned long long>(served_ok_));
   j.set("served_brownout",
         static_cast<unsigned long long>(served_brownout_));
-  j.set("shed_admission", static_cast<unsigned long long>(shed_admission_));
-  j.set("shed_deadline", static_cast<unsigned long long>(shed_deadline_));
-  j.set("refused_at_start",
-        static_cast<unsigned long long>(refused_at_start_));
-  j.set("dropped", static_cast<unsigned long long>(requests_dropped()));
-  j.set("queue_depth", static_cast<unsigned long long>(queue_.size()));
-  j.set("brownout", brownout_);
+  j.set("dropped", static_cast<unsigned long long>(admission_.dropped()));
+  admission_.write_status(j);
   j.set("port", params_.port);
   return j;
 }

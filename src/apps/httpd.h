@@ -7,50 +7,30 @@
 // request latency reflects both CPU contention on the Pi and network
 // congestion on the path.
 //
-// Overload resilience (DESIGN.md §11): requests are admitted into a bounded
-// queue and served at a fixed concurrency; the queue sheds at capacity,
-// sheds again when an entry's deadline expires before service starts, and
-// under sustained pressure the server enters *brownout* — degraded responses
-// that cost a fraction of the cycles and bytes — instead of letting the
-// backlog collapse every request's latency. Every drop is metered by cause.
+// Overload resilience (DESIGN.md §11): requests pass the shared admission
+// queue (apps/admission.h) — bounded, shedding at capacity and again when a
+// request's deadline expires before service starts, and browning out under
+// sustained pressure: degraded responses that cost a fraction of the cycles
+// and bytes, instead of letting the backlog collapse every request's
+// latency. Every drop is metered by cause.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
+#include "apps/admission.h"
 #include "os/container.h"
-#include "sim/simulation.h"
 #include "util/json.h"
 #include "util/metrics.h"
 
 namespace picloud::apps {
 
-struct HttpdParams {
+struct HttpdParams : AdmissionParams {
   std::uint16_t port = 80;
   double cycles_per_request = 2e6;     // ~3 ms alone on a 700 MHz Pi
   std::uint64_t response_bytes = 8192; // page size
   std::uint64_t working_set_bytes = 10ull << 20;  // resident beyond idle
-
-  // --- Admission control (DESIGN.md §11) -------------------------------------
-  // Master switch: off reproduces the pre-overload-tier behaviour (every
-  // request goes straight to run_cpu) — the no-shedding baseline the
-  // flash-crowd acceptance test compares against.
-  bool admission_control = true;
-  // Bound on requests waiting for a service slot. Full queue -> 503.
-  int queue_capacity = 64;
-  // Requests in run_cpu simultaneously; the rest wait in the queue.
-  int service_concurrency = 4;
-  // Time a request may wait in the queue; checked when it reaches the head,
-  // expired entries are shed with a 503 instead of burning cycles.
-  sim::Duration queue_deadline = sim::Duration::millis(750);
-
-  // --- Brownout --------------------------------------------------------------
-  // Hysteresis on queue fill: enter degraded serving at `enter`, leave at
-  // `exit`. Brownout responses cost cycles*factor and bytes*factor.
-  double brownout_enter_fill = 0.75;
-  double brownout_exit_fill = 0.25;
-  double brownout_cycles_factor = 0.25;
+  // A brownout response carries bytes * factor.
   double brownout_bytes_factor = 0.125;
 
   static HttpdParams from_json(const util::Json& j);
@@ -59,6 +39,16 @@ struct HttpdParams {
 
 class HttpdApp : public os::ContainerApp {
  public:
+  // What a request keeps while it waits and runs.
+  struct Request {
+    net::Ipv4Addr reply_to;
+    std::uint16_t reply_port = 0;
+    double id = 0;
+    std::string path;
+    double cost = 1.0;  // heavy-tailed per-request work multiplier
+  };
+  using Queue = AdmissionQueue<HttpdApp, Request>;
+
   explicit HttpdApp(HttpdParams params = {});
 
   std::string kind() const override { return "httpd"; }
@@ -70,73 +60,33 @@ class HttpdApp : public os::ContainerApp {
     return static_cast<double>(params_.working_set_bytes) * 0.02;
   }
 
-  // --- Accounting (conservation probe: see invariants.cc) --------------------
-  // received == served_ok + served_brownout + shed_admission + shed_deadline
-  //             + refused_at_start + queue_depth + in_service, at any instant.
-  std::uint64_t requests_received() const { return requests_received_; }
+  // Completed work splits into full and degraded responses; the admission
+  // identity's `completed` is their sum (see invariants.cc).
+  std::uint64_t served_ok() const { return served_ok_; }
+  std::uint64_t served_brownout() const { return served_brownout_; }
   std::uint64_t requests_served() const {
     return served_ok_ + served_brownout_;
   }
-  std::uint64_t served_ok() const { return served_ok_; }
-  std::uint64_t served_brownout() const { return served_brownout_; }
-  std::uint64_t shed_admission() const { return shed_admission_; }
-  std::uint64_t shed_deadline() const { return shed_deadline_; }
-  // Admitted but never completed: the CPU task was cancelled (container
-  // stopped / destroyed / OOM-killed mid-service) — the legacy
-  // `requests_dropped_` cause, now one bucket among four.
-  std::uint64_t refused_at_start() const { return refused_at_start_; }
-  std::uint64_t requests_dropped() const {
-    return shed_admission_ + shed_deadline_ + refused_at_start_;
-  }
-  std::size_t queue_depth() const { return queue_.size(); }
-  int in_service() const { return in_service_; }
-  bool brownout_active() const { return brownout_; }
+  const Queue& admission() const { return admission_; }
   const HttpdParams& params() const { return params_; }
 
  private:
-  struct QueueEntry {
-    net::Ipv4Addr reply_to;
-    std::uint16_t reply_port = 0;
-    double id = 0;
-    std::string path;
-    double cost = 1.0;  // heavy-tailed per-request work multiplier
-    sim::SimTime deadline;
-  };
+  friend Queue;
 
   void on_request(const net::Message& msg);
-  void pump();
-  void serve(QueueEntry entry);
-  void shed(const QueueEntry& entry, const char* cause);
-  void update_brownout();
-  void bind_metrics(os::Container& container);
-  void set_queue_gauge(double depth);
+  void serve(Request entry, bool degraded);
+  void shed(const Request& entry, const char* cause);
 
   HttpdParams params_;
+  Queue admission_{*this, params_};
   os::Container* container_ = nullptr;
-  sim::Simulation* sim_ = nullptr;
   bool working_set_resident_ = false;
 
-  std::deque<QueueEntry> queue_;  // bounded by params_.queue_capacity
-  int in_service_ = 0;
-  bool brownout_ = false;
-
-  std::uint64_t requests_received_ = 0;
   std::uint64_t served_ok_ = 0;
   std::uint64_t served_brownout_ = 0;
-  std::uint64_t shed_admission_ = 0;
-  std::uint64_t shed_deadline_ = 0;
-  std::uint64_t refused_at_start_ = 0;
-  std::uint64_t health_probes_ = 0;
-
-  // Registry series (aggregated across instances; bound at first start()).
-  util::Counter* m_received_ = nullptr;
+  // Registry series (aggregated across instances; bound in start()).
   util::Counter* m_served_ok_ = nullptr;
   util::Counter* m_served_brownout_ = nullptr;
-  util::Counter* m_shed_admission_ = nullptr;
-  util::Counter* m_shed_deadline_ = nullptr;
-  util::Counter* m_refused_at_start_ = nullptr;
-  util::Counter* m_brownout_entered_ = nullptr;
-  util::Gauge* m_queue_depth_ = nullptr;
 };
 
 }  // namespace picloud::apps

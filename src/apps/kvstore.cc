@@ -11,36 +11,19 @@ KvStoreParams KvStoreParams::from_json(const Json& j) {
   KvStoreParams p;
   p.port = static_cast<std::uint16_t>(j.get_number("port", 6379));
   p.cycles_per_op = j.get_number("cycles_per_op", 0.5e6);
-  p.admission_control = j.get_number("admission_control", 1) != 0;
-  p.queue_capacity = static_cast<int>(j.get_number("queue_capacity", 128));
-  p.service_concurrency =
-      static_cast<int>(j.get_number("service_concurrency", 4));
-  p.queue_deadline = sim::Duration::nanos(static_cast<std::int64_t>(
-      j.get_number("queue_deadline_ns", 750.0 * 1e6)));
-  p.brownout_enter_fill = j.get_number("brownout_enter_fill", 0.75);
-  p.brownout_exit_fill = j.get_number("brownout_exit_fill", 0.25);
-  p.brownout_cycles_factor = j.get_number("brownout_cycles_factor", 0.25);
+  p.read_json(j);
   return p;
 }
 
 KvStoreApp::KvStoreApp(KvStoreParams params) : params_(params) {}
 
-void KvStoreApp::bind_metrics(os::Container& container) {
-  if (m_received_ != nullptr) return;
-  util::MetricsRegistry& reg = container.node().simulation().metrics();
-  m_received_ = &reg.counter("apps.kvstore.ops_received");
-  m_served_ = &reg.counter("apps.kvstore.ops_served");
-  m_served_brownout_ = &reg.counter("apps.kvstore.served_brownout");
-  m_shed_admission_ = &reg.counter("apps.kvstore.shed_admission");
-  m_shed_deadline_ = &reg.counter("apps.kvstore.shed_deadline");
-  m_refused_at_start_ = &reg.counter("apps.kvstore.refused_at_start");
-  m_queue_depth_ = &reg.gauge("apps.kvstore.queue_depth");
-}
-
 void KvStoreApp::start(os::Container& container) {
   container_ = &container;
-  sim_ = &container.node().simulation();
-  bind_metrics(container);
+  sim::Simulation& sim = container.node().simulation();
+  admission_.start(sim, "apps.kvstore.", "ops_received",
+                   /*count_brownouts=*/false);
+  m_served_ = &sim.metrics().counter("apps.kvstore.ops_served");
+  m_served_brownout_ = &sim.metrics().counter("apps.kvstore.served_brownout");
   // Re-charge the dataset (fresh start: zero; post-migration: full set).
   if (stored_bytes_ > 0) {
     util::Status charged = container.alloc_memory(stored_bytes_);
@@ -58,12 +41,7 @@ void KvStoreApp::start(os::Container& container) {
 void KvStoreApp::stop() {
   if (container_ == nullptr) return;
   container_->unlisten(params_.port);
-  while (!queue_.empty()) {
-    ++refused_at_start_;
-    if (m_refused_at_start_ != nullptr) m_refused_at_start_->inc();
-    queue_.pop_front();
-    if (m_queue_depth_ != nullptr) m_queue_depth_->add(-1);
-  }
+  admission_.stop();
   if (stored_bytes_ > 0) container_->free_memory(stored_bytes_);
   container_ = nullptr;
 }
@@ -74,16 +52,12 @@ void KvStoreApp::reply(net::Ipv4Addr to, std::uint16_t port, Json body,
   container_->send(to, port, std::move(body), params_.port, padding);
 }
 
-void KvStoreApp::update_brownout() {
-  const double fill = params_.queue_capacity > 0
-                          ? static_cast<double>(queue_.size()) /
-                                static_cast<double>(params_.queue_capacity)
-                          : 0.0;
-  if (!brownout_ && fill >= params_.brownout_enter_fill) {
-    brownout_ = true;
-  } else if (brownout_ && fill <= params_.brownout_exit_fill) {
-    brownout_ = false;
-  }
+void KvStoreApp::shed(const Op& entry, const char* cause) {
+  Json body = Json::object();
+  body.set("id", entry.request.get_number("id"));
+  body.set("ok", false);
+  body.set("shed", std::string(cause));
+  reply(entry.reply_to, entry.reply_port, std::move(body));
 }
 
 void KvStoreApp::on_request(const net::Message& msg) {
@@ -99,78 +73,22 @@ void KvStoreApp::on_request(const net::Message& msg) {
     return;
   }
 
-  ++ops_received_;
-  if (m_received_ != nullptr) m_received_->inc();
-
-  QueueEntry entry;
-  entry.reply_to = msg.src;
-  entry.reply_port = msg.src_port;
-  entry.request = request;
-  entry.deadline = sim_->now() + params_.queue_deadline;
-
-  if (!params_.admission_control) {
-    ++in_service_;
-    serve(std::move(entry));
-    return;
-  }
-
-  if (static_cast<int>(queue_.size()) >= params_.queue_capacity) {
-    ++shed_admission_;
-    if (m_shed_admission_ != nullptr) m_shed_admission_->inc();
-    Json body = Json::object();
-    body.set("id", entry.request.get_number("id"));
-    body.set("ok", false);
-    body.set("shed", std::string("admission"));
-    reply(entry.reply_to, entry.reply_port, std::move(body));
-    return;
-  }
-  queue_.push_back(std::move(entry));
-  if (m_queue_depth_ != nullptr) m_queue_depth_->add(1);
-  update_brownout();
-  pump();
+  admission_.admit({msg.src, msg.src_port, request});
 }
 
-void KvStoreApp::pump() {
-  while (container_ != nullptr && in_service_ < params_.service_concurrency &&
-         !queue_.empty()) {
-    QueueEntry entry = std::move(queue_.front());
-    queue_.pop_front();
-    if (m_queue_depth_ != nullptr) m_queue_depth_->add(-1);
-    if (sim_->now() > entry.deadline) {
-      ++shed_deadline_;
-      if (m_shed_deadline_ != nullptr) m_shed_deadline_->inc();
-      Json body = Json::object();
-      body.set("id", entry.request.get_number("id"));
-      body.set("ok", false);
-      body.set("shed", std::string("deadline"));
-      reply(entry.reply_to, entry.reply_port, std::move(body));
-      continue;
-    }
-    ++in_service_;
-    serve(std::move(entry));
-  }
-  update_brownout();
-}
-
-void KvStoreApp::serve(QueueEntry entry) {
-  const bool degraded = params_.admission_control && brownout_;
+void KvStoreApp::serve(Op entry, bool degraded) {
   const double cycles =
       params_.cycles_per_op *
       (degraded ? params_.brownout_cycles_factor : 1.0);
   container_->run_cpu(cycles, [this, entry = std::move(entry),
                                degraded](bool completed) {
-    --in_service_;
-    if (!completed || container_ == nullptr) {
-      ++refused_at_start_;
-      if (m_refused_at_start_ != nullptr) m_refused_at_start_->inc();
-      return;
-    }
+    if (!admission_.finish(completed)) return;
     execute(entry, degraded);
-    if (params_.admission_control) pump();
+    admission_.pump();
   });
 }
 
-void KvStoreApp::execute(const QueueEntry& entry, bool degraded) {
+void KvStoreApp::execute(const Op& entry, bool degraded) {
   const Json& request = entry.request;
   std::string op = request.get_string("op");
   std::string key = request.get_string("key");
@@ -181,10 +99,10 @@ void KvStoreApp::execute(const QueueEntry& entry, bool degraded) {
 
   auto served = [this, degraded]() {
     ++ops_served_;
-    if (m_served_ != nullptr) m_served_->inc();
+    m_served_->inc();
     if (degraded) {
       ++served_brownout_;
-      if (m_served_brownout_ != nullptr) m_served_brownout_->inc();
+      m_served_brownout_->inc();
     }
   };
 
@@ -256,12 +174,7 @@ util::Json KvStoreApp::status() const {
   j.set("keys", static_cast<unsigned long long>(values_.size()));
   j.set("bytes", static_cast<unsigned long long>(stored_bytes_));
   j.set("ops", static_cast<unsigned long long>(ops_served_));
-  j.set("shed_admission", static_cast<unsigned long long>(shed_admission_));
-  j.set("shed_deadline", static_cast<unsigned long long>(shed_deadline_));
-  j.set("refused_at_start",
-        static_cast<unsigned long long>(refused_at_start_));
-  j.set("queue_depth", static_cast<unsigned long long>(queue_.size()));
-  j.set("brownout", brownout_);
+  admission_.write_status(j);
   return j;
 }
 

@@ -11,43 +11,44 @@
 //   {"op":"get","key":k,"id":i}             -> {"ok":true,"bytes":n,"id":i}
 //   {"op":"del","key":k,"id":i}             -> {"ok":true,"id":i}
 //
-// Overload resilience (DESIGN.md §11): ops are admitted into a bounded
-// queue served at fixed concurrency; a full queue or an expired queue
-// deadline sheds the op with {"ok":false,"shed":...}. Under sustained
-// pressure the store browns out: gets return metadata only (no value bytes
-// on the wire) at a fraction of the cycles.
+// Overload resilience (DESIGN.md §11): ops pass the shared admission queue
+// (apps/admission.h), served at fixed concurrency; a full queue or an
+// expired queue deadline sheds the op with {"ok":false,"shed":...}. Under
+// sustained pressure the store browns out: gets return metadata only (no
+// value bytes on the wire) at a fraction of the cycles.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 
+#include "apps/admission.h"
 #include "os/container.h"
-#include "sim/simulation.h"
 #include "util/json.h"
 #include "util/metrics.h"
 
 namespace picloud::apps {
 
-struct KvStoreParams {
+struct KvStoreParams : AdmissionParams {
+  // kvstore's default queue holds 128 ops (httpd's holds 64 requests).
+  KvStoreParams() { queue_capacity = 128; }
+
   std::uint16_t port = 6379;
   double cycles_per_op = 0.5e6;
-
-  // Admission control (same model as HttpdParams; see DESIGN.md §11).
-  bool admission_control = true;
-  int queue_capacity = 128;
-  int service_concurrency = 4;
-  sim::Duration queue_deadline = sim::Duration::millis(750);
-  double brownout_enter_fill = 0.75;
-  double brownout_exit_fill = 0.25;
-  double brownout_cycles_factor = 0.25;
 
   static KvStoreParams from_json(const util::Json& j);
 };
 
 class KvStoreApp : public os::ContainerApp {
  public:
+  // What an op keeps while it waits and runs.
+  struct Op {
+    net::Ipv4Addr reply_to;
+    std::uint16_t reply_port = 0;
+    util::Json request;
+  };
+  using Queue = AdmissionQueue<KvStoreApp, Op>;
+
   explicit KvStoreApp(KvStoreParams params = {});
 
   std::string kind() const override { return "kvstore"; }
@@ -62,62 +63,37 @@ class KvStoreApp : public os::ContainerApp {
   size_t key_count() const { return values_.size(); }
   std::uint64_t stored_bytes() const { return stored_bytes_; }
 
-  // --- Accounting (conservation probe: see invariants.cc) --------------------
-  // received == served + rejected + shed_admission + shed_deadline
-  //             + refused_at_start + queue_depth + in_service, at any instant.
-  std::uint64_t ops_received() const { return ops_received_; }
+  // Completed work: served ops (degraded ones included, and also counted
+  // in served_brownout) and rejected ones (bad op, OOM put). The admission
+  // identity's `completed` is ops_served + ops_rejected (see invariants.cc).
   std::uint64_t ops_served() const { return ops_served_; }
   std::uint64_t served_brownout() const { return served_brownout_; }
   std::uint64_t ops_rejected() const { return ops_rejected_; }
-  std::uint64_t shed_admission() const { return shed_admission_; }
-  std::uint64_t shed_deadline() const { return shed_deadline_; }
-  std::uint64_t refused_at_start() const { return refused_at_start_; }
-  std::size_t queue_depth() const { return queue_.size(); }
-  int in_service() const { return in_service_; }
-  bool brownout_active() const { return brownout_; }
+  const Queue& admission() const { return admission_; }
 
  private:
-  struct QueueEntry {
-    net::Ipv4Addr reply_to;
-    std::uint16_t reply_port = 0;
-    util::Json request;
-    sim::SimTime deadline;
-  };
+  friend Queue;
 
   void on_request(const net::Message& msg);
-  void pump();
-  void serve(QueueEntry entry);
-  void execute(const QueueEntry& entry, bool degraded);
-  void update_brownout();
-  void bind_metrics(os::Container& container);
+  void serve(Op entry, bool degraded);
+  void shed(const Op& entry, const char* cause);
+  void execute(const Op& entry, bool degraded);
   void reply(net::Ipv4Addr to, std::uint16_t port, util::Json body,
              double padding = 0);
 
   KvStoreParams params_;
+  Queue admission_{*this, params_};
   os::Container* container_ = nullptr;
-  sim::Simulation* sim_ = nullptr;
   std::map<std::string, std::uint64_t> values_;  // key -> value size
   std::uint64_t stored_bytes_ = 0;
 
-  std::deque<QueueEntry> queue_;  // bounded by params_.queue_capacity
-  int in_service_ = 0;
-  bool brownout_ = false;
-
-  std::uint64_t ops_received_ = 0;
-  std::uint64_t ops_served_ = 0;        // includes served_brownout_
+  std::uint64_t ops_served_ = 0;  // includes served_brownout_
   std::uint64_t served_brownout_ = 0;
-  std::uint64_t ops_rejected_ = 0;      // bad op / OOM put
-  std::uint64_t shed_admission_ = 0;
-  std::uint64_t shed_deadline_ = 0;
-  std::uint64_t refused_at_start_ = 0;  // cancelled mid-service / on stop
+  std::uint64_t ops_rejected_ = 0;
 
-  util::Counter* m_received_ = nullptr;
+  // Registry series (aggregated across instances; bound in start()).
   util::Counter* m_served_ = nullptr;
   util::Counter* m_served_brownout_ = nullptr;
-  util::Counter* m_shed_admission_ = nullptr;
-  util::Counter* m_shed_deadline_ = nullptr;
-  util::Counter* m_refused_at_start_ = nullptr;
-  util::Gauge* m_queue_depth_ = nullptr;
 };
 
 }  // namespace picloud::apps

@@ -69,7 +69,6 @@ void PiCloud::build() {
 
     NodeDaemon::Config daemon_config;
     daemon_config.pimaster_ip = config_.master_ip;
-    daemon_config.pimaster_port = PiMaster::kPort;
     daemon_config.rack = rack;
     daemon_config.heartbeat_period = config_.heartbeat_period;
     auto daemon =

@@ -31,22 +31,18 @@ NodeSample NodeSample::from_json(const util::Json& j, sim::SimTime at) {
   return s;
 }
 
-ClusterMonitor::ClusterMonitor(sim::Simulation& sim,
-                               sim::Duration liveness_window)
+ClusterMonitor::ClusterMonitor(sim::Simulation& sim)
     : sim_(sim),
-      liveness_window_(liveness_window),
       samples_(&sim.metrics().counter("cloud.monitor.samples_ingested")) {}
 
 void ClusterMonitor::register_node(const std::string& hostname,
-                                   const std::string& mac, net::Ipv4Addr ip,
-                                   int rack, double cpu_capacity_hz) {
+                                   net::Ipv4Addr ip, int rack,
+                                   double cpu_capacity_hz) {
   NodeRecord& rec = records_[hostname];
   rec.hostname = hostname;
-  rec.mac = mac;
   rec.ip = ip;
   rec.rack = rack;
   rec.cpu_capacity_hz = cpu_capacity_hz;
-  rec.registered_at = sim_.now();
   rec.last_seen = sim_.now();
 }
 
@@ -71,14 +67,12 @@ void ClusterMonitor::record_sample(const std::string& hostname,
 bool ClusterMonitor::alive(const std::string& hostname) const {
   auto it = records_.find(hostname);
   if (it == records_.end()) return false;
-  return sim_.now() - it->second.last_seen <= liveness_window_;
+  return sim_.now() - it->second.last_seen <= kLivenessWindow;
 }
 
-std::optional<NodeRecord> ClusterMonitor::node(
-    const std::string& hostname) const {
+const NodeRecord* ClusterMonitor::node(const std::string& hostname) const {
   auto it = records_.find(hostname);
-  if (it == records_.end()) return std::nullopt;
-  return it->second;
+  return it != records_.end() ? &it->second : nullptr;
 }
 
 std::vector<NodeRecord> ClusterMonitor::nodes() const {

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,11 +43,9 @@ struct NodeSample {
 
 struct NodeRecord {
   std::string hostname;
-  std::string mac;
-  net::Ipv4Addr ip;
+  net::Ipv4Addr ip;  // the daemon's management address
   int rack = -1;
   double cpu_capacity_hz = 0;
-  sim::SimTime registered_at;
   sim::SimTime last_seen;
   // Memory in use before any container was placed (first heartbeat):
   // the OS's own footprint, used for authoritative placement accounting.
@@ -69,12 +66,14 @@ struct ClusterSummary {
 
 class ClusterMonitor {
  public:
-  ClusterMonitor(sim::Simulation& sim,
-                 sim::Duration liveness_window = sim::Duration::seconds(10));
+  // A node is alive while its last heartbeat is at most this old.
+  static constexpr sim::Duration kLivenessWindow = sim::Duration::seconds(10);
+
+  explicit ClusterMonitor(sim::Simulation& sim);
 
   // Registration (first contact after DHCP).
-  void register_node(const std::string& hostname, const std::string& mac,
-                     net::Ipv4Addr ip, int rack, double cpu_capacity_hz);
+  void register_node(const std::string& hostname, net::Ipv4Addr ip, int rack,
+                     double cpu_capacity_hz);
   bool known(const std::string& hostname) const;
 
   // Heartbeat ingestion.
@@ -82,7 +81,8 @@ class ClusterMonitor {
 
   // A node is alive when a heartbeat arrived within the liveness window.
   bool alive(const std::string& hostname) const;
-  std::optional<NodeRecord> node(const std::string& hostname) const;
+  // Null when `hostname` never registered. Records are never erased.
+  const NodeRecord* node(const std::string& hostname) const;
   std::vector<NodeRecord> nodes() const;  // hostname order
   // Placement-policy input.
   std::vector<NodeView> views() const;
@@ -93,7 +93,6 @@ class ClusterMonitor {
 
  private:
   sim::Simulation& sim_;
-  sim::Duration liveness_window_;
   std::map<std::string, NodeRecord> records_;
   util::Counter* samples_ = nullptr;  // cloud.monitor.samples_ingested
 };

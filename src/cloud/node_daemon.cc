@@ -88,7 +88,7 @@ void NodeDaemon::register_with_master() {
   // recovers. The policy's jitter decorrelates a rack booting in lockstep.
   proto::RetryPolicy policy = proto::RetryPolicy::unbounded();
   client_->call(
-      config_.pimaster_ip, config_.pimaster_port, proto::Method::kPost,
+      config_.pimaster_ip, kPiMasterPort, proto::Method::kPost,
       "/register", std::move(body),
       [this](util::Result<HttpResponse> result) {
         if (!started_) return;
@@ -130,7 +130,7 @@ void NodeDaemon::send_heartbeat() {
   // the next beat would only add load exactly when the network is sick.
   proto::RetryPolicy policy =
       proto::RetryPolicy::single(config_.heartbeat_period);
-  client_->call(config_.pimaster_ip, config_.pimaster_port,
+  client_->call(config_.pimaster_ip, kPiMasterPort,
                 proto::Method::kPost, "/nodes/" + node_.hostname() + "/stats",
                 stats_json(), [](util::Result<HttpResponse>) {}, policy);
 }

@@ -51,13 +51,16 @@
 
 namespace picloud::cloud {
 
+// The pimaster's REST port (PiMaster::kPort): where a daemon registers and
+// sends its heartbeats.
+inline constexpr std::uint16_t kPiMasterPort = 9000;
+
 class NodeDaemon {
  public:
   static constexpr std::uint16_t kPort = 8080;
 
   struct Config {
     net::Ipv4Addr pimaster_ip;
-    std::uint16_t pimaster_port = 9000;
     int rack = -1;
     sim::Duration heartbeat_period = sim::Duration::seconds(2);
   };

@@ -16,6 +16,19 @@ using proto::Method;
 using proto::PathParams;
 using util::Json;
 
+namespace {
+
+// Timeout for proxied spawn calls (covers image pull over 100 Mb).
+constexpr sim::Duration kSpawnTimeout = sim::Duration::seconds(60);
+
+// The retry profile for proxied daemon calls (spawn/delete/limits): three
+// wire attempts, backing off with deterministic jitter.
+proto::RetryPolicy proxy_policy(sim::Duration attempt_timeout) {
+  return proto::RetryPolicy::standard(3, attempt_timeout);
+}
+
+}  // namespace
+
 util::Json InstanceRecord::to_json() const {
   Json j = Json::object();
   j.set("name", name);
@@ -34,7 +47,7 @@ PiMaster::PiMaster(net::Network& network, net::NetNodeId fabric_node,
       sim_(network.simulation()),
       node_(fabric_node),
       config_(std::move(config)),
-      monitor_(sim_, config_.node_liveness_window),
+      monitor_(sim_),
       idem_(sim_.metrics(), "cloud.master.dedup", 256) {
   util::MetricsRegistry& m = sim_.metrics();
   spawn_requests_ = &m.counter("cloud.master.spawn_requests");
@@ -115,34 +128,7 @@ void PiMaster::set_node_accessor(MigrationCoordinator::NodeAccessor accessor) {
 }
 
 bool PiMaster::operation_in_flight(const std::string& name) const {
-  auto it = ops_.find(name);
-  return it != ops_.end() && it->second.in_flight;
-}
-
-void PiMaster::record_op_start(const std::string& name, const std::string& op) {
-  OperationRecord& record = ops_[name];
-  record.op = op;
-  record.in_flight = true;
-  record.success = false;
-  record.at = sim_.now();
-}
-
-void PiMaster::record_op_end(const std::string& name, bool success) {
-  auto it = ops_.find(name);
-  if (it == ops_.end()) return;
-  // Keep ops_ bounded: records only persist alongside an instance record
-  // (failed spawns and completed deletes leave nothing behind).
-  if (instances_.count(name) == 0) {
-    ops_.erase(it);
-    return;
-  }
-  it->second.in_flight = false;
-  it->second.success = success;
-  it->second.at = sim_.now();
-}
-
-proto::RetryPolicy PiMaster::proxy_policy(sim::Duration attempt_timeout) const {
-  return proto::RetryPolicy::standard(config_.proxy_attempts, attempt_timeout);
+  return ops_in_flight_.count(name) > 0;
 }
 
 util::Result<std::string> PiMaster::resolve_image(
@@ -260,8 +246,8 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
     cb(util::Error::make("unavailable", "pinned node is not alive"));
     return;
   }
-  auto node_ip = node_ips_.find(hostname);
-  if (node_ip == node_ips_.end()) {
+  const NodeRecord* node = monitor_.node(hostname);
+  if (node == nullptr) {
     spawns_failed_->inc();
     cb(util::Error::make("unavailable", "no management address for node"));
     return;
@@ -285,7 +271,7 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
   // placements from double-booking a node).
   reservations_[hostname].mem += mem_needed;
   reservations_[hostname].containers += 1;
-  record_op_start(spec.name, "spawn");
+  ops_in_flight_.insert(spec.name);
 
   Json body = Json::object();
   body.set("name", spec.name);
@@ -305,7 +291,7 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
     body.set("app_params", spec.app_params);
   }
 
-  net::Ipv4Addr daemon_ip = node_ip->second;
+  net::Ipv4Addr daemon_ip = node->ip;
   net::Ipv4Addr vip = container_ip.value();
   client_->call(
       daemon_ip, NodeDaemon::kPort, Method::kPost, "/containers",
@@ -319,7 +305,7 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
         auto fail = [&](util::Error error) {
           dhcp_->release(vip);
           spawns_failed_->inc();
-          record_op_end(spec.name, false);
+          ops_in_flight_.erase(spec.name);
           cb(std::move(error));
         };
         if (!result.ok()) {
@@ -347,12 +333,12 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
         if (util::FaultInjection::instance().double_count_spawn_ok) {
           spawns_ok_->inc();  // planted bug for the fuzzer self-check
         }
-        record_op_end(spec.name, true);
+        ops_in_flight_.erase(spec.name);
         LOG_INFO("pimaster", "spawned %s on %s at %s", spec.name.c_str(),
                  hostname.c_str(), vip.to_string().c_str());
         cb(std::move(record));
       },
-      proxy_policy(config_.spawn_timeout));
+      proxy_policy(kSpawnTimeout));
 }
 
 void PiMaster::delete_instance(const std::string& name, SimpleCallback cb) {
@@ -362,28 +348,28 @@ void PiMaster::delete_instance(const std::string& name, SimpleCallback cb) {
     return;
   }
   InstanceRecord record = it->second;
-  auto node_ip = node_ips_.find(record.hostname);
-  if (record.state == "lost" || node_ip == node_ips_.end() ||
+  const NodeRecord* node = monitor_.node(record.hostname);
+  if (record.state == "lost" || node == nullptr ||
       !monitor_.alive(record.hostname)) {
     // The container is gone or its node is dark: there is nothing to ask.
     // Repair the registry directly (the container died with its node).
     dhcp_->release(record.ip);
     dns_->remove_record(name);
     instances_.erase(name);
-    ops_.erase(name);
+    ops_in_flight_.erase(name);
     cb(util::Status::success());
     return;
   }
-  record_op_start(name, "delete");
+  ops_in_flight_.insert(name);
   Json body = Json::object();
   body.set("idem", util::format("del/%s/%llu", name.c_str(),
                                 static_cast<unsigned long long>(++op_seq_)));
   client_->call(
-      node_ip->second, NodeDaemon::kPort, Method::kDelete,
+      node->ip, NodeDaemon::kPort, Method::kDelete,
       "/containers/" + name, std::move(body),
       [this, name, record, cb](util::Result<HttpResponse> result) {
         if (!result.ok()) {
-          record_op_end(name, false);
+          ops_in_flight_.erase(name);
           cb(util::Error::make("unavailable", result.error().message));
           return;
         }
@@ -391,7 +377,7 @@ void PiMaster::delete_instance(const std::string& name, SimpleCallback cb) {
         dhcp_->release(record.ip);
         dns_->remove_record(name);
         instances_.erase(name);
-        record_op_end(name, true);
+        ops_in_flight_.erase(name);
         cb(util::Status::success());
       },
       proxy_policy(sim::Duration::seconds(5)));
@@ -481,7 +467,7 @@ void PiMaster::migrate_instance(const std::string& name, const std::string& to,
   if (layers.ok()) params.layers = layers.value();
 
   record.state = "migrating";
-  record_op_start(name, "migrate");
+  ops_in_flight_.insert(name);
   migrations_->migrate(std::move(params), [this, name, destination,
                                            cb](const MigrationReport& report) {
     auto it = instances_.find(name);
@@ -499,7 +485,7 @@ void PiMaster::migrate_instance(const std::string& name, const std::string& to,
         it->second.state = "running";
       }
     }
-    record_op_end(name, report.success);
+    ops_in_flight_.erase(name);
     cb(report);
   });
 }
@@ -552,10 +538,9 @@ void PiMaster::install_routes() {
         if (hostname.empty() || !ip) {
           return HttpResponse::bad_request("hostname and ip required");
         }
-        monitor_.register_node(hostname, req.body.get_string("mac"), *ip,
+        monitor_.register_node(hostname, *ip,
                                static_cast<int>(req.body.get_number("rack", -1)),
                                req.body.get_number("cpu_hz"));
-        node_ips_[hostname] = *ip;
         return HttpResponse::make(200, Json("registered"));
       });
 
@@ -587,8 +572,8 @@ void PiMaster::install_routes() {
 
   router_.handle(Method::kGet, "/nodes/:hostname",
                  [this](const HttpRequest&, const PathParams& params) {
-                   auto rec = monitor_.node(params.at("hostname"));
-                   if (!rec) return HttpResponse::not_found();
+                   const NodeRecord* rec = monitor_.node(params.at("hostname"));
+                   if (rec == nullptr) return HttpResponse::not_found();
                    Json j = rec->latest.to_json();
                    j.set("hostname", rec->hostname);
                    j.set("ip", rec->ip.to_string());
@@ -704,12 +689,12 @@ void PiMaster::install_routes() {
           respond(HttpResponse::not_found());
           return;
         }
-        auto node_ip = node_ips_.find(record.value().hostname);
-        if (node_ip == node_ips_.end()) {
+        const NodeRecord* node = monitor_.node(record.value().hostname);
+        if (node == nullptr) {
           respond(HttpResponse::service_unavailable("hosting node unknown"));
           return;
         }
-        client_->call(node_ip->second, NodeDaemon::kPort, Method::kPut,
+        client_->call(node->ip, NodeDaemon::kPort, Method::kPut,
                       "/containers/" + record.value().name + "/limits",
                       req.body,
                       [respond = std::move(respond)](
@@ -820,7 +805,7 @@ void PiMaster::install_routes() {
                    j.set("nodes_total", s.nodes_total);
                    j.set("instances", static_cast<double>(instances_.size()));
                    j.set("liveness_window_s",
-                         config_.node_liveness_window.to_seconds());
+                         ClusterMonitor::kLivenessWindow.to_seconds());
                    if (client_) {
                      Json retry = Json::object();
                      retry.set("inflight",

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -74,19 +75,9 @@ struct InstanceRecord {
   util::Json to_json() const;
 };
 
-// The master's record of the last control operation per instance — the
-// server-side half of idempotent retries, and the reconciler's guard
-// against garbage-collecting a container whose spawn is still in flight.
-struct OperationRecord {
-  std::string op;  // spawn | delete | migrate
-  bool in_flight = false;
-  bool success = false;
-  sim::SimTime at;
-};
-
 class PiMaster {
  public:
-  static constexpr std::uint16_t kPort = 9000;
+  static constexpr std::uint16_t kPort = kPiMasterPort;
 
   struct Config {
     net::Ipv4Addr ip;                  // static management address
@@ -95,12 +86,6 @@ class PiMaster {
     net::Ipv4Addr dhcp_range_end;
     std::string placement_policy = "first-fit";
     PlacementLimits placement_limits;
-    sim::Duration node_liveness_window = sim::Duration::seconds(10);
-    // Timeout for proxied spawn calls (covers image pull over 100 Mb).
-    sim::Duration spawn_timeout = sim::Duration::seconds(60);
-    // Wire attempts per proxied daemon call (spawn/delete/limits); retries
-    // back off with deterministic jitter.
-    int proxy_attempts = 3;
     // Anti-entropy loop (see cloud/reconciler.h).
     Reconciler::Config reconcile;
     std::string default_image = "raspbian-lxc";
@@ -195,11 +180,6 @@ class PiMaster {
   util::Result<std::string> resolve_image(const std::string& requested) const;
   // Placement views including in-flight reservations.
   std::vector<NodeView> placement_views() const;
-  // Operation bookkeeping (idempotency + reconciler guard).
-  void record_op_start(const std::string& name, const std::string& op);
-  void record_op_end(const std::string& name, bool success);
-  // The retry profile for proxied daemon calls.
-  proto::RetryPolicy proxy_policy(sim::Duration attempt_timeout) const;
 
   net::Network& network_;
   sim::Simulation& sim_;
@@ -228,9 +208,9 @@ class PiMaster {
     int containers = 0;
   };
   std::map<std::string, Reservation> reservations_;
-  std::map<std::string, net::Ipv4Addr> node_ips_;  // hostname -> mgmt ip
-  // name -> last operation; erased with the instance record (bounded).
-  std::map<std::string, OperationRecord> ops_;
+  // Instances with a spawn, delete or migrate not yet completed: the
+  // reconciler never garbage-collects or marks lost a name listed here.
+  std::set<std::string> ops_in_flight_;
   proto::IdempotencyCache idem_;  // under `cloud.master.dedup.*`
   std::uint64_t op_seq_ = 0;  // idempotency keys for proxied daemon calls
   std::uint32_t next_container_mac_ = 1;

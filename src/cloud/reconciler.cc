@@ -8,6 +8,20 @@
 
 namespace picloud::cloud {
 
+namespace {
+
+// Consecutive sweeps a discrepancy must persist before acting on it —
+// guards against racing an in-flight spawn/migration the master has not
+// recorded yet.
+constexpr int kConfirmations = 2;
+
+// Policy for the per-node GET /containers audits and orphan DELETEs.
+proto::RetryPolicy rest_policy() {
+  return proto::RetryPolicy::standard(2, sim::Duration::seconds(3));
+}
+
+}  // namespace
+
 Reconciler::Reconciler(PiMaster& master, Config config)
     : master_(master), config_(config) {
   util::MetricsRegistry& m = master_.sim_.metrics();
@@ -55,13 +69,10 @@ void Reconciler::sweep() {
   // (2) Audit every live registered node's actual container list.
   for (const NodeRecord& rec : master_.monitor_.nodes()) {
     if (!master_.monitor_.alive(rec.hostname)) continue;
-    auto ip_it = master_.node_ips_.find(rec.hostname);
-    if (ip_it == master_.node_ips_.end()) continue;
     node_queries_->inc();
     std::string hostname = rec.hostname;
-    proto::RetryPolicy policy = config_.rest_policy;
     master_.client_->call(
-        ip_it->second, NodeDaemon::kPort, proto::Method::kGet, "/containers",
+        rec.ip, NodeDaemon::kPort, proto::Method::kGet, "/containers",
         util::Json(),
         [this, hostname](util::Result<proto::HttpResponse> result) {
           if (!result.ok() || !result.value().ok()) {
@@ -75,7 +86,7 @@ void Reconciler::sweep() {
           }
           audit_node(hostname, reported);
         },
-        policy);
+        rest_policy());
   }
 }
 
@@ -83,7 +94,7 @@ void Reconciler::audit_node(const std::string& hostname,
                             const std::set<std::string>& reported) {
   // Orphans: containers this node runs that no record claims. A spawn whose
   // response was lost, or a migration remnant. Only act after the
-  // discrepancy persists `confirmations` consecutive sweeps, and never
+  // discrepancy persists kConfirmations consecutive sweeps, and never
   // while the master has an operation in flight for that name.
   for (const std::string& name : reported) {
     std::string key = "orphan/" + hostname + "/" + name;
@@ -96,7 +107,7 @@ void Reconciler::audit_node(const std::string& hostname,
       strikes_.erase(key);
       continue;
     }
-    if (++strikes_[key] >= config_.confirmations) {
+    if (++strikes_[key] >= kConfirmations) {
       strikes_.erase(key);
       destroy_orphan(hostname, name);
     }
@@ -112,7 +123,7 @@ void Reconciler::audit_node(const std::string& hostname,
       strikes_.erase(key);
       continue;
     }
-    if (++strikes_[key] >= config_.confirmations) {
+    if (++strikes_[key] >= kConfirmations) {
       strikes_.erase(key);
       record.state = "lost";
       marked_lost_drift_->inc();
@@ -139,8 +150,8 @@ void Reconciler::audit_node(const std::string& hostname,
 
 void Reconciler::destroy_orphan(const std::string& hostname,
                                 const std::string& name) {
-  auto ip_it = master_.node_ips_.find(hostname);
-  if (ip_it == master_.node_ips_.end()) return;
+  const NodeRecord* node = master_.monitor_.node(hostname);
+  if (node == nullptr) return;
   std::string tag = hostname + "/" + name;
   deleting_.insert(tag);
   ++gc_seq_;
@@ -149,9 +160,8 @@ void Reconciler::destroy_orphan(const std::string& hostname,
                                 static_cast<unsigned long long>(gc_seq_)));
   LOG_WARN("reconcile", "GC orphan container %s on %s", name.c_str(),
            hostname.c_str());
-  proto::RetryPolicy policy = config_.rest_policy;
   master_.client_->call(
-      ip_it->second, NodeDaemon::kPort, proto::Method::kDelete,
+      node->ip, NodeDaemon::kPort, proto::Method::kDelete,
       "/containers/" + name, std::move(body),
       [this, tag](util::Result<proto::HttpResponse> result) {
         deleting_.erase(tag);
@@ -163,7 +173,7 @@ void Reconciler::destroy_orphan(const std::string& hostname,
                         {"container", tag});
         }
       },
-      policy);
+      rest_policy());
 }
 
 }  // namespace picloud::cloud

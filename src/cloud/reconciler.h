@@ -35,13 +35,6 @@ class Reconciler {
  public:
   struct Config {
     sim::Duration period = sim::Duration::seconds(15);
-    // Consecutive sweeps a discrepancy must persist before acting on it —
-    // guards against racing an in-flight spawn/migration the master has not
-    // recorded yet.
-    int confirmations = 2;
-    // Policy for the per-node GET /containers audits and orphan DELETEs.
-    proto::RetryPolicy rest_policy = proto::RetryPolicy::standard(
-        2, sim::Duration::seconds(3));
   };
 
   Reconciler(PiMaster& master, Config config);
@@ -72,7 +65,7 @@ class Reconciler {
   util::Counter* orphans_gc_ = nullptr;
   bool running_ = false;
   // Discrepancy strike counters, keyed "orphan/<host>/<name>" and
-  // "drift/<name>"; an entry acts once it reaches config_.confirmations.
+  // "drift/<name>"; an entry acts once it reaches kConfirmations.
   std::map<std::string, int> strikes_;
   // Orphans with a DELETE already in flight (avoid duplicate GCs).
   std::set<std::string> deleting_;

@@ -9,55 +9,12 @@
 #include "net/fabric.h"
 #include "proto/rest.h"
 #include "sim/simulation.h"
+#include "testing/runner.h"
 #include "util/check.h"
 
 namespace picloud::mc {
 
 namespace {
-
-// FNV-1a end-state digest — the same construction testing/runner.cc uses
-// (DESIGN.md §10), so explorer digests and fuzz digests speak one language.
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      hash_ ^= c;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
-std::uint64_t end_state_digest(sim::Simulation& sim, cloud::PiCloud& cloud) {
-  Digest d;
-  d.add(sim.events_executed());
-  d.add(static_cast<std::uint64_t>(sim.now().ns()));
-  d.add(sim.metrics().snapshot().dump());
-  for (const auto& [name, rec] :
-       std::as_const(cloud).master().instance_records()) {
-    d.add(name);
-    d.add(rec.state);
-    d.add(rec.hostname);
-    d.add(rec.mem_reserved);
-    d.add(static_cast<std::uint64_t>(rec.ip.value()));
-  }
-  for (size_t i = 0; i < cloud.node_count(); ++i) {
-    const os::NodeOs& node = std::as_const(cloud).node(i);
-    d.add(node.hostname());
-    d.add(static_cast<std::uint64_t>(node.running() ? 1 : 0));
-    d.add(node.running() ? node.memory().used() : 0);
-  }
-  return d.value();
-}
 
 // The parking strategy: control-plane schedule points are held in a ready
 // vector (offer order == the event queue's documented (time, seq) order);
@@ -387,7 +344,7 @@ EpisodeResult run_episode(const McConfig& config,
 
   result.completed = !hit_horizon && next_choice == choices.size();
   result.violations = checker.violations();
-  result.digest = end_state_digest(sim, cloud);
+  result.digest = testing::end_state_digest(sim, cloud);
   result.events = sim.events_executed();
   return result;
 }

@@ -251,28 +251,18 @@ InvariantChecker::Probe probe_app_conservation(cloud::PiCloud& cloud) {
         if (app == nullptr) continue;
         const std::string kind = app->kind();
         std::ostringstream msg;
+        auto check = [&](const auto& queue, std::uint64_t completed) {
+          if (queue.conserved(completed)) return;
+          msg << c->name() << ": " << kind << " received " << queue.received()
+              << " != accounted " << queue.accounted(completed);
+          fail(msg.str());
+        };
         if (kind == "httpd") {
           const auto* h = static_cast<const apps::HttpdApp*>(app);
-          const std::uint64_t accounted =
-              h->served_ok() + h->served_brownout() + h->shed_admission() +
-              h->shed_deadline() + h->refused_at_start() + h->queue_depth() +
-              static_cast<std::uint64_t>(h->in_service());
-          if (h->requests_received() != accounted) {
-            msg << c->name() << ": httpd received " << h->requests_received()
-                << " != accounted " << accounted;
-            fail(msg.str());
-          }
+          check(h->admission(), h->requests_served());
         } else if (kind == "kvstore") {
           const auto* k = static_cast<const apps::KvStoreApp*>(app);
-          const std::uint64_t accounted =
-              k->ops_served() + k->ops_rejected() + k->shed_admission() +
-              k->shed_deadline() + k->refused_at_start() + k->queue_depth() +
-              static_cast<std::uint64_t>(k->in_service());
-          if (k->ops_received() != accounted) {
-            msg << c->name() << ": kvstore received " << k->ops_received()
-                << " != accounted " << accounted;
-            fail(msg.str());
-          }
+          check(k->admission(), k->ops_served() + k->ops_rejected());
         } else if (kind == "lb") {
           const auto* lb = static_cast<const apps::LbApp*>(app);
           const std::uint64_t accounted =

@@ -1,6 +1,5 @@
 #include "testing/runner.h"
 
-#include <bit>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -17,8 +16,8 @@ namespace picloud::testing {
 
 namespace {
 
-// FNV-1a end-state digest (same construction as tests/cloud_soak_test.cc):
-// any divergence between two runs of the same scenario shows up here.
+// FNV-1a over the bytes of each value, for end_state_digest(). Any
+// divergence between two runs of the same scenario shows up in it.
 class Digest {
  public:
   void add(std::uint64_t v) {
@@ -27,7 +26,6 @@ class Digest {
       hash_ *= 0x100000001B3ULL;
     }
   }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
   void add(const std::string& s) {
     for (unsigned char c : s) {
       hash_ ^= c;
@@ -189,6 +187,28 @@ void apply_chaos_event(cloud::PiCloud& cloud,
 
 }  // namespace
 
+std::uint64_t end_state_digest(sim::Simulation& sim, cloud::PiCloud& cloud) {
+  Digest d;
+  d.add(sim.events_executed());
+  d.add(static_cast<std::uint64_t>(sim.now().ns()));
+  d.add(sim.metrics().snapshot().dump());
+  for (const auto& [name, rec] :
+       std::as_const(cloud).master().instance_records()) {
+    d.add(name);
+    d.add(rec.state);
+    d.add(rec.hostname);
+    d.add(rec.mem_reserved);
+    d.add(static_cast<std::uint64_t>(rec.ip.value()));
+  }
+  for (size_t i = 0; i < cloud.node_count(); ++i) {
+    const os::NodeOs& node = std::as_const(cloud).node(i);
+    d.add(node.hostname());
+    d.add(static_cast<std::uint64_t>(node.running() ? 1 : 0));
+    d.add(node.running() ? node.memory().used() : 0);
+  }
+  return d.value();
+}
+
 std::string RunReport::signature() const {
   if (!ready) return "boot";
   if (!violations.empty()) return "probe:" + violations.front().probe;
@@ -221,25 +241,7 @@ RunReport run_scenario(const Scenario& scenario) {
     report.violations = checker.violations();
     report.sweeps = checker.sweeps();
     report.events = sim.events_executed();
-    Digest d;
-    d.add(sim.events_executed());
-    d.add(static_cast<std::uint64_t>(sim.now().ns()));
-    d.add(sim.metrics().snapshot().dump());
-    for (const auto& [name, rec] :
-         std::as_const(cloud).master().instance_records()) {
-      d.add(name);
-      d.add(rec.state);
-      d.add(rec.hostname);
-      d.add(rec.mem_reserved);
-      d.add(static_cast<std::uint64_t>(rec.ip.value()));
-    }
-    for (size_t i = 0; i < cloud.node_count(); ++i) {
-      const os::NodeOs& node = std::as_const(cloud).node(i);
-      d.add(node.hostname());
-      d.add(static_cast<std::uint64_t>(node.running() ? 1 : 0));
-      d.add(node.running() ? node.memory().used() : 0);
-    }
-    report.digest = d.value();
+    report.digest = end_state_digest(sim, cloud);
     if (report.failed()) {
       std::ostringstream out;
       out << "scenario seed=" << scenario.seed

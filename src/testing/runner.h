@@ -41,4 +41,9 @@ struct RunReport {
 
 RunReport run_scenario(const Scenario& scenario);
 
+// FNV-1a hash over a run's end state: event count, final sim time, the full
+// metrics snapshot, every instance record and node. Fuzz runs and the model
+// checker's episodes both report it, so their digests compare directly.
+std::uint64_t end_state_digest(sim::Simulation& sim, cloud::PiCloud& cloud);
+
 }  // namespace picloud::testing

@@ -111,7 +111,7 @@ TEST(LoadBalancer, RoundRobinSpreadsLoadEvenly) {
   std::uint64_t lo = UINT64_MAX, hi = 0;
   for (int i = 0; i < 3; ++i) {
     std::uint64_t served =
-        w.httpd_app(i, "web" + std::to_string(i))->requests_received();
+        w.httpd_app(i, "web" + std::to_string(i))->admission().received();
     lo = std::min(lo, served);
     hi = std::max(hi, served);
   }
@@ -144,8 +144,8 @@ TEST(LoadBalancer, LeastOutstandingFavorsTheFastBackend) {
   gen.stop();
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(3));
 
-  std::uint64_t fast = w.httpd_app(0, "fast")->requests_received();
-  std::uint64_t slow = w.httpd_app(1, "slow")->requests_received();
+  std::uint64_t fast = w.httpd_app(0, "fast")->admission().received();
+  std::uint64_t slow = w.httpd_app(1, "slow")->admission().received();
   EXPECT_GT(fast, slow * 2);
   expect_lb_conservation(*lb);
 }
@@ -294,13 +294,13 @@ TEST(LoadBalancer, SetBackendsPreservesRotationAcrossChurn) {
   // and the dropped backend stops receiving.
   lb->set_backends({backends[0], backends[2]});
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(5));
-  std::uint64_t web1_frozen = w.httpd_app(1, "web1")->requests_received();
+  std::uint64_t web1_frozen = w.httpd_app(1, "web1")->admission().received();
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(3));
-  EXPECT_EQ(w.httpd_app(1, "web1")->requests_received(), web1_frozen);
+  EXPECT_EQ(w.httpd_app(1, "web1")->admission().received(), web1_frozen);
 
   lb->set_backends(backends);
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(5));
-  EXPECT_GT(w.httpd_app(1, "web1")->requests_received(), web1_frozen);
+  EXPECT_GT(w.httpd_app(1, "web1")->admission().received(), web1_frozen);
 
   gen.stop();
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(3));

@@ -107,14 +107,15 @@ FlashResult run_flash_crowd(bool admission) {
   r.completed = gen.completed();
   r.completed_brownout = gen.completed_brownout();
   for (HttpdApp* app : apps) {
-    r.shed += app->shed_admission() + app->shed_deadline();
-    if (app->requests_received() !=
-        app->served_ok() + app->served_brownout() + app->shed_admission() +
-            app->shed_deadline() + app->refused_at_start() +
-            app->queue_depth() + static_cast<std::uint64_t>(app->in_service())) {
+    const HttpdApp::Queue& queue = app->admission();
+    r.shed += queue.shed_admission() + queue.shed_deadline();
+    if (queue.received() !=
+        app->served_ok() + app->served_brownout() + queue.shed_admission() +
+            queue.shed_deadline() + queue.refused_at_start() + queue.depth() +
+            static_cast<std::uint64_t>(queue.in_service())) {
       r.conserved = false;
     }
-    if (app->brownout_active()) r.brownout_cleared = false;
+    if (queue.brownout()) r.brownout_cleared = false;
   }
   if (gen.arrivals() != gen.completed() + gen.failed() + gen.timed_out() +
                             gen.breaker_rejected() + gen.in_flight()) {
@@ -251,13 +252,14 @@ TEST(KvStoreOverload, BoundedQueueShedsInsteadOfCollapsing) {
 
   EXPECT_GT(ok, 0);
   EXPECT_GT(shed, 0);
-  EXPECT_EQ(app->shed_admission(), static_cast<std::uint64_t>(shed));
+  const KvStoreApp::Queue& queue = app->admission();
+  EXPECT_EQ(queue.shed_admission(), static_cast<std::uint64_t>(shed));
   // Conservation at quiesce: queue and service slots drained.
-  EXPECT_EQ(app->queue_depth(), 0u);
-  EXPECT_EQ(app->in_service(), 0);
-  EXPECT_EQ(app->ops_received(),
-            app->ops_served() + app->ops_rejected() + app->shed_admission() +
-                app->shed_deadline() + app->refused_at_start());
+  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_EQ(queue.in_service(), 0);
+  EXPECT_EQ(queue.received(),
+            app->ops_served() + app->ops_rejected() + queue.shed_admission() +
+                queue.shed_deadline() + queue.refused_at_start());
 }
 
 TEST(KvStoreOverload, BrownoutServesMetadataOnly) {
@@ -296,7 +298,84 @@ TEST(KvStoreOverload, BrownoutServesMetadataOnly) {
   EXPECT_EQ(app->served_brownout(),
             static_cast<std::uint64_t>(brownout_reads));
   // Once the burst drains, brownout exits.
-  EXPECT_FALSE(app->brownout_active());
+  EXPECT_FALSE(app->admission().brownout());
+}
+
+// Stopping a server with a backlog: runs until all `sent` requests have
+// arrived (one in service, the rest queued), then Container::stop(). The
+// stop must refuse exactly the backlog it found — the queued requests at
+// the drain, the one in service when its CPU task is cancelled — and leave
+// the queue's registry series agreeing with the instance.
+template <typename Queue, typename Completed>
+void stop_with_backlog(FlashWorld& w, os::Container& container,
+                       const Queue& queue, Completed completed,
+                       const char* kind, std::uint64_t sent) {
+  for (int ms = 0; ms < 1000 && queue.received() < sent; ++ms) {
+    w.sim.run_for(sim::Duration::millis(1));
+  }
+  ASSERT_EQ(queue.received(), sent);
+  ASSERT_GT(queue.depth(), 0u);
+  ASSERT_EQ(queue.in_service(), 1);
+  const std::uint64_t backlog =
+      queue.depth() + static_cast<std::uint64_t>(queue.in_service());
+  const std::uint64_t refused = queue.refused_at_start();
+
+  ASSERT_TRUE(container.stop().ok());
+  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_EQ(queue.in_service(), 0);
+  EXPECT_EQ(queue.refused_at_start(), refused + backlog);
+  EXPECT_TRUE(queue.conserved(completed()));
+  const util::MetricsRegistry& m = w.sim.metrics();
+  EXPECT_EQ(m.gauge_value(util::format("apps.%s.queue_depth", kind)), 0.0);
+  EXPECT_EQ(m.counter_value(util::format("apps.%s.refused_at_start", kind)),
+            queue.refused_at_start());
+}
+
+TEST(StoppedServer, HttpdRefusesItsBacklog) {
+  FlashWorld w(2);
+  HttpdParams hp;
+  hp.service_concurrency = 1;
+  hp.cycles_per_request = 2e7;  // ~29 ms: all 20 arrive before one finishes
+  auto ip = w.launch(0, "web", std::make_unique<HttpdApp>(hp));
+  os::Container* container = w.nodes[0]->find_container("web");
+  auto* app = dynamic_cast<HttpdApp*>(container->app());
+  ASSERT_NE(app, nullptr);
+
+  for (int i = 0; i < 20; ++i) {
+    net::Message msg;
+    msg.src = w.client_ip;
+    msg.dst = ip;
+    msg.src_port = 40000;
+    msg.dst_port = hp.port;
+    msg.payload = util::Json::object();
+    msg.payload.set("id", i);
+    msg.payload.set("path", "/");
+    w.network.send(std::move(msg));
+  }
+  stop_with_backlog(
+      w, *container, app->admission(),
+      [app]() { return app->requests_served(); }, "httpd", 20);
+}
+
+TEST(StoppedServer, KvStoreRefusesItsBacklog) {
+  FlashWorld w(2);
+  KvStoreParams kp;
+  kp.service_concurrency = 1;
+  kp.cycles_per_op = 2e7;
+  auto ip = w.launch(0, "db", std::make_unique<KvStoreApp>(kp));
+  os::Container* container = w.nodes[0]->find_container("db");
+  auto* app = dynamic_cast<KvStoreApp*>(container->app());
+  ASSERT_NE(app, nullptr);
+
+  KvClient client(w.network, w.client_ip);
+  for (int i = 0; i < 20; ++i) {
+    client.put(ip, util::format("k%d", i), 1024,
+               [](util::Result<util::Json>) {});
+  }
+  stop_with_backlog(
+      w, *container, app->admission(),
+      [app]() { return app->ops_served() + app->ops_rejected(); }, "kvstore",
+      20);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST(Httpd, ServesRequestsAndCounts) {
       w.nodes[0]->find_container("web")->app());
   ASSERT_NE(app, nullptr);
   EXPECT_EQ(app->requests_served(), gen.completed());
-  EXPECT_EQ(app->requests_dropped(), 0u);  // uncapped CPU: nothing sheds
+  EXPECT_EQ(app->admission().dropped(), 0u);  // uncapped CPU: nothing sheds
 }
 
 TEST(Httpd, CpuCapRaisesLatencyUnderLoad) {

@@ -166,8 +166,8 @@ TEST(PolicyFactory, AllNamesConstruct) {
 
 TEST(Monitor, LivenessFollowsHeartbeats) {
   sim::Simulation sim;
-  ClusterMonitor monitor(sim, sim::Duration::seconds(10));
-  monitor.register_node("pi-a", "mac", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
+  ClusterMonitor monitor(sim);
+  monitor.register_node("pi-a", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
   EXPECT_TRUE(monitor.alive("pi-a"));  // fresh registration counts
   sim.run_until(sim::SimTime::zero() + sim::Duration::seconds(5));
   NodeSample sample;
@@ -182,11 +182,10 @@ TEST(Monitor, LivenessFollowsHeartbeats) {
 
 TEST(Monitor, SummaryAggregatesOnlyLiveNodes) {
   sim::Simulation sim;
-  ClusterMonitor monitor(sim, sim::Duration::seconds(10));
+  ClusterMonitor monitor(sim);
   for (int i = 0; i < 3; ++i) {
     std::string name = "pi-" + std::to_string(i);
-    monitor.register_node(name, "mac", net::Ipv4Addr(10, 0, 1, 1 + i), 0,
-                          700e6);
+    monitor.register_node(name, net::Ipv4Addr(10, 0, 1, 1 + i), 0, 700e6);
     NodeSample sample;
     sample.at = sim.now();
     sample.cpu_utilization = 0.3;
@@ -206,7 +205,7 @@ TEST(Monitor, SummaryAggregatesOnlyLiveNodes) {
 TEST(Monitor, BaselineMemIsFirstSample) {
   sim::Simulation sim;
   ClusterMonitor monitor(sim);
-  monitor.register_node("pi-a", "mac", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
+  monitor.register_node("pi-a", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
   NodeSample first;
   first.at = sim.now();
   first.mem_used = 48 * MiB;

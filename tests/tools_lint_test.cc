@@ -555,7 +555,7 @@ TEST(LintSchedulePoint, FlagsDeliveryBypassingTheHub) {
 TEST(LintSchedulePoint, FlagsL2DeliveryToo) {
   EXPECT_TRUE(has_rule(
       lint_content("src/net/x.cc",
-                   "void f() { deliver_to_node(node, msg); }\n"),
+                   "void f() { deliver(msg, node); }\n"),
       "schedule-point"));
 }
 

@@ -256,11 +256,11 @@ void event_capture_rule(const ProjectModel& model, int fi,
 // dispatches are where the control plane commits to a message order, and
 // every one must consult the SchedulePoint hub so an installed exploration
 // strategy can intercept it — a delivery path that bypasses the hub
-// silently escapes the model checker's state space. Heuristic: a
-// deliver()/deliver_to_node() call in a src/net source file needs a
-// `schedule_points` token within the preceding window (the active()
-// fast-path test or the intercept() offer both carry one); the qualified
-// member definitions themselves are exempt.
+// silently escapes the model checker's state space. Heuristic: a deliver()
+// call in a src/net source file — IP `deliver(msg)` and L2
+// `deliver(msg, node)` alike — needs a `schedule_points` token within the
+// preceding window (the active() fast-path test or the intercept() offer
+// both carry one); the qualified member definitions themselves are exempt.
 
 void schedule_point_rule(const ProjectModel& model, int fi,
                          const Reporter& report) {
@@ -271,7 +271,7 @@ void schedule_point_rule(const ProjectModel& model, int fi,
   for (int ci = 0; ci < v.n; ++ci) {
     if (!v.is_ident(ci) || !v.punct(ci + 1, "(")) continue;
     const std::string& name = v.tok(ci).text;
-    if (name != "deliver" && name != "deliver_to_node") continue;
+    if (name != "deliver") continue;
     if (v.punct(ci - 1, "::")) continue;  // definition/qualified, not a call
     bool consulted = false;
     for (int j = ci - 1; j >= 0 && j >= ci - kWindow; --j) {
