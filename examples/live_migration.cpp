@@ -42,7 +42,7 @@ int main() {
 
   auto hosting_nodes = [&]() {
     std::map<std::string, int> nodes;
-    for (const auto& record : cloud.master().instances()) {
+    for (const auto& [name, record] : cloud.master().instance_records()) {
       nodes[record.hostname]++;
     }
     return nodes;

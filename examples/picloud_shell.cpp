@@ -62,8 +62,8 @@ struct Shell {
   void print_nodes() {
     std::printf("%-12s %4s %6s %10s %4s %6s %s\n", "node", "rack", "cpu%",
                 "mem", "ct", "watts", "state");
-    for (const auto& rec : cloud.master().monitor().nodes()) {
-      bool alive = cloud.master().monitor().alive(rec.hostname);
+    for (const auto& [hostname, rec] : cloud.master().monitor().nodes()) {
+      bool alive = cloud.master().monitor().alive(hostname);
       std::printf("%-12s %4d %6.1f %10s %4d %6.1f %s\n", rec.hostname.c_str(),
                   rec.rack, rec.latest.cpu_utilization * 100,
                   util::human_bytes(static_cast<double>(rec.latest.mem_used))
@@ -76,7 +76,7 @@ struct Shell {
   void print_instances() {
     std::printf("%-16s %-12s %-15s %-10s %s\n", "instance", "node", "ip",
                 "app", "state");
-    for (const auto& record : cloud.master().instances()) {
+    for (const auto& [name, record] : cloud.master().instance_records()) {
       std::printf("%-16s %-12s %-15s %-10s %s\n", record.name.c_str(),
                   record.hostname.c_str(), record.ip.to_string().c_str(),
                   record.app_kind.empty() ? "-" : record.app_kind.c_str(),

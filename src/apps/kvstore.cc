@@ -54,7 +54,7 @@ void KvStoreApp::reply(net::Ipv4Addr to, std::uint16_t port, Json body,
 
 void KvStoreApp::shed(const Op& entry, const char* cause) {
   Json body = Json::object();
-  body.set("id", entry.request.get_number("id"));
+  body.set("id", entry.id);
   body.set("ok", false);
   body.set("shed", std::string(cause));
   reply(entry.reply_to, entry.reply_port, std::move(body));
@@ -63,8 +63,9 @@ void KvStoreApp::shed(const Op& entry, const char* cause) {
 void KvStoreApp::on_request(const net::Message& msg) {
   if (container_ == nullptr) return;
   const Json& request = msg.payload;
+  std::string op = request.get_string("op");
 
-  if (request.get_string("op") == "health") {
+  if (op == "health") {
     Json body = Json::object();
     body.set("id", request.get_number("id"));
     body.set("ok", true);
@@ -73,7 +74,9 @@ void KvStoreApp::on_request(const net::Message& msg) {
     return;
   }
 
-  admission_.admit({msg.src, msg.src_port, request});
+  admission_.admit({msg.src, msg.src_port, request.get_number("id"),
+                    std::move(op), request.get_string("key"),
+                    request.get_number("bytes")});
 }
 
 void KvStoreApp::serve(Op entry, bool degraded) {
@@ -89,13 +92,12 @@ void KvStoreApp::serve(Op entry, bool degraded) {
 }
 
 void KvStoreApp::execute(const Op& entry, bool degraded) {
-  const Json& request = entry.request;
-  std::string op = request.get_string("op");
-  std::string key = request.get_string("key");
+  const std::string& op = entry.op;
+  const std::string& key = entry.key;
   net::Ipv4Addr reply_to = entry.reply_to;
   std::uint16_t reply_port = entry.reply_port;
   Json body = Json::object();
-  body.set("id", request.get_number("id"));
+  body.set("id", entry.id);
 
   auto served = [this, degraded]() {
     ++ops_served_;
@@ -107,7 +109,7 @@ void KvStoreApp::execute(const Op& entry, bool degraded) {
   };
 
   if (op == "put") {
-    auto bytes = static_cast<std::uint64_t>(request.get_number("bytes"));
+    auto bytes = static_cast<std::uint64_t>(entry.bytes);
     auto existing = values_.find(key);
     std::uint64_t old_bytes = existing != values_.end() ? existing->second : 0;
     std::uint64_t delta = bytes > old_bytes ? bytes - old_bytes : 0;

@@ -45,7 +45,10 @@ class KvStoreApp : public os::ContainerApp {
   struct Op {
     net::Ipv4Addr reply_to;
     std::uint16_t reply_port = 0;
-    util::Json request;
+    double id = 0;
+    std::string op;
+    std::string key;
+    double bytes = 0;  // read by put only
   };
   using Queue = AdmissionQueue<KvStoreApp, Op>;
 

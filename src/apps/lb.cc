@@ -1,7 +1,5 @@
 #include "apps/lb.h"
 
-#include <algorithm>
-
 #include "os/node_os.h"
 #include "util/logging.h"
 
@@ -10,6 +8,15 @@ namespace picloud::apps {
 using util::Json;
 
 namespace {
+
+// Active health checking: a probe every kHealthPeriod, failed after
+// kHealthTimeout. kUnhealthyThreshold consecutive failures (probes or
+// proxied attempts) eject a backend for kEjectionPeriod.
+constexpr sim::Duration kHealthPeriod = sim::Duration::millis(500);
+constexpr sim::Duration kHealthTimeout = sim::Duration::millis(250);
+constexpr int kUnhealthyThreshold = 3;
+constexpr sim::Duration kEjectionPeriod = sim::Duration::seconds(5);
+constexpr sim::Duration kProxyTimeout = sim::Duration::seconds(2);
 
 const char* policy_name(LbPolicy p) {
   return p == LbPolicy::kLeastOutstanding ? "least_outstanding" : "round_robin";
@@ -36,46 +43,17 @@ LbParams LbParams::from_json(const Json& j) {
   p.policy = j.get_string("policy", "round_robin") == "least_outstanding"
                  ? LbPolicy::kLeastOutstanding
                  : LbPolicy::kRoundRobin;
-  p.health_period = sim::Duration::nanos(static_cast<std::int64_t>(
-      j.get_number("health_period_ns", 500.0 * 1e6)));
-  p.health_timeout = sim::Duration::nanos(static_cast<std::int64_t>(
-      j.get_number("health_timeout_ns", 250.0 * 1e6)));
-  p.unhealthy_threshold =
-      static_cast<int>(j.get_number("unhealthy_threshold", 3));
-  p.ejection_period = sim::Duration::nanos(static_cast<std::int64_t>(
-      j.get_number("ejection_period_ns", 5.0 * 1e9)));
-  p.proxy_timeout = sim::Duration::nanos(static_cast<std::int64_t>(
-      j.get_number("proxy_timeout_ns", 2.0 * 1e9)));
-  p.max_attempts = static_cast<int>(j.get_number("max_attempts", 2));
-  p.retry_budget_ratio = j.get_number("retry_budget_ratio", 0.1);
-  p.retry_budget_burst = j.get_number("retry_budget_burst", 10.0);
+  p.retry_budget_burst =
+      j.get_number("retry_budget_burst", RetryBudget::kBurst);
   return p;
 }
 
-Json LbParams::to_json() const {
-  Json j = Json::object();
-  j.set("port", port);
-  j.set("upstream_port", upstream_port);
-  j.set("backend_port", backend_port);
-  j.set("policy", std::string(policy_name(policy)));
-  j.set("health_period_ns", static_cast<double>(health_period.ns()));
-  j.set("health_timeout_ns", static_cast<double>(health_timeout.ns()));
-  j.set("unhealthy_threshold", unhealthy_threshold);
-  j.set("ejection_period_ns", static_cast<double>(ejection_period.ns()));
-  j.set("proxy_timeout_ns", static_cast<double>(proxy_timeout.ns()));
-  j.set("max_attempts", max_attempts);
-  j.set("retry_budget_ratio", retry_budget_ratio);
-  j.set("retry_budget_burst", retry_budget_burst);
-  return j;
-}
+LbApp::LbApp(LbParams params) : params_(params) {}
 
-LbApp::LbApp(LbParams params) : params_(params) {
-  retry_tokens_ = params_.retry_budget_burst;
-}
-
-void LbApp::bind_metrics(os::Container& container) {
-  if (m_received_ != nullptr) return;
-  util::MetricsRegistry& reg = container.node().simulation().metrics();
+void LbApp::start(os::Container& container) {
+  container_ = &container;
+  sim_ = &container.node().simulation();
+  util::MetricsRegistry& reg = sim_->metrics();
   m_received_ = &reg.counter("apps.lb.requests_received");
   m_retries_ = &reg.counter("apps.lb.retries");
   m_retries_denied_ = &reg.counter("apps.lb.retries_denied");
@@ -85,17 +63,11 @@ void LbApp::bind_metrics(os::Container& container) {
   m_no_backend_ = &reg.counter("apps.lb.no_backend");
   m_healthy_ = &reg.gauge("apps.lb.healthy_backends");
   m_upstream_latency_ = &reg.histogram("apps.lb.upstream_latency_ms");
-}
-
-void LbApp::start(os::Container& container) {
-  container_ = &container;
-  sim_ = &container.node().simulation();
-  bind_metrics(container);
   container.listen(params_.port,
                    [this](const net::Message& msg) { on_client(msg); });
   container.listen(params_.upstream_port,
                    [this](const net::Message& msg) { on_upstream(msg); });
-  health_task_ = sim::PeriodicTask(*sim_, params_.health_period,
+  health_task_ = sim::PeriodicTask(*sim_, kHealthPeriod,
                                    [this]() { run_health_checks(); });
 }
 
@@ -124,15 +96,6 @@ void LbApp::stop() {
 }
 
 void LbApp::set_backends(std::vector<net::Ipv4Addr> backends) {
-  // Remember which backend the cursor points at so rotation stays
-  // deterministic across pool changes (same fix as HttpLoadGen::set_targets).
-  net::Ipv4Addr cursor_ip;
-  bool have_cursor = false;
-  if (!rotation_.empty()) {
-    cursor_ip = rotation_[rr_cursor_ % rotation_.size()];
-    have_cursor = true;
-  }
-
   std::map<net::Ipv4Addr, Backend> next;
   for (net::Ipv4Addr ip : backends) {
     auto it = backends_.find(ip);
@@ -150,15 +113,7 @@ void LbApp::set_backends(std::vector<net::Ipv4Addr> backends) {
     }
   }
   backends_ = std::move(next);
-  rotation_ = std::move(backends);
-
-  rr_cursor_ = 0;
-  if (have_cursor) {
-    auto at = std::find(rotation_.begin(), rotation_.end(), cursor_ip);
-    if (at != rotation_.end()) {
-      rr_cursor_ = static_cast<std::size_t>(at - rotation_.begin());
-    }
-  }
+  rotation_.set(std::move(backends));
   if (m_healthy_ != nullptr) {
     m_healthy_->set(static_cast<double>(healthy_backends().size()));
   }
@@ -166,7 +121,7 @@ void LbApp::set_backends(std::vector<net::Ipv4Addr> backends) {
 
 std::vector<net::Ipv4Addr> LbApp::healthy_backends() const {
   std::vector<net::Ipv4Addr> out;
-  for (net::Ipv4Addr ip : rotation_) {
+  for (net::Ipv4Addr ip : rotation_.endpoints()) {
     auto it = backends_.find(ip);
     if (it != backends_.end() && it->second.state == BackendState::kHealthy) {
       out.push_back(ip);
@@ -184,7 +139,6 @@ LbApp::BackendState LbApp::backend_state(net::Ipv4Addr ip) const {
 // picloud-hot
 bool LbApp::choose_backend(net::Ipv4Addr exclude, bool use_exclude,
                            net::Ipv4Addr* out) {
-  if (rotation_.empty()) return false;
   auto eligible = [&](net::Ipv4Addr ip) {
     auto it = backends_.find(ip);
     if (it == backends_.end()) return false;
@@ -196,7 +150,7 @@ bool LbApp::choose_backend(net::Ipv4Addr exclude, bool use_exclude,
     bool found = false;
     net::Ipv4Addr best;
     int best_outstanding = 0;
-    for (net::Ipv4Addr ip : rotation_) {  // rotation order breaks ties
+    for (net::Ipv4Addr ip : rotation_.endpoints()) {  // order breaks ties
       if (!eligible(ip)) continue;
       int outstanding = backends_[ip].outstanding;
       if (!found || outstanding < best_outstanding) {
@@ -211,24 +165,16 @@ bool LbApp::choose_backend(net::Ipv4Addr exclude, bool use_exclude,
     return true;
   }
 
-  for (std::size_t i = 0; i < rotation_.size(); ++i) {
-    net::Ipv4Addr ip = rotation_[rr_cursor_ % rotation_.size()];
-    ++rr_cursor_;
-    if (eligible(ip)) {
-      *out = ip;
-      return true;
-    }
-  }
+  if (rotation_.next(eligible, out)) return true;
   // Everything healthy was excluded; fall back to allowing the excluded one.
-  if (use_exclude) return choose_backend({}, false, out);
-  return false;
+  return use_exclude && choose_backend({}, false, out);
 }
 
 void LbApp::on_client(const net::Message& msg) {
   if (container_ == nullptr) return;
 
   ++requests_received_;
-  if (m_received_ != nullptr) m_received_->inc();
+  m_received_->inc();
 
   std::uint64_t pid = next_pid_++;
   Proxy proxy;
@@ -242,7 +188,7 @@ void LbApp::on_client(const net::Message& msg) {
   net::Ipv4Addr target;
   if (!choose_backend({}, false, &target)) {
     ++no_backend_;
-    if (m_no_backend_ != nullptr) m_no_backend_->inc();
+    m_no_backend_->inc();
     ++responses_error_;
     Json body = Json::object();
     body.set("id", proxy.client_id);
@@ -253,9 +199,7 @@ void LbApp::on_client(const net::Message& msg) {
     return;
   }
 
-  ++requests_forwarded_;
-  retry_tokens_ = std::min(retry_tokens_ + params_.retry_budget_ratio,
-                           params_.retry_budget_burst);
+  budget_.original();
   proxy.backend = target;
   proxies_.emplace(pid, std::move(proxy));
   forward(pid);
@@ -270,12 +214,12 @@ void LbApp::forward(std::uint64_t pid) {
   proxy.attempt_at = sim_->now();
   auto backend_it = backends_.find(proxy.backend);
   if (backend_it != backends_.end()) ++backend_it->second.outstanding;
-  proxy.timeout_event = sim_->after(params_.proxy_timeout, [this, pid]() {
+  proxy.timeout_event = sim_->after(kProxyTimeout, [this, pid]() {
     auto at = proxies_.find(pid);
     if (at == proxies_.end()) return;
     at->second.timeout_event = 0;
     ++upstream_timeouts_;
-    if (m_upstream_timeouts_ != nullptr) m_upstream_timeouts_->inc();
+    m_upstream_timeouts_->inc();
     attempt_failed(pid);
   });
   bool sent = container_->send(proxy.backend, params_.backend_port,
@@ -303,19 +247,16 @@ void LbApp::attempt_failed(std::uint64_t pid) {
   }
   backend_failure(failed);
 
-  if (proxy.attempts < params_.max_attempts && retry_tokens_ >= 1.0) {
-    net::Ipv4Addr target;
-    if (choose_backend(failed, true, &target)) {
-      retry_tokens_ -= 1.0;
-      ++retries_attempted_;
-      if (m_retries_ != nullptr) m_retries_->inc();
-      proxy.backend = target;
-      forward(pid);
-      return;
-    }
-  } else if (proxy.attempts < params_.max_attempts) {
-    ++retries_denied_;
-    if (m_retries_denied_ != nullptr) m_retries_denied_->inc();
+  const RetryBudget::Verdict verdict = budget_.judge(proxy.attempts);
+  if (verdict == RetryBudget::Verdict::kDenied) m_retries_denied_->inc();
+  net::Ipv4Addr target;
+  if (verdict == RetryBudget::Verdict::kAllowed &&
+      choose_backend(failed, true, &target)) {
+    budget_.spend();
+    m_retries_->inc();
+    proxy.backend = target;
+    forward(pid);
+    return;
   }
 
   Json body = Json::object();
@@ -370,9 +311,7 @@ void LbApp::on_upstream(const net::Message& msg) {
   if (backend_it != backends_.end() && backend_it->second.outstanding > 0) {
     --backend_it->second.outstanding;
   }
-  if (m_upstream_latency_ != nullptr) {
-    m_upstream_latency_->observe((sim_->now() - proxy.attempt_at).to_millis());
-  }
+  m_upstream_latency_->observe((sim_->now() - proxy.attempt_at).to_millis());
 
   const double status = reply.get_number("status", 200);
   const bool shed = !reply.get_string("shed", "").empty();
@@ -404,7 +343,7 @@ void LbApp::backend_failure(net::Ipv4Addr ip) {
     return;
   }
   if (backend.state != BackendState::kHealthy) return;
-  if (++backend.consecutive_failures >= params_.unhealthy_threshold) {
+  if (++backend.consecutive_failures >= kUnhealthyThreshold) {
     eject(ip);
   }
 }
@@ -417,8 +356,8 @@ void LbApp::backend_success(net::Ipv4Addr ip) {
   if (backend.state == BackendState::kHalfOpen) {
     backend.state = BackendState::kHealthy;
     ++backends_readmitted_;
-    if (m_readmitted_ != nullptr) m_readmitted_->inc();
-    if (m_healthy_ != nullptr) m_healthy_->add(1);
+    m_readmitted_->inc();
+    m_healthy_->add(1);
     LOG_INFO("lb", "backend %s re-admitted", ip.to_string().c_str());
   }
 }
@@ -431,10 +370,10 @@ void LbApp::eject(net::Ipv4Addr ip) {
   backend.state = BackendState::kEjected;
   backend.consecutive_failures = 0;
   ++backends_ejected_;
-  if (m_ejected_ != nullptr) m_ejected_->inc();
-  if (was_healthy && m_healthy_ != nullptr) m_healthy_->add(-1);
+  m_ejected_->inc();
+  if (was_healthy) m_healthy_->add(-1);
   if (backend.reopen_event != 0) sim_->cancel(backend.reopen_event);
-  backend.reopen_event = sim_->after(params_.ejection_period, [this, ip]() {
+  backend.reopen_event = sim_->after(kEjectionPeriod, [this, ip]() {
     auto at = backends_.find(ip);
     if (at == backends_.end()) return;
     at->second.reopen_event = 0;
@@ -448,7 +387,7 @@ void LbApp::eject(net::Ipv4Addr ip) {
 
 void LbApp::run_health_checks() {
   if (container_ == nullptr) return;
-  for (net::Ipv4Addr ip : rotation_) {
+  for (net::Ipv4Addr ip : rotation_.endpoints()) {
     auto it = backends_.find(ip);
     if (it == backends_.end()) continue;
     if (it->second.state == BackendState::kEjected) continue;  // waiting out
@@ -464,7 +403,7 @@ void LbApp::probe(net::Ipv4Addr ip) {
   body.set("id", static_cast<unsigned long long>(hid));
   PendingProbe pending;
   pending.backend = ip;
-  pending.timeout_event = sim_->after(params_.health_timeout, [this, hid]() {
+  pending.timeout_event = sim_->after(kHealthTimeout, [this, hid]() {
     auto it = probes_.find(hid);
     if (it == probes_.end()) return;
     net::Ipv4Addr backend = it->second.backend;
@@ -492,14 +431,14 @@ util::Json LbApp::status() const {
   j.set("responses_error",
         static_cast<unsigned long long>(responses_error_));
   j.set("in_flight", static_cast<unsigned long long>(proxies_.size()));
-  j.set("retries", static_cast<unsigned long long>(retries_attempted_));
-  j.set("retries_denied", static_cast<unsigned long long>(retries_denied_));
+  j.set("retries", static_cast<unsigned long long>(budget_.retries()));
+  j.set("retries_denied", static_cast<unsigned long long>(budget_.denials()));
   j.set("upstream_timeouts",
         static_cast<unsigned long long>(upstream_timeouts_));
   j.set("ejected", static_cast<unsigned long long>(backends_ejected_));
   j.set("readmitted", static_cast<unsigned long long>(backends_readmitted_));
   Json pool = Json::object();
-  for (net::Ipv4Addr ip : rotation_) {
+  for (net::Ipv4Addr ip : rotation_.endpoints()) {
     auto it = backends_.find(ip);
     if (it == backends_.end()) continue;
     pool.set(ip.to_string(),

@@ -9,19 +9,16 @@
 //   * per-backend active health checks ({"op":"health"} probes) driving a
 //     three-state breaker: Healthy -> (consecutive failures) -> Ejected ->
 //     (ejection period elapses) -> HalfOpen -> (probe succeeds) -> Healthy;
-//   * a retry *budget*: a token bucket refilled at `retry_budget_ratio`
-//     tokens per proxied request caps retries as a fraction of traffic, so a
-//     failing backend cannot trigger retry-storm amplification on failover;
+//   * a RetryBudget (apps/upstream.h) on retries to a sibling, so a failing
+//     backend cannot trigger retry-storm amplification on failover;
 //   * endpoint-change ingestion: set_backends() preserves breaker state for
 //     surviving backends and keeps the round-robin cursor deterministic, so
 //     ReplicaSet churn does not perturb same-seed digests.
 //
 // Accounting invariant (see invariants.cc): at any instant
 //   requests_received == responses_ok + responses_error + dropped_in_flight
-//                        + in_flight.
-// and forwarding is budget-bounded:
-//   attempts_forwarded - requests_forwarded <=
-//       retry_budget_ratio * requests_forwarded + retry_budget_burst.
+//                        + in_flight,
+// and retry_budget().bounded(attempts_forwarded()).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/upstream.h"
 #include "os/container.h"
 #include "sim/simulation.h"
 #include "util/json.h"
@@ -43,23 +41,9 @@ struct LbParams {
   std::uint16_t upstream_port = 8081;  // source port for backend traffic
   std::uint16_t backend_port = 80;   // where backends listen
   LbPolicy policy = LbPolicy::kRoundRobin;
-
-  // Active health checking / ejection.
-  sim::Duration health_period = sim::Duration::millis(500);
-  sim::Duration health_timeout = sim::Duration::millis(250);
-  int unhealthy_threshold = 3;       // consecutive failures -> eject
-  sim::Duration ejection_period = sim::Duration::seconds(5);
-
-  // Proxying.
-  sim::Duration proxy_timeout = sim::Duration::seconds(2);
-  int max_attempts = 2;              // first try + at most one retry
-
-  // Retry budget (token bucket).
-  double retry_budget_ratio = 0.1;   // tokens earned per proxied request
-  double retry_budget_burst = 10.0;  // bucket cap (and initial fill)
+  double retry_budget_burst = RetryBudget::kBurst;
 
   static LbParams from_json(const util::Json& j);
-  util::Json to_json() const;
 };
 
 class LbApp : public os::ContainerApp {
@@ -87,16 +71,16 @@ class LbApp : public os::ContainerApp {
   std::uint64_t dropped_in_flight() const { return dropped_in_flight_; }
   std::size_t in_flight() const { return proxies_.size(); }
   // Requests that entered the proxy path (received minus no-backend 503s).
-  std::uint64_t requests_forwarded() const { return requests_forwarded_; }
+  std::uint64_t requests_forwarded() const { return budget_.originals(); }
   // Total upstream sends, including retries.
   std::uint64_t attempts_forwarded() const { return attempts_forwarded_; }
-  std::uint64_t retries_attempted() const { return retries_attempted_; }
-  std::uint64_t retries_denied() const { return retries_denied_; }
+  std::uint64_t retries_attempted() const { return budget_.retries(); }
+  std::uint64_t retries_denied() const { return budget_.denials(); }
+  const RetryBudget& retry_budget() const { return budget_; }
   std::uint64_t no_backend_errors() const { return no_backend_; }
   std::uint64_t backends_ejected() const { return backends_ejected_; }
   std::uint64_t backends_readmitted() const { return backends_readmitted_; }
 
-  const LbParams& params() const { return params_; }
   std::vector<net::Ipv4Addr> healthy_backends() const;
   BackendState backend_state(net::Ipv4Addr ip) const;
   std::size_t backend_count() const { return backends_.size(); }
@@ -136,16 +120,14 @@ class LbApp : public os::ContainerApp {
   void backend_failure(net::Ipv4Addr ip);
   void backend_success(net::Ipv4Addr ip);
   void eject(net::Ipv4Addr ip);
-  void bind_metrics(os::Container& container);
 
   LbParams params_;
   os::Container* container_ = nullptr;
   sim::Simulation* sim_ = nullptr;
   sim::PeriodicTask health_task_;
 
-  std::vector<net::Ipv4Addr> rotation_;          // pool, endpoint order
+  Rotation rotation_;
   std::map<net::Ipv4Addr, Backend> backends_;
-  std::size_t rr_cursor_ = 0;
 
   std::uint64_t next_pid_ = 1;  // proxy + probe id space (upstream port)
   std::map<std::uint64_t, Proxy> proxies_;
@@ -155,21 +137,19 @@ class LbApp : public os::ContainerApp {
   };
   std::map<std::uint64_t, PendingProbe> probes_;
 
-  double retry_tokens_ = 0;
+  RetryBudget budget_{params_.retry_budget_burst};
 
   std::uint64_t requests_received_ = 0;
   std::uint64_t responses_ok_ = 0;
   std::uint64_t responses_error_ = 0;
   std::uint64_t dropped_in_flight_ = 0;
-  std::uint64_t requests_forwarded_ = 0;
   std::uint64_t attempts_forwarded_ = 0;
-  std::uint64_t retries_attempted_ = 0;
-  std::uint64_t retries_denied_ = 0;
   std::uint64_t no_backend_ = 0;
   std::uint64_t upstream_timeouts_ = 0;
   std::uint64_t backends_ejected_ = 0;
   std::uint64_t backends_readmitted_ = 0;
 
+  // Registry series (bound in start(); set_backends() may come first).
   util::Counter* m_received_ = nullptr;
   util::Counter* m_retries_ = nullptr;
   util::Counter* m_retries_denied_ = nullptr;

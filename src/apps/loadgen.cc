@@ -10,6 +10,18 @@ namespace picloud::apps {
 
 using util::Json;
 
+namespace {
+
+// A target's breaker opens after kBreakerFailures consecutive failures.
+// kBreakerOpen later the next pick lets one trial request through
+// (half-open), and its outcome closes the breaker or keeps it open for
+// another window.
+constexpr int kBreakerFailures = 5;
+constexpr sim::Duration kBreakerOpen = sim::Duration::seconds(2);
+constexpr double kRequestBytes = 256;  // GET + headers
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // TrafficShape
 
@@ -83,11 +95,10 @@ HttpLoadGen::HttpLoadGen(net::Network& network, net::Ipv4Addr self,
     : network_(network),
       sim_(network.simulation()),
       self_(self),
-      targets_(std::move(targets)),
       params_(params),
       rng_(rng),
       port_(client_port) {
-  retry_tokens_ = params_.retry_budget_burst;
+  targets_.set(std::move(targets));
   network_.listen(self_, port_,
                   [this](const net::Message& msg) { on_message(msg); });
 }
@@ -114,32 +125,14 @@ void HttpLoadGen::stop() {
 }
 
 void HttpLoadGen::set_targets(std::vector<net::Ipv4Addr> targets) {
-  // Keep rotation deterministic across pool changes: the cursor follows the
-  // target it pointed at (falling back to 0 if that target left), instead of
-  // unconditionally resetting — so a mid-run ReplicaSet churn yields the
-  // same request sequence for the same seed regardless of when the
-  // reconciler fires relative to in-flight requests.
-  net::Ipv4Addr cursor_ip;
-  bool have_cursor = false;
-  if (!targets_.empty()) {
-    cursor_ip = targets_[next_target_ % targets_.size()];
-    have_cursor = true;
-  }
+  targets_.set(std::move(targets));
   // Drop breaker state for targets that left the pool.
+  const std::vector<net::Ipv4Addr>& pool = targets_.endpoints();
   for (auto it = breakers_.begin(); it != breakers_.end();) {
-    if (std::find(targets.begin(), targets.end(), it->first) ==
-        targets.end()) {
+    if (std::find(pool.begin(), pool.end(), it->first) == pool.end()) {
       it = breakers_.erase(it);
     } else {
       ++it;
-    }
-  }
-  targets_ = std::move(targets);
-  next_target_ = 0;
-  if (have_cursor) {
-    auto at = std::find(targets_.begin(), targets_.end(), cursor_ip);
-    if (at != targets_.end()) {
-      next_target_ = static_cast<size_t>(at - targets_.begin());
     }
   }
 }
@@ -163,30 +156,24 @@ void HttpLoadGen::fire_next() {
   });
 }
 
-bool HttpLoadGen::breaker_allows(net::Ipv4Addr target) {
-  auto it = breakers_.find(target);
-  if (it == breakers_.end() || !it->second.open) return true;
-  return sim_.now() >= it->second.open_until;  // half-open trial
-}
-
 bool HttpLoadGen::pick_target(net::Ipv4Addr exclude, bool use_exclude,
                               net::Ipv4Addr* out) {
-  if (targets_.empty()) return false;
-  for (size_t i = 0; i < targets_.size(); ++i) {
-    net::Ipv4Addr candidate = targets_[next_target_ % targets_.size()];
-    ++next_target_;
-    if (use_exclude && candidate == exclude && targets_.size() > 1) continue;
-    if (!breaker_allows(candidate)) continue;
-    auto b = breakers_.find(candidate);
-    if (b != breakers_.end() && b->second.open) {
-      // Half-open: let this trial through, re-arm the open window so the
-      // pool isn't flooded while the trial is in flight.
-      b->second.open_until = sim_.now() + params_.breaker_open_duration;
-    }
-    *out = candidate;
-    return true;
+  const bool skip_exclude = use_exclude && targets_.endpoints().size() > 1;
+  auto eligible = [this, exclude, skip_exclude](net::Ipv4Addr ip) {
+    if (skip_exclude && ip == exclude) return false;
+    auto it = breakers_.find(ip);
+    // A closed breaker, or an open one past its window (half-open trial).
+    return it == breakers_.end() || !it->second.open ||
+           sim_.now() >= it->second.open_until;
+  };
+  if (!targets_.next(eligible, out)) return false;
+  auto b = breakers_.find(*out);
+  if (b != breakers_.end() && b->second.open) {
+    // Half-open: let this trial through, re-arm the open window so the
+    // pool isn't flooded while the trial is in flight.
+    b->second.open_until = sim_.now() + kBreakerOpen;
   }
-  return false;
+  return true;
 }
 
 void HttpLoadGen::record_failure(net::Ipv4Addr target) {
@@ -194,12 +181,12 @@ void HttpLoadGen::record_failure(net::Ipv4Addr target) {
   ++b.consecutive_failures;
   if (b.open) {
     // Half-open trial failed: stay open for another window.
-    b.open_until = sim_.now() + params_.breaker_open_duration;
+    b.open_until = sim_.now() + kBreakerOpen;
     return;
   }
-  if (b.consecutive_failures >= params_.breaker_failure_threshold) {
+  if (b.consecutive_failures >= kBreakerFailures) {
     b.open = true;
-    b.open_until = sim_.now() + params_.breaker_open_duration;
+    b.open_until = sim_.now() + kBreakerOpen;
     ++breakers_opened_;
   }
 }
@@ -221,9 +208,7 @@ void HttpLoadGen::on_arrival() {
     return;
   }
   std::uint64_t id = next_id_++;
-  ++sent_;
-  retry_tokens_ = std::min(retry_tokens_ + params_.retry_budget_ratio,
-                           params_.retry_budget_burst);
+  budget_.original();
 
   Pending pending;
   pending.first_sent_at = sim_.now();
@@ -264,7 +249,7 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   msg.src_port = port_;
   msg.dst_port = params_.server_port;
   msg.payload = std::move(body);
-  msg.padding_bytes = static_cast<double>(params_.request_bytes);
+  msg.padding_bytes = kRequestBytes;
   network_.send(std::move(msg));
 }
 
@@ -278,19 +263,13 @@ void HttpLoadGen::attempt_failed(std::uint64_t id, bool timed_out) {
   }
   pending.timeout_event = 0;
   record_failure(pending.target);
-  if (pending.attempts < params_.max_attempts) {
-    if (retry_tokens_ >= 1.0) {
-      net::Ipv4Addr next;
-      if (pick_target(pending.target, true, &next)) {
-        retry_tokens_ -= 1.0;
-        ++retries_;
-        pending.target = next;
-        send_attempt(id);
-        return;
-      }
-    } else {
-      ++retries_denied_;
-    }
+  net::Ipv4Addr next;
+  if (budget_.judge(pending.attempts) == RetryBudget::Verdict::kAllowed &&
+      pick_target(pending.target, true, &next)) {
+    budget_.spend();
+    pending.target = next;
+    send_attempt(id);
+    return;
   }
   pending_.erase(it);
   ++(timed_out ? timed_out_ : failed_);

@@ -17,6 +17,7 @@
 #include <map>
 #include <vector>
 
+#include "apps/upstream.h"
 #include "net/fabric.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -63,22 +64,7 @@ class HttpLoadGen {
     double requests_per_sec = 20;
     std::uint16_t server_port = 80;
     sim::Duration request_timeout = sim::Duration::seconds(10);
-    std::uint64_t request_bytes = 256;  // GET + headers
     TrafficShape shape;
-
-    // --- Client-side protection (DESIGN.md §11) ------------------------------
-    // Retries per request beyond the first attempt are additionally capped
-    // by a token bucket: `retry_budget_ratio` tokens accrue per original
-    // request (bucket starts and caps at `retry_budget_burst`), a retry
-    // spends one. Keeps failover from amplifying a flash crowd.
-    int max_attempts = 2;
-    double retry_budget_ratio = 0.1;
-    double retry_budget_burst = 10.0;
-    // Per-target breaker: this many consecutive failures opens the breaker
-    // for `breaker_open_duration`; after that one trial request is let
-    // through (half-open) and its outcome closes or re-opens the breaker.
-    int breaker_failure_threshold = 5;
-    sim::Duration breaker_open_duration = sim::Duration::seconds(2);
   };
 
   HttpLoadGen(net::Network& network, net::Ipv4Addr self,
@@ -105,25 +91,27 @@ class HttpLoadGen {
   // quantiles keep their own util::Histogram.
   const util::LogHistogram& latencies() const { return latencies_; }
 
-  // --- Accounting (conservation probe: see invariants.cc) --------------------
+  // --- Accounting (loadgen-accounting probe: see runner.cc) -----------------
   // arrivals == completed + failed + timed_out + breaker_rejected
   //             + in_flight, at any instant; and
-  // attempts_sent - sent <= retry_budget_ratio * sent + retry_budget_burst.
+  // retry_budget().bounded(attempts_sent()).
   std::uint64_t arrivals() const { return arrivals_; }
-  std::uint64_t sent() const { return sent_; }
+  std::uint64_t sent() const { return budget_.originals(); }
   std::uint64_t attempts_sent() const { return attempts_sent_; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t completed_brownout() const { return completed_brownout_; }
   std::uint64_t timed_out() const { return timed_out_; }
   std::uint64_t failed() const { return failed_; }
-  std::uint64_t retries() const { return retries_; }
-  std::uint64_t retries_denied() const { return retries_denied_; }
+  std::uint64_t retries() const { return budget_.retries(); }
+  std::uint64_t retries_denied() const { return budget_.denials(); }
+  const RetryBudget& retry_budget() const { return budget_; }
   std::uint64_t breaker_rejected() const { return breaker_rejected_; }
   std::uint64_t breakers_opened() const { return breakers_opened_; }
   std::size_t in_flight() const { return pending_.size(); }
-  const Params& params() const { return params_; }
 
  private:
+  // Client-side protection (DESIGN.md §11): a failed attempt retries on
+  // another target within budget_, and each target has a breaker.
   struct Breaker {
     int consecutive_failures = 0;
     sim::SimTime open_until;   // breaker open while now < open_until
@@ -148,37 +136,32 @@ class HttpLoadGen {
   void on_message(const net::Message& msg);
   bool pick_target(net::Ipv4Addr exclude, bool use_exclude,
                    net::Ipv4Addr* out);
-  bool breaker_allows(net::Ipv4Addr target);
   void record_failure(net::Ipv4Addr target);
   void record_success(net::Ipv4Addr target);
 
   net::Network& network_;
   sim::Simulation& sim_;
   net::Ipv4Addr self_;
-  std::vector<net::Ipv4Addr> targets_;
+  Rotation targets_;
   Params params_;
   util::Rng rng_;
   std::uint16_t port_;
   bool running_ = false;
   sim::SimTime started_at_;
-  size_t next_target_ = 0;
   std::uint64_t next_id_ = 1;
   sim::EventId arrival_event_ = 0;
 
   std::map<net::Ipv4Addr, Breaker> breakers_;
-  double retry_tokens_ = 0;
+  RetryBudget budget_;
 
   std::map<std::uint64_t, Pending> pending_;
   util::LogHistogram latencies_;
   std::uint64_t arrivals_ = 0;
-  std::uint64_t sent_ = 0;
   std::uint64_t attempts_sent_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t completed_brownout_ = 0;
   std::uint64_t timed_out_ = 0;
   std::uint64_t failed_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t retries_denied_ = 0;
   std::uint64_t breaker_rejected_ = 0;
   std::uint64_t breakers_opened_ = 0;
 };

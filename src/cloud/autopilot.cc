@@ -90,7 +90,7 @@ void Autopilot::evaluate() {
   if (live <= config_.min_nodes_on) return;
 
   std::map<std::string, std::vector<std::string>> instances_by_node;
-  for (const InstanceRecord& record : master_.instances()) {
+  for (const auto& [name, record] : master_.instance_records()) {
     if (record.state == "running") {
       instances_by_node[record.hostname].push_back(record.name);
     }
@@ -117,7 +117,7 @@ void Autopilot::evaluate() {
 
   // Will the donor's instances fit on the others?
   std::uint64_t donor_mem = 0;
-  for (const InstanceRecord& record : master_.instances()) {
+  for (const auto& [name, record] : master_.instance_records()) {
     if (record.hostname == donor->hostname) donor_mem += record.mem_reserved;
   }
   std::uint64_t spare = 0;

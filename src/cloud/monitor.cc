@@ -75,13 +75,6 @@ const NodeRecord* ClusterMonitor::node(const std::string& hostname) const {
   return it != records_.end() ? &it->second : nullptr;
 }
 
-std::vector<NodeRecord> ClusterMonitor::nodes() const {
-  std::vector<NodeRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [hostname, rec] : records_) out.push_back(rec);
-  return out;
-}
-
 std::vector<NodeView> ClusterMonitor::views() const {
   std::vector<NodeView> out;
   out.reserve(records_.size());

@@ -83,7 +83,8 @@ class ClusterMonitor {
   bool alive(const std::string& hostname) const;
   // Null when `hostname` never registered. Records are never erased.
   const NodeRecord* node(const std::string& hostname) const;
-  std::vector<NodeRecord> nodes() const;  // hostname order
+  // Every record, keyed and ordered by hostname.
+  const std::map<std::string, NodeRecord>& nodes() const { return records_; }
   // Placement-policy input.
   std::vector<NodeView> views() const;
   ClusterSummary summary() const;

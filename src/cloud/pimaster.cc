@@ -513,13 +513,6 @@ util::Result<InstanceRecord> PiMaster::instance(const std::string& name) const {
   return it->second;
 }
 
-std::vector<InstanceRecord> PiMaster::instances() const {
-  std::vector<InstanceRecord> out;
-  out.reserve(instances_.size());
-  for (const auto& [name, record] : instances_) out.push_back(record);
-  return out;
-}
-
 util::Status PiMaster::set_policy(const std::string& name) {
   auto policy = make_policy(name);
   if (!policy.ok()) return policy.error();
@@ -556,31 +549,32 @@ void PiMaster::install_routes() {
         return HttpResponse::make(200);
       });
 
+  // One node's row in GET /nodes and GET /nodes/:hostname.
+  auto node_row = [this](const NodeRecord& rec) {
+    Json j = rec.latest.to_json();
+    j.set("hostname", rec.hostname);
+    j.set("ip", rec.ip.to_string());
+    j.set("rack", rec.rack);
+    j.set("alive", monitor_.alive(rec.hostname));
+    return j;
+  };
+
   router_.handle(Method::kGet, "/nodes",
-                 [this](const HttpRequest&, const PathParams&) {
+                 [this, node_row](const HttpRequest&, const PathParams&) {
                    Json list = Json::array();
-                   for (const NodeRecord& rec : monitor_.nodes()) {
-                     Json j = rec.latest.to_json();
-                     j.set("hostname", rec.hostname);
-                     j.set("ip", rec.ip.to_string());
-                     j.set("rack", rec.rack);
-                     j.set("alive", monitor_.alive(rec.hostname));
-                     list.push_back(std::move(j));
+                   for (const auto& [hostname, rec] : monitor_.nodes()) {
+                     list.push_back(node_row(rec));
                    }
                    return HttpResponse::make(200, std::move(list));
                  });
 
-  router_.handle(Method::kGet, "/nodes/:hostname",
-                 [this](const HttpRequest&, const PathParams& params) {
-                   const NodeRecord* rec = monitor_.node(params.at("hostname"));
-                   if (rec == nullptr) return HttpResponse::not_found();
-                   Json j = rec->latest.to_json();
-                   j.set("hostname", rec->hostname);
-                   j.set("ip", rec->ip.to_string());
-                   j.set("rack", rec->rack);
-                   j.set("alive", monitor_.alive(rec->hostname));
-                   return HttpResponse::make(200, std::move(j));
-                 });
+  router_.handle(
+      Method::kGet, "/nodes/:hostname",
+      [this, node_row](const HttpRequest&, const PathParams& params) {
+        const NodeRecord* rec = monitor_.node(params.at("hostname"));
+        if (rec == nullptr) return HttpResponse::not_found();
+        return HttpResponse::make(200, node_row(*rec));
+      });
 
   router_.handle(Method::kGet, "/cluster/summary",
                  [this](const HttpRequest&, const PathParams&) {
@@ -600,7 +594,7 @@ void PiMaster::install_routes() {
   router_.handle(Method::kGet, "/instances",
                  [this](const HttpRequest&, const PathParams&) {
                    Json list = Json::array();
-                   for (const auto& record : instances()) {
+                   for (const auto& [name, record] : instances_) {
                      list.push_back(record.to_json());
                    }
                    return HttpResponse::make(200, std::move(list));

@@ -158,7 +158,6 @@ class PiMaster {
   bool instance_healthy(const std::string& name) const;
   // True while a spawn/delete/migrate for `name` has not completed.
   bool operation_in_flight(const std::string& name) const;
-  std::vector<InstanceRecord> instances() const;
   // Zero-copy const view of the registry, keyed by instance name — what the
   // invariant checker and other read-only auditors iterate.
   const std::map<std::string, InstanceRecord>& instance_records() const {

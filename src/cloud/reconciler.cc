@@ -67,10 +67,9 @@ void Reconciler::sweep() {
   }
 
   // (2) Audit every live registered node's actual container list.
-  for (const NodeRecord& rec : master_.monitor_.nodes()) {
-    if (!master_.monitor_.alive(rec.hostname)) continue;
+  for (const auto& [hostname, rec] : master_.monitor_.nodes()) {
+    if (!master_.monitor_.alive(hostname)) continue;
     node_queries_->inc();
-    std::string hostname = rec.hostname;
     master_.client_->call(
         rec.ip, NodeDaemon::kPort, proto::Method::kGet, "/containers",
         util::Json(),

@@ -291,17 +291,12 @@ InvariantChecker::Probe probe_lb_retry_budget(cloud::PiCloud& cloud) {
         const os::ContainerApp* app = c->app();
         if (app == nullptr || app->kind() != "lb") continue;
         const auto* lb = static_cast<const apps::LbApp*>(app);
-        const double budget =
-            lb->params().retry_budget_ratio *
-                static_cast<double>(lb->requests_forwarded()) +
-            lb->params().retry_budget_burst;
-        const std::uint64_t extra =
-            lb->attempts_forwarded() - lb->requests_forwarded();
-        if (static_cast<double>(extra) > budget + 1e-6 ||
-            lb->retries_attempted() != extra) {
+        if (!lb->retry_budget().bounded(lb->attempts_forwarded())) {
           std::ostringstream msg;
-          msg << c->name() << ": lb retries " << extra << " (counter "
-              << lb->retries_attempted() << ") exceed budget " << budget;
+          msg << c->name() << ": lb " << lb->attempts_forwarded()
+              << " attempts for " << lb->requests_forwarded()
+              << " requests and " << lb->retries_attempted()
+              << " retries break the retry budget";
           fail(msg.str());
         }
       }

@@ -11,32 +11,11 @@
 #include "net/fabric.h"
 #include "os/node_os.h"
 #include "util/check.h"
+#include "util/fnv.h"
 
 namespace picloud::testing {
 
 namespace {
-
-// FNV-1a over the bytes of each value, for end_state_digest(). Any
-// divergence between two runs of the same scenario shows up in it.
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      hash_ ^= c;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
 
 // Scenario-specific probe: the load generator's latency histogram must
 // record exactly one sample per completed request, every arrival must be
@@ -63,15 +42,11 @@ InvariantChecker::Probe probe_loadgen_accounting(
           << " in_flight " << gen.in_flight() << ")";
       fail(msg.str());
     }
-    const double budget =
-        gen.params().retry_budget_ratio * static_cast<double>(gen.sent()) +
-        gen.params().retry_budget_burst;
-    const std::uint64_t extra = gen.attempts_sent() - gen.sent();
-    if (static_cast<double>(extra) > budget + 1e-6 ||
-        gen.retries() != extra) {
+    if (!gen.retry_budget().bounded(gen.attempts_sent())) {
       std::ostringstream msg;
-      msg << "loadgen " << index << ": retries " << extra << " (counter "
-          << gen.retries() << ") exceed budget " << budget;
+      msg << "loadgen " << index << ": " << gen.attempts_sent()
+          << " attempts for " << gen.sent() << " requests and "
+          << gen.retries() << " retries break the retry budget";
       fail(msg.str());
     }
   };
@@ -188,7 +163,7 @@ void apply_chaos_event(cloud::PiCloud& cloud,
 }  // namespace
 
 std::uint64_t end_state_digest(sim::Simulation& sim, cloud::PiCloud& cloud) {
-  Digest d;
+  util::Fnv1a d;
   d.add(sim.events_executed());
   d.add(static_cast<std::uint64_t>(sim.now().ns()));
   d.add(sim.metrics().snapshot().dump());

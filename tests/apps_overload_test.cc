@@ -126,20 +126,8 @@ FlashResult run_flash_crowd(bool admission) {
                                      lb->in_flight()) {
     r.conserved = false;
   }
-  const double lb_budget = lb->params().retry_budget_ratio *
-                               static_cast<double>(lb->requests_forwarded()) +
-                           lb->params().retry_budget_burst;
-  if (static_cast<double>(lb->attempts_forwarded() -
-                          lb->requests_forwarded()) > lb_budget + 1e-6) {
-    r.budget_ok = false;
-  }
-  const double gen_budget =
-      gen.params().retry_budget_ratio * static_cast<double>(gen.sent()) +
-      gen.params().retry_budget_burst;
-  if (static_cast<double>(gen.attempts_sent() - gen.sent()) >
-      gen_budget + 1e-6) {
-    r.budget_ok = false;
-  }
+  r.budget_ok = lb->retry_budget().bounded(lb->attempts_forwarded()) &&
+                gen.retry_budget().bounded(gen.attempts_sent());
   return r;
 }
 

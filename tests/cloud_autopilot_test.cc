@@ -43,13 +43,13 @@ TEST(Autopilot, ConsolidatesSpreadInstancesAndParksNodes) {
   EXPECT_LT(cloud.current_power_watts(), watts_before - 5.0);
   // All four instances still run somewhere.
   int running = 0;
-  for (const auto& record : cloud.master().instances()) {
+  for (const auto& [name, record] : cloud.master().instance_records()) {
     if (record.state == "running") ++running;
   }
   EXPECT_EQ(running, 4);
   // And the survivors live on few nodes.
   std::set<std::string> hosts;
-  for (const auto& record : cloud.master().instances()) {
+  for (const auto& [name, record] : cloud.master().instance_records()) {
     hosts.insert(record.hostname);
   }
   EXPECT_LE(hosts.size(), 2u);

@@ -357,7 +357,7 @@ TEST_F(FaultCloud, DuplicateSpawnRequestsCoalesceAndReplay) {
 
   // Exactly one instance exists; the dedup cache saw one run, one coalesce,
   // one replay.
-  EXPECT_EQ(cloud_->master().instances().size(), 1u);
+  EXPECT_EQ(cloud_->master().instance_records().size(), 1u);
   const util::MetricsRegistry& m = sim_->metrics();
   EXPECT_EQ(m.counter_value("cloud.master.dedup.admitted"), 1u);
   EXPECT_GE(m.counter_value("cloud.master.dedup.coalesced"), 1u);
@@ -370,7 +370,7 @@ TEST_F(FaultCloud, DuplicateSpawnRequestsCoalesceAndReplay) {
   cloud_->run_until(sim::Duration::seconds(30),
                     [&]() { return conflict != 0; });
   EXPECT_EQ(conflict, 409);
-  EXPECT_EQ(cloud_->master().instances().size(), 1u);
+  EXPECT_EQ(cloud_->master().instance_records().size(), 1u);
 }
 
 }  // namespace

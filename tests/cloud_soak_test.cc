@@ -5,7 +5,6 @@
 // the whole run must be bit-reproducible (same seed => same digest).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -14,6 +13,7 @@
 #include "cloud/chaos.h"
 #include "cloud/cloud.h"
 #include "cloud/replicaset.h"
+#include "util/fnv.h"
 
 namespace picloud {
 namespace {
@@ -21,27 +21,6 @@ namespace {
 using cloud::ChaosMonkey;
 using cloud::PiCloud;
 using cloud::PiCloudConfig;
-
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;  // FNV-1a 64 prime
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      hash_ ^= c;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;  // FNV offset basis
-};
 
 std::uint64_t run_soak(std::uint64_t seed) {
   sim::Simulation sim(seed);
@@ -145,7 +124,7 @@ std::uint64_t run_soak(std::uint64_t seed) {
     EXPECT_EQ(count, 1) << "duplicate container " << name;
   }
   // No "running" record points at a dead node or a missing container.
-  for (const auto& record : cloud.master().instances()) {
+  for (const auto& [name, record] : cloud.master().instance_records()) {
     if (record.state != "running") continue;
     cloud::NodeDaemon* host = cloud.daemon_by_hostname(record.hostname);
     EXPECT_NE(host, nullptr) << record.name;
@@ -157,7 +136,7 @@ std::uint64_t run_soak(std::uint64_t seed) {
         << " but no container there";
   }
 
-  Digest d;
+  util::Fnv1a d;
   d.add(sim.events_executed());
   d.add(static_cast<std::uint64_t>(sim.now().ns()));
   d.add(gen.sent());
@@ -167,7 +146,7 @@ std::uint64_t run_soak(std::uint64_t seed) {
   d.add(migrations_tried);
   // Every registry series: chaos, migration, reconciler, retry and the rest.
   d.add(sim.metrics().snapshot().dump());
-  for (const auto& record : cloud.master().instances()) {
+  for (const auto& [name, record] : cloud.master().instance_records()) {
     d.add(record.name);
     d.add(record.state);
     d.add(record.hostname);

@@ -7,36 +7,15 @@
 // workload really is seed-driven, not constant).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 
 #include "apps/loadgen.h"
 #include "cloud/cloud.h"
+#include "util/fnv.h"
 
 namespace picloud {
 namespace {
-
-class Digest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;  // FNV-1a 64 prime
-    }
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      hash_ ^= c;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;  // FNV offset basis
-};
 
 struct ScenarioResult {
   std::uint64_t digest = 0;
@@ -77,7 +56,7 @@ ScenarioResult run_scenario(std::uint64_t seed) {
   gen.stop();
   cloud.run_for(sim::Duration::seconds(2));
 
-  Digest d;
+  util::Fnv1a d;
   d.add(sim.events_executed());
   d.add(static_cast<std::uint64_t>(sim.now().ns()));
   d.add(gen.completed());

@@ -19,29 +19,15 @@
 #include <vector>
 
 #include "sim/simulation.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace picloud::testing_support {
 
-// FNV-1a 64, same fold as tests/determinism_test.cc.
-class KernelDigest {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
 inline std::uint64_t hotloop_kernel_digest() {
   sim::Simulation sim(7);
   util::Rng rng = sim.rng().fork();
-  KernelDigest d;
+  util::Fnv1a d;
   int label = 0;
   std::vector<sim::EventId> doomed;
 
@@ -110,7 +96,7 @@ inline std::uint64_t hotloop_kernel_digest() {
   sim::PeriodicTask stopper;
   stopper = sim::PeriodicTask(sim, sim::Duration::millis(200),
                               [&d, &stopper_ticks, &stopper, &sim]() {
-                                d.add(777);
+                                d.add(std::uint64_t{777});
                                 d.add(static_cast<std::uint64_t>(sim.now().ns()));
                                 if (++stopper_ticks == 20) stopper.stop();
                               });

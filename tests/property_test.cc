@@ -57,7 +57,7 @@ RunFingerprint run_world(std::uint64_t seed) {
   fp.events = sim.events_executed();
   fp.messages = cloud.network().messages_sent();
   fp.bytes_carried = cloud.fabric().total_bytes_carried();
-  for (const auto& record : cloud.master().instances()) {
+  for (const auto& [name, record] : cloud.master().instance_records()) {
     fp.placements.push_back(record.name + "@" + record.hostname + "=" +
                             record.ip.to_string());
   }
