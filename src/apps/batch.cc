@@ -30,6 +30,7 @@ void BatchApp::stop() {
     container_->cancel_cpu(current_task_);
     current_task_ = 0;
   }
+  pause_timer_.cancel();
   if (working_set_resident_) {
     container_->free_memory(params_.working_set_bytes);
     working_set_resident_ = false;
@@ -55,8 +56,9 @@ void BatchApp::next_chunk() {
             params_.chunk_cycles / container_->node().cpu().capacity();
         double rest = solo_seconds * (1.0 - params_.duty) /
                       std::max(params_.duty, 1e-6);
-        container_->node().simulation().after(
-            sim::Duration::seconds(rest), [this]() { next_chunk(); });
+        pause_timer_.after(container_->node().simulation(),
+                           sim::Duration::seconds(rest),
+                           [this]() { next_chunk(); });
       });
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "os/container.h"
+#include "sim/simulation.h"
 #include "util/json.h"
 
 namespace picloud::apps {
@@ -46,6 +47,7 @@ class BatchApp : public os::ContainerApp {
   bool working_set_resident_ = false;
   double cycles_completed_ = 0;
   os::CpuTaskId current_task_ = 0;
+  sim::Timer pause_timer_;  // duty-cycle rest between chunks
 };
 
 }  // namespace picloud::apps

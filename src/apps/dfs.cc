@@ -202,11 +202,11 @@ void DfsNamenode::send_op(net::Ipv4Addr datanode, Json body, double padding,
                           AckCallback cb) {
   std::uint64_t id = next_id_++;
   body.set("id", static_cast<unsigned long long>(id));
-  pending_[id] = std::move(cb);
-  sim_.after(config_.request_timeout, [this, id]() {
+  PendingOp& op = pending_[id];
+  op.cb = std::move(cb);
+  op.timer.after(sim_, config_.request_timeout, [this, id]() {
     auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    AckCallback cb = std::move(it->second);
+    AckCallback cb = std::move(it->second.cb);
     pending_.erase(it);
     cb(false, 0);
   });
@@ -225,8 +225,8 @@ void DfsNamenode::on_message(const net::Message& msg) {
   auto id = static_cast<std::uint64_t>(ack.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
-  AckCallback cb = std::move(it->second);
-  pending_.erase(it);
+  AckCallback cb = std::move(it->second.cb);
+  pending_.erase(it);  // cancels the timeout
   cb(ack.get_bool("ok"), ack.get_number("bytes"));
 }
 

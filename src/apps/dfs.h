@@ -135,6 +135,10 @@ class DfsNamenode {
   };
 
   using AckCallback = std::function<void(bool ok, double bytes)>;
+  struct PendingOp {
+    AckCallback cb;
+    sim::Timer timer;
+  };
   void send_op(net::Ipv4Addr datanode, util::Json body, double padding,
                AckCallback cb);
   void on_message(const net::Message& msg);
@@ -150,7 +154,7 @@ class DfsNamenode {
   std::uint16_t port_;
   std::vector<Datanode> datanodes_;
   std::map<std::string, File> files_;
-  std::map<std::uint64_t, AckCallback> pending_;
+  std::map<std::uint64_t, PendingOp> pending_;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_block_ = 1;
   Stats stats_;

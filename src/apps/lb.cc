@@ -67,29 +67,19 @@ void LbApp::start(os::Container& container) {
                    [this](const net::Message& msg) { on_client(msg); });
   container.listen(params_.upstream_port,
                    [this](const net::Message& msg) { on_upstream(msg); });
-  health_task_ = sim::PeriodicTask(*sim_, kHealthPeriod,
-                                   [this]() { run_health_checks(); });
+  health_task_.every(*sim_, kHealthPeriod, [this]() { run_health_checks(); });
 }
 
 void LbApp::stop() {
   if (container_ == nullptr) return;
-  health_task_.stop();
+  health_task_.cancel();
   container_->unlisten(params_.port);
   container_->unlisten(params_.upstream_port);
-  for (auto& [pid, proxy] : proxies_) {
-    if (proxy.timeout_event != 0) sim_->cancel(proxy.timeout_event);
-    ++dropped_in_flight_;
-  }
+  dropped_in_flight_ += proxies_.size();
   proxies_.clear();
-  for (auto& [pid, probe] : probes_) {
-    if (probe.timeout_event != 0) sim_->cancel(probe.timeout_event);
-  }
   probes_.clear();
   for (auto& [ip, backend] : backends_) {
-    if (backend.reopen_event != 0) {
-      sim_->cancel(backend.reopen_event);
-      backend.reopen_event = 0;
-    }
+    backend.reopen_timer.cancel();
     backend.outstanding = 0;
   }
   container_ = nullptr;
@@ -99,20 +89,9 @@ void LbApp::set_backends(std::vector<net::Ipv4Addr> backends) {
   std::map<net::Ipv4Addr, Backend> next;
   for (net::Ipv4Addr ip : backends) {
     auto it = backends_.find(ip);
-    if (it != backends_.end()) {
-      next.emplace(ip, it->second);
-      it->second.reopen_event = 0;  // ownership moved to `next`
-    } else {
-      next.emplace(ip, Backend{});
-    }
+    next.emplace(ip, it != backends_.end() ? std::move(it->second) : Backend{});
   }
-  // Cancel reopen timers of backends that left the pool.
-  for (auto& [ip, backend] : backends_) {
-    if (backend.reopen_event != 0 && sim_ != nullptr) {
-      sim_->cancel(backend.reopen_event);
-    }
-  }
-  backends_ = std::move(next);
+  backends_ = std::move(next);  // departed backends' reopen timers cancel
   rotation_.set(std::move(backends));
   if (m_healthy_ != nullptr) {
     m_healthy_->set(static_cast<double>(healthy_backends().size()));
@@ -214,10 +193,7 @@ void LbApp::forward(std::uint64_t pid) {
   proxy.attempt_at = sim_->now();
   auto backend_it = backends_.find(proxy.backend);
   if (backend_it != backends_.end()) ++backend_it->second.outstanding;
-  proxy.timeout_event = sim_->after(kProxyTimeout, [this, pid]() {
-    auto at = proxies_.find(pid);
-    if (at == proxies_.end()) return;
-    at->second.timeout_event = 0;
+  proxy.timer.after(*sim_, kProxyTimeout, [this, pid]() {
     ++upstream_timeouts_;
     m_upstream_timeouts_->inc();
     attempt_failed(pid);
@@ -228,10 +204,7 @@ void LbApp::forward(std::uint64_t pid) {
   if (!sent) {
     // No route (backend's node is gone): fail fast instead of waiting out
     // the proxy timeout.
-    if (proxy.timeout_event != 0) {
-      sim_->cancel(proxy.timeout_event);
-      proxy.timeout_event = 0;
-    }
+    proxy.timer.cancel();
     attempt_failed(pid);
   }
 }
@@ -270,16 +243,16 @@ void LbApp::finish(std::uint64_t pid, util::Json payload, double padding,
                    bool ok) {
   auto it = proxies_.find(pid);
   if (it == proxies_.end()) return;
-  Proxy proxy = std::move(it->second);
-  proxies_.erase(it);
-  if (proxy.timeout_event != 0) sim_->cancel(proxy.timeout_event);
+  const net::Ipv4Addr client = it->second.client;
+  const std::uint16_t client_port = it->second.client_port;
+  proxies_.erase(it);  // cancels the attempt's timeout
   if (ok) {
     ++responses_ok_;
   } else {
     ++responses_error_;
   }
-  container_->send(proxy.client, proxy.client_port, std::move(payload),
-                   params_.port, padding);
+  container_->send(client, client_port, std::move(payload), params_.port,
+                   padding);
 }
 
 void LbApp::on_upstream(const net::Message& msg) {
@@ -290,11 +263,8 @@ void LbApp::on_upstream(const net::Message& msg) {
   if (reply.has("health")) {
     auto probe_it = probes_.find(id);
     if (probe_it == probes_.end()) return;  // late probe reply
-    if (probe_it->second.timeout_event != 0) {
-      sim_->cancel(probe_it->second.timeout_event);
-    }
     net::Ipv4Addr backend = probe_it->second.backend;
-    probes_.erase(probe_it);
+    probes_.erase(probe_it);  // cancels its timeout
     on_health_reply(backend);
     return;
   }
@@ -303,10 +273,7 @@ void LbApp::on_upstream(const net::Message& msg) {
   if (it == proxies_.end()) return;  // reply after timeout/retry settled
   Proxy& proxy = it->second;
   if (msg.src != proxy.backend) return;  // stale attempt's reply
-  if (proxy.timeout_event != 0) {
-    sim_->cancel(proxy.timeout_event);
-    proxy.timeout_event = 0;
-  }
+  proxy.timer.cancel();
   auto backend_it = backends_.find(proxy.backend);
   if (backend_it != backends_.end() && backend_it->second.outstanding > 0) {
     --backend_it->second.outstanding;
@@ -372,13 +339,10 @@ void LbApp::eject(net::Ipv4Addr ip) {
   ++backends_ejected_;
   m_ejected_->inc();
   if (was_healthy) m_healthy_->add(-1);
-  if (backend.reopen_event != 0) sim_->cancel(backend.reopen_event);
-  backend.reopen_event = sim_->after(kEjectionPeriod, [this, ip]() {
-    auto at = backends_.find(ip);
-    if (at == backends_.end()) return;
-    at->second.reopen_event = 0;
-    if (at->second.state == BackendState::kEjected) {
-      at->second.state = BackendState::kHalfOpen;
+  backend.reopen_timer.after(*sim_, kEjectionPeriod, [this, ip]() {
+    Backend& ejected = backends_.at(ip);
+    if (ejected.state == BackendState::kEjected) {
+      ejected.state = BackendState::kHalfOpen;
       probe(ip);  // immediate trial instead of waiting for the next sweep
     }
   });
@@ -401,24 +365,18 @@ void LbApp::probe(net::Ipv4Addr ip) {
   Json body = Json::object();
   body.set("op", std::string("health"));
   body.set("id", static_cast<unsigned long long>(hid));
-  PendingProbe pending;
+  PendingProbe& pending = probes_[hid];
   pending.backend = ip;
-  pending.timeout_event = sim_->after(kHealthTimeout, [this, hid]() {
+  pending.timer.after(*sim_, kHealthTimeout, [this, hid]() {
     auto it = probes_.find(hid);
-    if (it == probes_.end()) return;
     net::Ipv4Addr backend = it->second.backend;
     probes_.erase(it);
     backend_failure(backend);
   });
-  probes_.emplace(hid, pending);
   bool sent = container_->send(ip, params_.backend_port, std::move(body),
                                params_.upstream_port, 64);
   if (!sent) {
-    auto it = probes_.find(hid);
-    if (it != probes_.end()) {
-      sim_->cancel(it->second.timeout_event);
-      probes_.erase(it);
-    }
+    probes_.erase(hid);
     backend_failure(ip);
   }
 }

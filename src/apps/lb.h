@@ -90,7 +90,7 @@ class LbApp : public os::ContainerApp {
     BackendState state = BackendState::kHealthy;
     int consecutive_failures = 0;
     int outstanding = 0;           // proxied requests currently in flight
-    sim::EventId reopen_event = 0;  // ejected -> half-open transition
+    sim::Timer reopen_timer;       // ejected -> half-open transition
   };
 
   struct Proxy {
@@ -102,7 +102,7 @@ class LbApp : public os::ContainerApp {
     net::Ipv4Addr backend;         // current attempt's target
     int attempts = 0;
     sim::SimTime attempt_at;       // when the current attempt was forwarded
-    sim::EventId timeout_event = 0;
+    sim::Timer timer;              // the current attempt's timeout
   };
 
   void on_client(const net::Message& msg);
@@ -124,7 +124,7 @@ class LbApp : public os::ContainerApp {
   LbParams params_;
   os::Container* container_ = nullptr;
   sim::Simulation* sim_ = nullptr;
-  sim::PeriodicTask health_task_;
+  sim::Timer health_task_;
 
   Rotation rotation_;
   std::map<net::Ipv4Addr, Backend> backends_;
@@ -133,7 +133,7 @@ class LbApp : public os::ContainerApp {
   std::map<std::uint64_t, Proxy> proxies_;
   struct PendingProbe {
     net::Ipv4Addr backend;
-    sim::EventId timeout_event = 0;
+    sim::Timer timer;
   };
   std::map<std::uint64_t, PendingProbe> probes_;
 

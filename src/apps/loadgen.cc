@@ -103,10 +103,7 @@ HttpLoadGen::HttpLoadGen(net::Network& network, net::Ipv4Addr self,
                   [this](const net::Message& msg) { on_message(msg); });
 }
 
-HttpLoadGen::~HttpLoadGen() {
-  stop();
-  network_.unlisten(self_, port_);
-}
+HttpLoadGen::~HttpLoadGen() { network_.unlisten(self_, port_); }
 
 void HttpLoadGen::start() {
   if (running_) return;
@@ -118,10 +115,7 @@ void HttpLoadGen::start() {
 void HttpLoadGen::stop() {
   if (!running_) return;
   running_ = false;
-  if (arrival_event_ != 0) {
-    sim_.cancel(arrival_event_);
-    arrival_event_ = 0;
-  }
+  arrival_timer_.cancel();
 }
 
 void HttpLoadGen::set_targets(std::vector<net::Ipv4Addr> targets) {
@@ -140,7 +134,9 @@ void HttpLoadGen::set_targets(std::vector<net::Ipv4Addr> targets) {
 void HttpLoadGen::set_rate(double requests_per_sec) {
   params_.requests_per_sec = requests_per_sec;
   // When idled at rate 0 the arrival chain has stopped; rearm it.
-  if (running_ && arrival_event_ == 0 && requests_per_sec > 0) fire_next();
+  if (running_ && !arrival_timer_.armed() && requests_per_sec > 0) {
+    fire_next();
+  }
 }
 
 void HttpLoadGen::fire_next() {
@@ -148,8 +144,7 @@ void HttpLoadGen::fire_next() {
   const double rate = params_.requests_per_sec *
                       params_.shape.factor(sim_.now() - started_at_);
   double gap = rng_.exponential(1.0 / rate);
-  arrival_event_ = sim_.after(sim::Duration::seconds(gap), [this]() {
-    arrival_event_ = 0;
+  arrival_timer_.after(sim_, sim::Duration::seconds(gap), [this]() {
     if (!running_) return;
     on_arrival();
     fire_next();
@@ -239,7 +234,7 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   body.set("id", static_cast<unsigned long long>(id));
   if (pending.cost != 1.0) body.set("cost", pending.cost);
 
-  pending.timeout_event = sim_.after(params_.request_timeout, [this, id]() {
+  pending.timer.after(sim_, params_.request_timeout, [this, id]() {
     attempt_failed(id, /*timed_out=*/true);
   });
 
@@ -257,11 +252,8 @@ void HttpLoadGen::attempt_failed(std::uint64_t id, bool timed_out) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   Pending& pending = it->second;
-  // A timeout is the attempt's timer firing; an error reply disarms it.
-  if (!timed_out && pending.timeout_event != 0) {
-    sim_.cancel(pending.timeout_event);
-  }
-  pending.timeout_event = 0;
+  // An error reply leaves the attempt's timer armed: the retry re-arms it,
+  // and settling the request erases it.
   record_failure(pending.target);
   net::Ipv4Addr next;
   if (budget_.judge(pending.attempts) == RetryBudget::Verdict::kAllowed &&
@@ -288,11 +280,10 @@ void HttpLoadGen::on_message(const net::Message& msg) {
     attempt_failed(id, /*timed_out=*/false);
     return;
   }
-  if (it->second.timeout_event != 0) sim_.cancel(it->second.timeout_event);
   record_success(it->second.target);
   latencies_.observe((sim_.now() - it->second.first_sent_at).to_millis());
   const bool brownout = reply.get_bool("brownout", false);
-  pending_.erase(it);
+  pending_.erase(it);  // cancels the timeout
   ++completed_;
   if (brownout) ++completed_brownout_;
 }
@@ -314,18 +305,14 @@ void BackgroundTraffic::start() {
 void BackgroundTraffic::stop() {
   if (!running_) return;
   running_ = false;
-  if (arrival_event_ != 0) {
-    fabric_.simulation().cancel(arrival_event_);
-    arrival_event_ = 0;
-  }
+  arrival_timer_.cancel();
 }
 
 void BackgroundTraffic::fire_next() {
   if (!running_ || params_.flows_per_sec <= 0) return;
   double gap = rng_.exponential(1.0 / params_.flows_per_sec);
-  arrival_event_ =
-      fabric_.simulation().after(sim::Duration::seconds(gap), [this]() {
-        arrival_event_ = 0;
+  arrival_timer_.after(
+      fabric_.simulation(), sim::Duration::seconds(gap), [this]() {
         if (!running_) return;
         const auto& hosts = topology_.hosts;
         if (hosts.size() >= 2) {
@@ -384,17 +371,14 @@ void KvClient::request(net::Ipv4Addr server, std::uint16_t server_port,
                        Json body, Callback cb) {
   std::uint64_t id = next_id_++;
   body.set("id", static_cast<unsigned long long>(id));
-  Pending pending;
+  Pending& pending = pending_[id];
   pending.cb = std::move(cb);
-  pending.timeout_event =
-      sim_.after(sim::Duration::seconds(10), [this, id]() {
-        auto it = pending_.find(id);
-        if (it == pending_.end()) return;
-        Callback cb = std::move(it->second.cb);
-        pending_.erase(it);
-        cb(util::Error::make("timeout", "kv request timed out"));
-      });
-  pending_[id] = std::move(pending);
+  pending.timer.after(sim_, sim::Duration::seconds(10), [this, id]() {
+    auto it = pending_.find(id);
+    Callback cb = std::move(it->second.cb);
+    pending_.erase(it);
+    cb(util::Error::make("timeout", "kv request timed out"));
+  });
 
   net::Message msg;
   msg.src = self_;
@@ -439,9 +423,8 @@ void KvClient::on_message(const net::Message& msg) {
   auto id = static_cast<std::uint64_t>(msg.payload.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
-  sim_.cancel(it->second.timeout_event);
   Callback cb = std::move(it->second.cb);
-  pending_.erase(it);
+  pending_.erase(it);  // cancels the timeout
   cb(msg.payload);
 }
 

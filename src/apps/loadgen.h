@@ -124,7 +124,7 @@ class HttpLoadGen {
     std::string path;
     double cost = 1.0;
     int attempts = 0;
-    sim::EventId timeout_event = 0;
+    sim::Timer timer;  // the current attempt's timeout
   };
 
   void fire_next();
@@ -149,7 +149,7 @@ class HttpLoadGen {
   bool running_ = false;
   sim::SimTime started_at_;
   std::uint64_t next_id_ = 1;
-  sim::EventId arrival_event_ = 0;
+  sim::Timer arrival_timer_;
 
   std::map<net::Ipv4Addr, Breaker> breakers_;
   RetryBudget budget_;
@@ -195,7 +195,7 @@ class BackgroundTraffic {
   Params params_;
   util::Rng rng_;
   bool running_ = false;
-  sim::EventId arrival_event_ = 0;
+  sim::Timer arrival_timer_;
   std::uint64_t flows_started_ = 0;
   double bytes_offered_ = 0;
 };
@@ -227,7 +227,7 @@ class KvClient {
   std::uint64_t next_id_ = 1;
   struct Pending {
     Callback cb;
-    sim::EventId timeout_event = 0;
+    sim::Timer timer;
   };
   std::map<std::uint64_t, Pending> pending_;
 };

@@ -174,7 +174,7 @@ void MapReduceDriver::run(MapReduceJobSpec spec, JobCallback cb,
   job.started = sim_.now();
   job.maps_pending = spec.map_tasks;
   job.reduces_pending = static_cast<int>(spec.reducers.size());
-  job.timeout_event = sim_.after(timeout, [this, id = spec.job_id]() {
+  job.timer.after(sim_, timeout, [this, id = spec.job_id]() {
     finish(id, false, "job timed out");
   });
 
@@ -236,9 +236,7 @@ void MapReduceDriver::finish(const std::string& job_id, bool success,
                              const std::string& error) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;
-  JobState job = std::move(it->second);
-  jobs_.erase(it);
-  if (job.timeout_event != 0) sim_.cancel(job.timeout_event);
+  const JobState& job = it->second;
   MapReduceJobResult result;
   result.success = success;
   result.error = error;
@@ -246,7 +244,9 @@ void MapReduceDriver::finish(const std::string& job_id, bool success,
   result.shuffle_bytes = job.spec.input_bytes * job.spec.shuffle_fraction;
   result.map_tasks = job.spec.map_tasks;
   result.reduce_tasks = static_cast<int>(job.spec.reducers.size());
-  if (job.cb) job.cb(result);
+  JobCallback cb = std::move(it->second.cb);
+  jobs_.erase(it);  // cancels the timeout
+  if (cb) cb(result);
 }
 
 }  // namespace picloud::apps

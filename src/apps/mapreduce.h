@@ -119,7 +119,7 @@ class MapReduceDriver {
     int maps_pending = 0;
     int reduces_pending = 0;
     bool reduces_ordered = false;
-    sim::EventId timeout_event = 0;
+    sim::Timer timer;
   };
 
   void on_message(const net::Message& msg);

@@ -48,13 +48,13 @@ void TracePlayer::start() {
   running_ = true;
   generator_.start();
   tick();
-  task_ = sim::PeriodicTask(sim_, period_, [this]() { tick(); });
+  task_.every(sim_, period_, [this]() { tick(); });
 }
 
 void TracePlayer::stop() {
   if (!running_) return;
   running_ = false;
-  task_.stop();
+  task_.cancel();
   generator_.stop();
 }
 
@@ -75,13 +75,13 @@ void TraceRecorder::start() {
   if (running_) return;
   running_ = true;
   sample();
-  task_ = sim::PeriodicTask(sim_, period_, [this]() { sample(); });
+  task_.every(sim_, period_, [this]() { sample(); });
 }
 
 void TraceRecorder::stop() {
   if (!running_) return;
   running_ = false;
-  task_.stop();
+  task_.cancel();
 }
 
 void TraceRecorder::sample() {

@@ -73,7 +73,7 @@ class TracePlayer {
   sim::Duration period_;
   double current_rps_ = 0;
   bool running_ = false;
-  sim::PeriodicTask task_;
+  sim::Timer task_;
 };
 
 // Samples named gauges on a period and keeps the rows (a figure's columns).
@@ -104,7 +104,7 @@ class TraceRecorder {
   std::vector<std::pair<std::string, Gauge>> gauges_;
   std::vector<Row> rows_;
   bool running_ = false;
-  sim::PeriodicTask task_;
+  sim::Timer task_;
 };
 
 }  // namespace picloud::apps

@@ -19,14 +19,14 @@ void Autopilot::start() {
   // not burn.
   last_slo_count_ = sim_.metrics().counter_value(config_.slo_burn_counter);
   last_slo_sample_ = sim_.now();
-  evaluation_task_ = sim::PeriodicTask(sim_, config_.evaluation_period,
-                                       [this]() { evaluate(); });
+  evaluation_task_.every(sim_, config_.evaluation_period,
+                         [this]() { evaluate(); });
 }
 
 void Autopilot::stop() {
   if (!running_) return;
   running_ = false;
-  evaluation_task_.stop();
+  evaluation_task_.cancel();
 }
 
 void Autopilot::evaluate() {

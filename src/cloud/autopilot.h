@@ -106,7 +106,7 @@ class Autopilot {
   bool draining_ = false;
   std::set<std::string> parked_;
   Stats stats_;
-  sim::PeriodicTask evaluation_task_;
+  sim::Timer evaluation_task_;
 };
 
 }  // namespace picloud::cloud

@@ -30,13 +30,13 @@ void ChaosMonkey::start() {
     // drop the same flows. Consumes one draw only when loss mode is on.
     fabric_.seed_loss_rng(rng_.next_u64());
   }
-  tick_task_ = sim::PeriodicTask(sim_, config_.tick, [this]() { tick(); });
+  tick_task_.every(sim_, config_.tick, [this]() { tick(); });
 }
 
 void ChaosMonkey::stop() {
   if (!running_) return;
   running_ = false;
-  tick_task_.stop();
+  tick_task_.cancel();
   // Leave links up/down as-is (operators repair them), but clear transient
   // degradation: a stopped monkey should not keep dropping flows.
   for (size_t i : lossy_links_) fabric_.set_link_pair_loss(links_[i], 0);

@@ -82,7 +82,7 @@ class ChaosMonkey {
   util::Counter* loss_onsets_ = nullptr;
   util::Counter* loss_clears_ = nullptr;
   bool running_ = false;
-  sim::PeriodicTask tick_task_;
+  sim::Timer tick_task_;
 };
 
 }  // namespace picloud::cloud

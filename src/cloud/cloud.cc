@@ -305,10 +305,10 @@ MigrationReport PiCloud::migrate_and_wait(const std::string& name,
   return out;
 }
 
-sim::EventId PiCloud::schedule_fault(sim::Duration delay, std::string label,
-                                     std::function<void()> fault) {
-  return sim_.after(delay, [this, label = std::move(label),
-                            fault = std::move(fault)]() {
+void PiCloud::schedule_fault(sim::Duration delay, std::string label,
+                             std::function<void()> fault) {
+  sim_.after(delay, [this, label = std::move(label),
+                     fault = std::move(fault)]() {
     // Fault schedule point (DESIGN.md §13): inline in default runs, parked
     // for reordering when a model-checking strategy is installed.
     if (!sim_.schedule_points().active()) {

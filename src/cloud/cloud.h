@@ -149,8 +149,8 @@ class PiCloud {
   // strategy it becomes a parked kFault action the explorer can reorder
   // against in-flight deliveries. `label` must be stable across episodes;
   // faults are treated as dependent with every other action.
-  sim::EventId schedule_fault(sim::Duration delay, std::string label,
-                              std::function<void()> fault);
+  void schedule_fault(sim::Duration delay, std::string label,
+                      std::function<void()> fault);
 
   // Renders the control panel dashboard over REST.
   util::Result<std::string> dashboard(

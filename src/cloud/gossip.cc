@@ -30,13 +30,13 @@ void GossipAgent::start(const std::string& hostname, net::Ipv4Addr self) {
   me.freshened_at = sim_.now();
   network_.listen(self_ip_, kGossipPort,
                   [this](const net::Message& msg) { on_message(msg); });
-  round_task_ = sim::PeriodicTask(sim_, config_.period, [this]() { round(); });
+  round_task_.every(sim_, config_.period, [this]() { round(); });
 }
 
 void GossipAgent::stop() {
   if (!running_) return;
   running_ = false;
-  round_task_.stop();
+  round_task_.cancel();
   network_.unlisten(self_ip_, kGossipPort);
 }
 

@@ -114,7 +114,7 @@ class GossipAgent {
   bool running_ = false;
   std::map<std::string, GossipEntry> entries_;
   std::function<SelfLoad()> load_provider_;
-  sim::PeriodicTask round_task_;
+  sim::Timer round_task_;
   std::uint64_t rounds_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t merges_ = 0;

@@ -47,7 +47,7 @@ void NodeDaemon::stop() {
   if (!started_) return;
   started_ = false;
   registered_ = false;
-  heartbeat_task_.stop();
+  heartbeat_task_.cancel();
   server_.reset();
   client_.reset();
   dhcp_.reset();
@@ -58,7 +58,7 @@ void NodeDaemon::crash() {
   if (!started_) return;
   started_ = false;
   registered_ = false;
-  heartbeat_task_.stop();
+  heartbeat_task_.cancel();
   server_.reset();
   client_.reset();
   dhcp_.reset();
@@ -103,9 +103,8 @@ void NodeDaemon::register_with_master() {
         registered_ = true;
         LOG_INFO("daemon", "%s registered with pimaster",
                  node_.hostname().c_str());
-        heartbeat_task_ = sim::PeriodicTask(
-            node_.simulation(), config_.heartbeat_period,
-            [this]() { send_heartbeat(); });
+        heartbeat_task_.every(node_.simulation(), config_.heartbeat_period,
+                              [this]() { send_heartbeat(); });
       },
       policy);
 }

@@ -132,7 +132,7 @@ class NodeDaemon {
   std::unique_ptr<proto::DhcpClient> dhcp_;
   std::unique_ptr<proto::RestServer> server_;
   std::unique_ptr<proto::RestClient> client_;
-  sim::PeriodicTask heartbeat_task_;
+  sim::Timer heartbeat_task_;
   // Dedup cache for idempotent mutations (spawn/delete), under
   // `node.<hostname>.dedup.*`.
   proto::IdempotencyCache idem_;

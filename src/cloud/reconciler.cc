@@ -38,13 +38,13 @@ Reconciler::~Reconciler() { stop(); }
 void Reconciler::start() {
   if (running_) return;
   running_ = true;
-  task_ = sim::PeriodicTask(master_.sim_, config_.period, [this]() { sweep(); });
+  task_.every(master_.sim_, config_.period, [this]() { sweep(); });
 }
 
 void Reconciler::stop() {
   if (!running_) return;
   running_ = false;
-  task_.stop();
+  task_.cancel();
 }
 
 void Reconciler::sweep() {

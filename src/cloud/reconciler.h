@@ -70,7 +70,7 @@ class Reconciler {
   // Orphans with a DELETE already in flight (avoid duplicate GCs).
   std::set<std::string> deleting_;
   std::uint64_t gc_seq_ = 0;  // idempotency keys for GC deletes
-  sim::PeriodicTask task_;
+  sim::Timer task_;
 };
 
 }  // namespace picloud::cloud

@@ -14,14 +14,14 @@ void ReplicaSet::start() {
   if (running_) return;
   running_ = true;
   reconcile();
-  reconcile_task_ = sim::PeriodicTask(sim_, config_.reconcile_period,
-                                      [this]() { reconcile(); });
+  reconcile_task_.every(sim_, config_.reconcile_period,
+                        [this]() { reconcile(); });
 }
 
 void ReplicaSet::stop() {
   if (!running_) return;
   running_ = false;
-  reconcile_task_.stop();
+  reconcile_task_.cancel();
 }
 
 std::string ReplicaSet::replica_name(int slot) const {

@@ -73,7 +73,7 @@ class ReplicaSet {
   bool running_ = false;
   std::set<int> inflight_;  // slots with a spawn/delete in progress
   std::function<void()> on_change_;
-  sim::PeriodicTask reconcile_task_;
+  sim::Timer reconcile_task_;
 };
 
 }  // namespace picloud::cloud

@@ -323,13 +323,10 @@ void Fabric::schedule_completion(Flow& flow) {
   // too (settle() moved last_update and remaining consistently), so the
   // existing event stays — this keeps event churn proportional to the flows
   // a change actually touched.
-  if (flow.completion_event != 0 && flow.rate_bps == flow.scheduled_rate) {
+  if (flow.rate_bps == flow.scheduled_rate && flow.completion.armed()) {
     return;
   }
-  if (flow.completion_event != 0) {
-    sim_.cancel(flow.completion_event);
-    flow.completion_event = 0;
-  }
+  flow.completion.cancel();
   flow.scheduled_rate = flow.rate_bps;
   if (flow.rate_bps <= 0) {
     // No capacity at all (fully saturated zero-residual path after a cut);
@@ -338,9 +335,9 @@ void Fabric::schedule_completion(Flow& flow) {
   }
   double seconds = flow.remaining_bytes * 8.0 / flow.rate_bps;
   Flow* handle = &flow;
-  flow.completion_event =
-      sim_.after(sim::Duration::seconds(seconds),
-                 [this, handle]() { finish_flow(handle, /*success=*/true); });
+  flow.completion.after(
+      sim_, sim::Duration::seconds(seconds),
+      [this, handle]() { finish_flow(handle, /*success=*/true); });
 }
 
 void Fabric::resolve_after_change(const std::vector<LinkId>& seed) {
@@ -544,7 +541,7 @@ void Fabric::run_filling_full() {
 // picloud-hot
 void Fabric::finish_flow(Flow* flow, bool success) {
   settle(*flow);
-  if (flow->completion_event != 0) sim_.cancel(flow->completion_event);
+  flow->completion.cancel();
   const FlowId id = flow->id;
   FlowCallback cb = std::move(flow->spec.on_complete);
   sim::Duration delay = flow->delay;

@@ -259,7 +259,7 @@ class Fabric {
     // Rate the live completion event was computed with (reschedule guard).
     double scheduled_rate = -1;
     sim::SimTime last_update;
-    sim::EventId completion_event = 0;
+    sim::Timer completion;
     // Component-BFS visit stamp (solver scratch; see solve_component).
     std::uint32_t mark_epoch = 0;
   };
@@ -291,8 +291,8 @@ class Fabric {
   // A record for flow `id`: a recycled one when there is one.
   Flow* acquire_record(FlowId id);
   // Resets every field of `flow` but its path's capacity (a leftover
-  // completion_event and scheduled_rate would trip the reschedule guard)
-  // and puts it on the free list.
+  // scheduled_rate would trip the reschedule guard) and puts it on the free
+  // list.
   void release_record(Flow* flow);
   // The live flow with `id` (binary search of live_), or null once it ended.
   Flow* find_live(FlowId id) const;

@@ -159,20 +159,17 @@ void CpuScheduler::reallocate() {
     task.rate = task_rate;
     // Unchanged rate -> unchanged finish time: keep the existing event
     // (bounds event churn under heavy request turnover).
-    if (task.completion_event != 0 && task_rate == task.scheduled_rate) {
+    if (task_rate == task.scheduled_rate && task.completion.armed()) {
       continue;
     }
-    if (task.completion_event != 0) {
-      sim_.cancel(task.completion_event);
-      task.completion_event = 0;
-    }
+    task.completion.cancel();
     task.scheduled_rate = task_rate;
     if (task_rate > 0) {
       double seconds = task.remaining_cycles / task_rate;
       CpuTaskId id = tid;
-      task.completion_event =
-          sim_.after(sim::Duration::seconds(seconds),
-                     [this, id]() { finish_task(id, /*completed=*/true); });
+      task.completion.after(
+          sim_, sim::Duration::seconds(seconds),
+          [this, id]() { finish_task(id, /*completed=*/true); });
     }
   }
 
@@ -194,13 +191,12 @@ void CpuScheduler::finish_task(CpuTaskId id, bool completed) {
     task.remaining_cycles -= done;
     groups_[task.group].cycles_used += done;
   }
-  if (task.completion_event != 0) sim_.cancel(task.completion_event);
   TaskCallback cb = std::move(task.on_done);
   auto group_it = groups_.find(task.group);
   if (group_it != groups_.end() && group_it->second.task_count > 0) {
     --group_it->second.task_count;
   }
-  tasks_.erase(it);
+  tasks_.erase(it);  // cancels its completion event
   if (completed) {
     tasks_completed_->inc();
   } else {

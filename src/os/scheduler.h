@@ -79,7 +79,7 @@ class CpuScheduler {
     // Rate the live completion event was computed with (reschedule guard).
     double scheduled_rate = -1;
     sim::SimTime last_update;
-    sim::EventId completion_event = 0;
+    sim::Timer completion;
     TaskCallback on_done;
   };
 

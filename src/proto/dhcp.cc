@@ -208,10 +208,8 @@ void DhcpClient::start(BoundCallback on_bound) {
 void DhcpClient::stop() {
   if (state_ == State::kStopped) return;
   network_.unlisten_node(node_, kDhcpClientPort);
-  if (retry_event_ != 0) sim_.cancel(retry_event_);
-  if (renew_event_ != 0) sim_.cancel(renew_event_);
-  retry_event_ = 0;
-  renew_event_ = 0;
+  retry_timer_.cancel();
+  renew_timer_.cancel();
   state_ = State::kStopped;
 }
 
@@ -232,12 +230,27 @@ void DhcpClient::send_discover() {
   arm_retry();
 }
 
+void DhcpClient::send_request() {
+  state_ = State::kRequesting;
+  Json request = Json::object();
+  request.set("type", "request");
+  request.set("mac", mac_);
+  request.set("hostname", hostname_);
+  request.set("node", node_);
+  request.set("ip", offered_ip_.to_string());
+  net::Message msg;
+  msg.src = net::Ipv4Addr::any();
+  msg.src_port = kDhcpClientPort;
+  msg.dst_port = kDhcpServerPort;
+  msg.payload = std::move(request);
+  network_.send_to_node(node_, server_node_, std::move(msg));
+  arm_retry();
+}
+
 void DhcpClient::arm_retry() {
-  if (retry_event_ != 0) sim_.cancel(retry_event_);
   sim::Duration delay =
       backoff_delay(kRetryBase, kRetryCap, retry_attempt_++, rng_);
-  retry_event_ = sim_.after(delay, [this]() {
-    retry_event_ = 0;
+  retry_timer_.after(sim_, delay, [this]() {
     if (state_ == State::kSelecting || state_ == State::kRequesting) {
       send_discover();
     }
@@ -254,20 +267,7 @@ void DhcpClient::on_message(const net::Message& msg) {
     offered_ip_ = *ip;
     server_node_ = static_cast<net::NetNodeId>(
         j.get_number("server_node", net::kInvalidNode));
-    state_ = State::kRequesting;
-    Json request = Json::object();
-    request.set("type", "request");
-    request.set("mac", mac_);
-    request.set("hostname", hostname_);
-    request.set("node", node_);
-    request.set("ip", offered_ip_.to_string());
-    net::Message req;
-    req.src = net::Ipv4Addr::any();
-    req.src_port = kDhcpClientPort;
-    req.dst_port = kDhcpServerPort;
-    req.payload = std::move(request);
-    network_.send_to_node(node_, server_node_, std::move(req));
-    arm_retry();
+    send_request();
     return;
   }
 
@@ -277,31 +277,13 @@ void DhcpClient::on_message(const net::Message& msg) {
     ip_ = *ip;
     state_ = State::kBound;
     retry_attempt_ = 0;  // bound: the backoff ladder starts over
-    if (retry_event_ != 0) {
-      sim_.cancel(retry_event_);
-      retry_event_ = 0;
-    }
+    retry_timer_.cancel();
     sim::Duration lease = sim::Duration::seconds(j.get_number("lease_s", 3600));
     // Renew at half-lease by re-requesting the same address.
-    if (renew_event_ != 0) sim_.cancel(renew_event_);
-    renew_event_ = sim_.after(lease / 2.0, [this]() {
-      renew_event_ = 0;
+    renew_timer_.after(sim_, lease / 2.0, [this]() {
       if (state_ != State::kBound) return;
-      state_ = State::kRequesting;
       offered_ip_ = ip_;
-      Json request = Json::object();
-      request.set("type", "request");
-      request.set("mac", mac_);
-      request.set("hostname", hostname_);
-      request.set("node", node_);
-      request.set("ip", ip_.to_string());
-      net::Message req;
-      req.src = net::Ipv4Addr::any();
-      req.src_port = kDhcpClientPort;
-      req.dst_port = kDhcpServerPort;
-      req.payload = std::move(request);
-      network_.send_to_node(node_, server_node_, std::move(req));
-      arm_retry();
+      send_request();
     });
     if (on_bound_) on_bound_(ip_, lease);
     return;
@@ -311,11 +293,9 @@ void DhcpClient::on_message(const net::Message& msg) {
     // Back to square one after a backed-off delay: a NAK storm (e.g. pool
     // exhaustion) shouldn't keep the whole rack hammering the server.
     state_ = State::kInit;
-    if (retry_event_ != 0) sim_.cancel(retry_event_);
     sim::Duration delay =
         backoff_delay(kRetryBase, kRetryCap, retry_attempt_++, rng_);
-    retry_event_ = sim_.after(delay, [this]() {
-      retry_event_ = 0;
+    retry_timer_.after(sim_, delay, [this]() {
       if (state_ == State::kInit) send_discover();
     });
   }

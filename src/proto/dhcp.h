@@ -121,6 +121,9 @@ class DhcpClient {
 
  private:
   void send_discover();
+  // DHCPREQUEST for offered_ip_ to server_node_ (an offer's answer and the
+  // half-lease renewal alike).
+  void send_request();
   void on_message(const net::Message& msg);
   void arm_retry();
 
@@ -135,8 +138,8 @@ class DhcpClient {
   net::Ipv4Addr offered_ip_;
   net::NetNodeId server_node_ = net::kInvalidNode;
   BoundCallback on_bound_;
-  sim::EventId retry_event_ = 0;
-  sim::EventId renew_event_ = 0;
+  sim::Timer retry_timer_;
+  sim::Timer renew_timer_;
   std::uint64_t discovers_sent_ = 0;
   int retry_attempt_ = 0;
 };

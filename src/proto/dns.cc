@@ -112,13 +112,12 @@ void DnsResolver::resolve(const std::string& name, ResolveCallback cb,
 
   std::uint64_t id = next_id_++;
   ++queries_sent_;
-  Pending pending;
+  Pending& pending = pending_[id];
   pending.name = name;
   pending.cb = std::move(cb);
-  pending.timeout_event = sim_.after(timeout, [this, id]() {
+  pending.timer.after(sim_, timeout, [this, id]() {
     finish(id, util::Error::make("timeout", "DNS query timed out"));
   });
-  pending_[id] = std::move(pending);
 
   Json query = Json::object();
   query.set("q", name);
@@ -159,10 +158,9 @@ void DnsResolver::finish(std::uint64_t id,
                          util::Result<net::Ipv4Addr> result) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
-  if (pending.timeout_event != 0) sim_.cancel(pending.timeout_event);
-  if (pending.cb) pending.cb(std::move(result));
+  ResolveCallback cb = std::move(it->second.cb);
+  pending_.erase(it);  // cancels the timeout
+  if (cb) cb(std::move(result));
 }
 
 }  // namespace picloud::proto

@@ -81,7 +81,7 @@ class DnsResolver {
   struct Pending {
     std::string name;
     ResolveCallback cb;
-    sim::EventId timeout_event = 0;
+    sim::Timer timer;
   };
 
   void on_message(const net::Message& msg);

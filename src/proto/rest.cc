@@ -161,15 +161,12 @@ RestClient::~RestClient() {
   for (std::uint64_t id : ids) {
     finish(id, util::Error::make("cancelled", "client destroyed"));
   }
-  // Retrying calls parked in a backoff have no pending attempt; cancel their
-  // timers and fail them too.
+  // Retrying calls parked in a backoff have no pending attempt; fail them
+  // too (settling one cancels its backoff).
   std::vector<std::uint64_t> retry_ids;
   retry_ids.reserve(retry_calls_.size());
   for (const auto& [id, rc] : retry_calls_) retry_ids.push_back(id);
   for (std::uint64_t id : retry_ids) {
-    auto it = retry_calls_.find(id);
-    if (it == retry_calls_.end()) continue;
-    if (it->second.backoff_event != 0) sim_.cancel(it->second.backoff_event);
     retry_done(id, util::Error::make("cancelled", "client destroyed"));
   }
 }
@@ -185,9 +182,9 @@ void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
   request.body = std::move(body);
   request.id = id;
 
-  Pending pending;
+  Pending& pending = pending_[id];
   pending.cb = std::move(cb);
-  pending.timeout_event = sim_.after(timeout, [this, id]() {
+  pending.timer.after(sim_, timeout, [this, id]() {
     // Timeout schedule point (DESIGN.md §13). finish() cancels the timeout
     // event, so in a default run a firing timeout always has a live pending
     // entry and behaviour here is unchanged. Under a model-checking strategy
@@ -211,7 +208,6 @@ void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
       finish(id, util::Error::make("timeout", "REST call timed out"));
     });
   });
-  pending_[id] = std::move(pending);
 
   net::Message msg;
   msg.src = self_;
@@ -247,7 +243,6 @@ void RestClient::retry_attempt(std::uint64_t retry_id) {
   auto it = retry_calls_.find(retry_id);
   if (it == retry_calls_.end()) return;
   RetryCall& rc = it->second;
-  rc.backoff_event = 0;
 
   sim::Duration timeout = rc.policy.attempt_timeout;
   if (rc.has_deadline) {
@@ -304,8 +299,8 @@ void RestClient::retry_attempt(std::uint64_t retry_id) {
               util::Error::make("deadline", "REST call deadline exceeded"));
           return;
         }
-        rc.backoff_event =
-            sim_.after(backoff, [this, retry_id]() { retry_attempt(retry_id); });
+        rc.backoff_timer.after(
+            sim_, backoff, [this, retry_id]() { retry_attempt(retry_id); });
       },
       timeout);
 }
@@ -332,10 +327,9 @@ void RestClient::on_message(const net::Message& msg) {
 void RestClient::finish(std::uint64_t id, util::Result<HttpResponse> result) {
   auto it = pending_.find(id);
   if (it == pending_.end()) return;  // late response after timeout
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
-  if (pending.timeout_event != 0) sim_.cancel(pending.timeout_event);
-  if (pending.cb) pending.cb(std::move(result));
+  ResponseCallback cb = std::move(it->second.cb);
+  pending_.erase(it);  // cancels the timeout
+  if (cb) cb(std::move(result));
 }
 
 }  // namespace picloud::proto

@@ -238,7 +238,7 @@ class RestClient {
  private:
   struct Pending {
     ResponseCallback cb;
-    sim::EventId timeout_event = 0;
+    sim::Timer timer;
   };
 
   // One logical retrying call (possibly spanning several wire attempts).
@@ -253,7 +253,7 @@ class RestClient {
     int attempts_made = 0;
     sim::SimTime deadline;     // overall; SimTime::max() when none
     bool has_deadline = false;
-    sim::EventId backoff_event = 0;  // nonzero while waiting to retry
+    sim::Timer backoff_timer;  // armed while waiting to retry
   };
 
   void on_message(const net::Message& msg);

@@ -72,12 +72,6 @@ void EventQueue::cancel(EventId id) {
   if (dead_count_ > live_count_ + 1024) compact();
 }
 
-bool EventQueue::is_pending(EventId id) const {
-  const std::uint32_t s = resolve(id);
-  if (s == kNil) return false;
-  return !(s == firing_slot_ && firing_cancelled_);
-}
-
 void EventQueue::insert_far(std::uint32_t s, std::int64_t g) {
   for (int k = 0; k < kLevels; ++k) {
     const std::int64_t pos = g >> (kLevelBits * k);
@@ -213,7 +207,7 @@ void EventQueue::prepare_slow() {
 void EventQueue::rearm(std::uint32_t s, std::int64_t fired_at_ns) {
   // The fresh sequence number is allocated *after* the callback ran, so
   // events the callback scheduled fire ahead of the next occurrence at a
-  // shared instant — bit-compatible with the re-scheduling PeriodicTask the
+  // shared instant — bit-compatible with the re-scheduling periodic task the
   // first-class slots replaced.
   Slot& slot = slots_[s];
   std::int64_t period = 0;

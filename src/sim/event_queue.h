@@ -33,8 +33,8 @@
 //    amortised instead of O(log n) against the whole pending set.
 //  * First-class periodic events. schedule_periodic() re-arms the same slot
 //    after each firing — one pool slot and zero allocations for the lifetime
-//    of a PeriodicTask. The re-arm sequence number is allocated after the
-//    callback runs, exactly where the old re-scheduling implementation
+//    of a periodic sim::Timer. The re-arm sequence number is allocated after
+//    the callback runs, exactly where the old re-scheduling implementation
 //    allocated it, so same-instant ordering (and digests) are unchanged.
 //
 // Cancellation stays lazy (a cancelled slot's closure is destroyed
@@ -104,8 +104,13 @@ class EventQueue {
   void cancel(EventId id);
 
   // True while `id` refers to a pending (or currently-firing periodic)
-  // event. Fired one-shots and recycled slots report false.
-  bool is_pending(EventId id) const;
+  // event. Fired one-shots and recycled slots report false. Inline: the
+  // fabric and CPU reschedule guards ask it per flow / task per solve.
+  bool is_pending(EventId id) const {
+    const std::uint32_t s = resolve(id);
+    if (s == kNil) return false;
+    return !(s == firing_slot_ && firing_cancelled_);
+  }
 
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }
@@ -467,8 +472,8 @@ class EventQueue {
     ops->fire(*this, s, time_ns);
   }
   // Shared periodic re-arm tail: allocates the fresh sequence number AFTER
-  // the callback ran (bit-compatible with the re-scheduling PeriodicTask the
-  // first-class slots replaced) and re-inserts the same slot.
+  // the callback ran (bit-compatible with the re-scheduling periodic task
+  // the first-class slots replaced) and re-inserts the same slot.
   void rearm(std::uint32_t s, std::int64_t fired_at_ns);
   // Identifies the globally earliest live event (singleton buffer or heap
   // front, recorded in next_is_top_), dropping dead entries and cascading

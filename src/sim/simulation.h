@@ -10,12 +10,10 @@
 // std::function and, for small trivially-copyable captures, no allocation.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "sim/event_queue.h"
@@ -57,7 +55,7 @@ class Simulation {
   // One pooled slot for the series' lifetime; cancel(id) stops it.
   template <typename F>
   EventId schedule_periodic(Duration period, F&& fn) {
-    PICLOUD_CHECK_GT(period.ns(), 0) << "PeriodicTask period";
+    PICLOUD_CHECK_GT(period.ns(), 0) << "periodic event period";
     return queue_.schedule_periodic(now_ + period, period,
                                     std::forward<F>(fn));
   }
@@ -144,35 +142,29 @@ class Simulation {
   SchedulePointHub schedule_points_;
 };
 
-// A repeating timer with RAII / explicit-stop semantics. Used by monitoring
-// daemons (stat sampling), DHCP lease refresh, workload generators.
+// The owning handle for one pending event: a one-shot armed with after(),
+// or a series armed with every() (first firing one period from now). An
+// object holds each event it schedules on itself through a Timer, so none
+// can fire into it once it is gone: re-arming, cancel() and destruction each
+// cancel the pending event. Move-only; a moved-from handle owns nothing. A
+// handle must not outlive its Simulation.
 //
-// The callback fires every `period`, first firing one period after start().
-// Destroying or stop()ping the task cancels future firings. Movable.
-//
-// A thin handle over a first-class periodic pool slot: construction does no
-// heap allocation for small trivially-copyable callbacks (e.g. capturing
-// `this`), and each firing recycles the same slot instead of re-scheduling
-// through std::function.
-class PeriodicTask {
+// Arming hands the closure to Simulation::after / schedule_periodic as is,
+// so it costs the same pooled slot (DESIGN.md §12.1). A one-shot's slot is
+// freed before its callback runs: the callback may re-arm or destroy its own
+// handle, and armed() is false inside it.
+class Timer {
  public:
-  PeriodicTask() = default;
+  Timer() = default;
+  ~Timer() { cancel(); }
 
-  template <typename F>
-    requires std::invocable<std::decay_t<F>&>
-  PeriodicTask(Simulation& sim, Duration period, F&& fn)
-      : sim_(&sim), id_(sim.schedule_periodic(period, std::forward<F>(fn))) {}
-
-  ~PeriodicTask() { stop(); }
-
-  PeriodicTask(PeriodicTask&& other) noexcept
-      : sim_(other.sim_), id_(other.id_) {
+  Timer(Timer&& other) noexcept : sim_(other.sim_), id_(other.id_) {
     other.sim_ = nullptr;
     other.id_ = 0;
   }
-  PeriodicTask& operator=(PeriodicTask&& other) noexcept {
+  Timer& operator=(Timer&& other) noexcept {
     if (this != &other) {
-      stop();
+      cancel();
       sim_ = other.sim_;
       id_ = other.id_;
       other.sim_ = nullptr;
@@ -180,17 +172,34 @@ class PeriodicTask {
     }
     return *this;
   }
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
 
-  void stop() {
+  template <typename F>
+  void after(Simulation& sim, Duration delay, F&& fn) {
+    cancel();
+    id_ = sim.after(delay, std::forward<F>(fn));
+    sim_ = &sim;
+  }
+
+  template <typename F>
+  void every(Simulation& sim, Duration period, F&& fn) {
+    cancel();
+    id_ = sim.schedule_periodic(period, std::forward<F>(fn));
+    sim_ = &sim;
+  }
+
+  void cancel() {
     if (sim_ != nullptr) {
       sim_->cancel(id_);
       sim_ = nullptr;
       id_ = 0;
     }
   }
-  bool active() const { return sim_ != nullptr && sim_->event_pending(id_); }
+
+  // True while the event is pending; a series stays armed inside its own
+  // callback until cancelled.
+  bool armed() const { return sim_ != nullptr && sim_->event_pending(id_); }
 
  private:
   Simulation* sim_ = nullptr;

@@ -323,8 +323,8 @@ RunReport run_scenario(const Scenario& scenario) {
   for (auto& gen : loadgens) gen->start();
 
   // --- Chaos window, with the checker sweeping throughout --------------------
-  sim::PeriodicTask sweeper(sim, scenario.sweep_period,
-                            [&checker]() { checker.sweep(); });
+  sim::Timer sweeper;
+  sweeper.every(sim, scenario.sweep_period, [&checker]() { checker.sweep(); });
   const std::vector<net::LinkId> uplinks = tor_uplinks(cloud);
   // The pimaster's only uplink: first directed link out of its fabric node.
   const net::NetNodeId master_node = cloud.master().fabric_node();
@@ -350,7 +350,7 @@ RunReport run_scenario(const Scenario& scenario) {
   const sim::Duration generation =
       cloud.master().master_config().reconcile.period;
   cloud.run_for(generation + generation + sim::Duration::seconds(10));
-  sweeper.stop();
+  sweeper.cancel();
   if (converged) checker.run_quiesce();
   finalize(converged);
   return report;

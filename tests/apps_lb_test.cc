@@ -262,6 +262,75 @@ TEST(LoadBalancer, RetryBudgetCapsFailoverAmplification) {
   EXPECT_GT(gen.breaker_rejected(), 0u);
 }
 
+// Steps the simulation until the LB ejects `ip` (its probes fast-fail once
+// its container is stopped) and returns when that happened.
+sim::SimTime run_until_ejected(LbWorld& w, const LbApp& lb, net::Ipv4Addr ip) {
+  const sim::SimTime deadline = w.sim.now() + sim::Duration::seconds(10);
+  while (lb.backend_state(ip) != LbApp::BackendState::kEjected &&
+         w.sim.now() < deadline) {
+    w.sim.step();
+  }
+  EXPECT_EQ(lb.backend_state(ip), LbApp::BackendState::kEjected);
+  return w.sim.now();
+}
+
+TEST(LoadBalancer, EjectedBackendKeepsItsReopenTimerAcrossSetBackends) {
+  LbWorld w;
+  std::vector<net::Ipv4Addr> backends;
+  backends.push_back(w.launch(0, "web0", std::make_unique<HttpdApp>()));
+  backends.push_back(w.launch(1, "web1", std::make_unique<HttpdApp>()));
+  w.launch(3, "lb", std::make_unique<LbApp>());
+  LbApp* lb = w.lb_app(3, "lb");
+  lb->set_backends(backends);
+  w.sim.run_for(sim::Duration::seconds(1));
+
+  ASSERT_TRUE(w.nodes[1]->find_container("web1")->stop().ok());
+  const sim::SimTime ejected_at = run_until_ejected(w, *lb, backends[1]);
+  // web1 comes back at its address, and the pool is set again with it in.
+  auto created = w.nodes[1]->create_container({.name = "web1r"});
+  ASSERT_TRUE(created.ok());
+  created.value()->set_app(std::make_unique<HttpdApp>());
+  ASSERT_TRUE(created.value()->start(backends[1]).ok());
+  lb->set_backends({backends[1], backends[0]});
+
+  // Sweeps skip an ejected backend: only the reopen timer the pool change
+  // carried over can re-admit it, one ejection period after the ejection.
+  w.sim.run_until(ejected_at + sim::Duration::seconds(4.9));
+  EXPECT_EQ(lb->backend_state(backends[1]), LbApp::BackendState::kEjected);
+  w.sim.run_until(ejected_at + sim::Duration::seconds(5.5));
+  EXPECT_EQ(lb->backend_state(backends[1]), LbApp::BackendState::kHealthy);
+  EXPECT_EQ(lb->backends_readmitted(), 1u);
+  EXPECT_EQ(lb->healthy_backends().size(), 2u);
+}
+
+TEST(LoadBalancer, BackendThatLeavesThePoolIsNeverProbedAgain) {
+  LbWorld w;
+  std::vector<net::Ipv4Addr> backends;
+  backends.push_back(w.launch(0, "web0", std::make_unique<HttpdApp>()));
+  backends.push_back(w.launch(1, "web1", std::make_unique<HttpdApp>()));
+  w.launch(3, "lb", std::make_unique<LbApp>());
+  LbApp* lb = w.lb_app(3, "lb");
+  lb->set_backends(backends);
+  w.sim.run_for(sim::Duration::seconds(1));
+
+  // web1 leaves the pool while ejected, with its reopen timer armed.
+  ASSERT_TRUE(w.nodes[1]->find_container("web1")->stop().ok());
+  run_until_ejected(w, *lb, backends[1]);
+  lb->set_backends({backends[0]});
+
+  // Something answers at web1's address again; count what reaches it past
+  // the ejection period.
+  int probes = 0;
+  w.network.bind_ip(backends[1], w.topo.hosts[1]);
+  w.network.listen(backends[1], LbParams{}.backend_port,
+                   [&probes](const net::Message&) { ++probes; });
+  w.sim.run_for(sim::Duration::seconds(15));
+  EXPECT_EQ(probes, 0);
+  EXPECT_EQ(lb->backend_count(), 1u);
+  EXPECT_EQ(lb->backends_readmitted(), 0u);
+  EXPECT_EQ(lb->healthy_backends(), std::vector<net::Ipv4Addr>{backends[0]});
+}
+
 TEST(LoadBalancer, SetBackendsPreservesRotationAcrossChurn) {
   LbWorld w;
   std::vector<net::Ipv4Addr> backends;

@@ -1,8 +1,10 @@
 // Application tests: httpd under load and limits, kvstore semantics and
 // OOM behaviour, MapReduce end-to-end on a small cluster, traffic
-// generators.
+// generators, and owners destroyed with work pending.
 #include <gtest/gtest.h>
 
+#include "apps/batch.h"
+#include "apps/dfs.h"
 #include "apps/factory.h"
 #include "apps/httpd.h"
 #include "apps/kvstore.h"
@@ -302,6 +304,108 @@ TEST(BackgroundTraffic, OffersHeavyTailedFlows) {
                 static_cast<double>(traffic.flows_started());
   EXPECT_NEAR(mean, 1e5, 5e4);
   w.sim.run();
+}
+
+// ---------------------------------------------------------------------------
+// Owner lifetime: an object destroyed with work pending leaves no event
+// behind that could fire into it.
+
+// Called once the owner is gone and its messages have landed: nothing may
+// be left to fire, even past the owner's `timeout`.
+void expect_no_event_left(sim::Simulation& sim, sim::Duration timeout) {
+  EXPECT_FALSE(sim.has_events());
+  const std::uint64_t executed = sim.events_executed();
+  sim.run_for(timeout);
+  EXPECT_EQ(sim.events_executed(), executed);
+}
+
+// A bound address with no listener: requests to it land and go unanswered.
+net::Ipv4Addr silent_address(AppWorld& w) {
+  const net::Ipv4Addr ip(10, 0, 2, 1);
+  w.network.bind_ip(ip, w.topo.hosts[0]);
+  return ip;
+}
+
+TEST(OwnerLifetime, KvClientDestroyedWithARequestPending) {
+  AppWorld w(1);
+  const net::Ipv4Addr silent = silent_address(w);
+  int callbacks = 0;
+  auto client = std::make_unique<KvClient>(w.network, w.client_ip);
+  client->get(silent, "k", [&](util::Result<util::Json>) { ++callbacks; });
+  w.sim.run_for(sim::Duration::seconds(1));
+  client.reset();
+  expect_no_event_left(w.sim, sim::Duration::seconds(10));
+  EXPECT_EQ(callbacks, 0);
+}
+
+TEST(OwnerLifetime, HttpLoadGenStoppedAndDestroyedWithRequestsInFlight) {
+  AppWorld w(1);
+  HttpLoadGen::Params params;
+  params.requests_per_sec = 20;
+  auto gen = std::make_unique<HttpLoadGen>(
+      w.network, w.client_ip, std::vector<net::Ipv4Addr>{silent_address(w)},
+      params, util::Rng(11));
+  gen->start();
+  w.sim.run_for(sim::Duration::seconds(1));
+  gen->stop();
+  w.sim.run_for(sim::Duration::millis(500));
+  ASSERT_GT(gen->in_flight(), 0u);
+  gen.reset();
+  expect_no_event_left(w.sim, params.request_timeout);
+}
+
+TEST(OwnerLifetime, MapReduceDriverDestroyedWithAJobOutstanding) {
+  AppWorld w(1);
+  const net::Ipv4Addr silent = silent_address(w);
+  auto driver = std::make_unique<MapReduceDriver>(w.network, w.client_ip);
+  MapReduceJobSpec spec;
+  spec.job_id = "orphan";
+  spec.map_tasks = 2;
+  spec.workers = {silent};
+  spec.reducers = {silent};
+  int callbacks = 0;
+  const sim::Duration timeout = sim::Duration::seconds(60);
+  driver->run(spec, [&](const MapReduceJobResult&) { ++callbacks; }, timeout);
+  w.sim.run_for(sim::Duration::seconds(1));
+  driver.reset();
+  expect_no_event_left(w.sim, timeout);
+  EXPECT_EQ(callbacks, 0);
+}
+
+TEST(OwnerLifetime, DfsNamenodeDestroyedRightAfterASuccessfulWrite) {
+  AppWorld w(2);
+  DfsNamenode::Config config;
+  auto namenode =
+      std::make_unique<DfsNamenode>(w.network, w.client_ip, config);
+  for (int n = 0; n < 2; ++n) {
+    namenode->add_datanode(
+        w.launch(n, "dn", std::make_unique<DfsNodeApp>()), n);
+  }
+  int callbacks = 0;
+  bool written = false;
+  namenode->write("f", 1 << 20, [&](util::Status status) {
+    ++callbacks;
+    written = status.ok();
+  });
+  while (callbacks == 0 && w.sim.has_events()) w.sim.step();
+  ASSERT_TRUE(written);
+  namenode.reset();
+  expect_no_event_left(w.sim, config.request_timeout);
+  EXPECT_EQ(callbacks, 1);
+}
+
+TEST(OwnerLifetime, DutyCycledBatchAppDestroyedDuringItsPause) {
+  AppWorld w(1);
+  BatchParams params;
+  params.duty = 0.5;
+  w.launch(0, "batch", std::make_unique<BatchApp>(params));
+  // A 10 M-cycle chunk on a Model B runs as long as the rest after it, so
+  // 1.015 s falls in a rest: no CPU task, only the pause pending.
+  w.sim.run_until(sim::SimTime::zero() + sim::Duration::seconds(1.015));
+  ASSERT_EQ(w.nodes[0]->cpu().runnable_tasks(), 0u);
+  ASSERT_TRUE(w.sim.has_events());
+  ASSERT_TRUE(w.nodes[0]->destroy_container("batch").ok());
+  expect_no_event_left(w.sim, sim::Duration::seconds(1));
 }
 
 TEST(AppFactory, BuildsKnownKindsRejectsUnknown) {

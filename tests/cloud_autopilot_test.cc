@@ -136,10 +136,10 @@ TEST(Autopilot, SloBurnWakesCapacityAndScalesTheTier) {
   // Burn the SLO: the metered shed counter (the same registry series the
   // httpd instances write through) grows past the threshold.
   util::Counter& sheds = sim.metrics().counter("apps.httpd.shed_admission");
-  sim::PeriodicTask burner(sim, sim::Duration::seconds(1),
-                           [&sheds]() { sheds.inc(50); });
+  sim::Timer burner;
+  burner.every(sim, sim::Duration::seconds(1), [&sheds]() { sheds.inc(50); });
   cloud.run_for(sim::Duration::minutes(2));
-  burner.stop();
+  burner.cancel();
 
   EXPECT_GE(autopilot.stats().slo_scale_ups, 1u);
   // Parked capacity was woken, and the hook grew the tier.

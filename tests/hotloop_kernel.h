@@ -82,24 +82,24 @@ inline std::uint64_t hotloop_kernel_digest() {
   }
 
   // (3) Periodic tasks with mixed periods, plus one that stops itself.
-  std::vector<sim::PeriodicTask> tasks;
-  for (int i = 0; i < 8; ++i) {
+  std::vector<sim::Timer> tasks(8);
+  for (sim::Timer& task : tasks) {
     const int lbl = label++;
     const sim::Duration period =
         sim::Duration::nanos(rng.uniform_int(50'000'000, 3'000'000'000));
-    tasks.emplace_back(sim, period, [&d, lbl, &sim]() {
+    task.every(sim, period, [&d, lbl, &sim]() {
       d.add(static_cast<std::uint64_t>(lbl));
       d.add(static_cast<std::uint64_t>(sim.now().ns()));
     });
   }
   int stopper_ticks = 0;
-  sim::PeriodicTask stopper;
-  stopper = sim::PeriodicTask(sim, sim::Duration::millis(200),
-                              [&d, &stopper_ticks, &stopper, &sim]() {
-                                d.add(std::uint64_t{777});
-                                d.add(static_cast<std::uint64_t>(sim.now().ns()));
-                                if (++stopper_ticks == 20) stopper.stop();
-                              });
+  sim::Timer stopper;
+  stopper.every(sim, sim::Duration::millis(200),
+                [&d, &stopper_ticks, &stopper, &sim]() {
+                  d.add(std::uint64_t{777});
+                  d.add(static_cast<std::uint64_t>(sim.now().ns()));
+                  if (++stopper_ticks == 20) stopper.cancel();
+                });
 
   // (4) Cancel the doomed one-shots at 0.5s — some already fired (no-op),
   // some are near (heap corpses), some far (wheel corpses).
@@ -113,7 +113,8 @@ inline std::uint64_t hotloop_kernel_digest() {
   // 10s-out completion is cancelled and re-armed (the fair-share
   // reschedule pattern), leaving a trail of far corpses.
   sim::EventId pending = 0;
-  sim::PeriodicTask churner(
+  sim::Timer churner;
+  churner.every(
       sim, sim::Duration::millis(100), [&pending, &label, &d, &sim]() {
         if (pending != 0) sim.cancel(pending);
         const int lbl = label++;
@@ -127,8 +128,8 @@ inline std::uint64_t hotloop_kernel_digest() {
   d.add(sim.events_executed());
   sim.run_until(sim::SimTime::from_ns(26'000'000'000));
   tasks.clear();
-  churner.stop();
-  stopper.stop();
+  churner.cancel();
+  stopper.cancel();
   sim.run();  // drain the tail (the last re-armed completion, late relays)
   d.add(sim.events_executed());
   d.add(static_cast<std::uint64_t>(sim.now().ns()));

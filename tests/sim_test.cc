@@ -1,7 +1,10 @@
 // Unit tests for the discrete-event kernel: ordering, cancellation,
-// periodic tasks, determinism.
+// periodic events, the owning Timer handle, determinism.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -214,37 +217,205 @@ TEST(Simulation, EventsExecutedCounter) {
   EXPECT_EQ(sim.events_executed(), 7u);
 }
 
-TEST(PeriodicTask, FiresAtPeriodUntilStopped) {
+TEST(Timer, EveryFiresAtPeriodUntilCancelled) {
   Simulation sim;
   int ticks = 0;
-  PeriodicTask task(sim, Duration::seconds(1), [&]() { ++ticks; });
+  Timer task;
+  task.every(sim, Duration::seconds(1), [&]() { ++ticks; });
   sim.run_until(SimTime::zero() + Duration::seconds(5));
   EXPECT_EQ(ticks, 5);
-  task.stop();
+  EXPECT_TRUE(task.armed());
+  task.cancel();
+  EXPECT_FALSE(task.armed());
   sim.run_until(SimTime::zero() + Duration::seconds(10));
   EXPECT_EQ(ticks, 5);
+  EXPECT_FALSE(sim.has_events());
 }
 
-TEST(PeriodicTask, DestructionCancels) {
+TEST(Timer, DestructionCancelsASeries) {
   Simulation sim;
   int ticks = 0;
   {
-    PeriodicTask task(sim, Duration::seconds(1), [&]() { ++ticks; });
+    Timer task;
+    task.every(sim, Duration::seconds(1), [&]() { ++ticks; });
     sim.run_until(SimTime::zero() + Duration::seconds(2));
   }
   sim.run_until(SimTime::zero() + Duration::seconds(10));
   EXPECT_EQ(ticks, 2);
+  EXPECT_FALSE(sim.has_events());
 }
 
-TEST(PeriodicTask, CallbackMayStopItself) {
+TEST(Timer, SeriesCallbackMayCancelItself) {
   Simulation sim;
   int ticks = 0;
-  PeriodicTask task;
-  task = PeriodicTask(sim, Duration::seconds(1), [&]() {
-    if (++ticks == 3) task.stop();
+  Timer task;
+  task.every(sim, Duration::seconds(1), [&]() {
+    EXPECT_TRUE(task.armed());  // a series stays armed inside its callback
+    if (++ticks == 3) task.cancel();
   });
   sim.run_until(SimTime::zero() + Duration::seconds(10));
   EXPECT_EQ(ticks, 3);
+  EXPECT_FALSE(task.armed());
+}
+
+TEST(Timer, ReArmingCancelsThePreviousEvent) {
+  Simulation sim;
+  int first = 0;
+  int second = 0;
+  int series = 0;
+  Timer timer;
+  timer.after(sim, Duration::seconds(1), [&]() { ++first; });
+  timer.after(sim, Duration::seconds(2), [&]() { ++second; });
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+
+  // A series re-armed as a one-shot, and a one-shot re-armed as a series.
+  timer.every(sim, Duration::seconds(1), [&]() { ++series; });
+  timer.after(sim, Duration::seconds(1), [&]() { ++first; });
+  sim.run();
+  EXPECT_EQ(series, 0);
+  EXPECT_EQ(first, 1);
+  timer.after(sim, Duration::seconds(1), [&]() { ++first; });
+  timer.every(sim, Duration::seconds(1), [&]() { ++series; });
+  sim.run_for(Duration::seconds(3));
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(series, 3);
+}
+
+TEST(Timer, CancelAndDestructionCancelAOneShot) {
+  Simulation sim;
+  int fired = 0;
+  Timer cancelled;
+  cancelled.after(sim, Duration::seconds(1), [&]() { ++fired; });
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.armed());
+  cancelled.cancel();  // cancelling an idle handle is a no-op
+  {
+    Timer destroyed;
+    destroyed.after(sim, Duration::seconds(1), [&]() { ++fired; });
+    EXPECT_TRUE(destroyed.armed());
+  }
+  EXPECT_FALSE(sim.has_events());
+  sim.run();
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(Timer, MoveTransfersTheEvent) {
+  Simulation sim;
+  int fired = 0;
+  int replaced = 0;
+  Timer from;
+  from.after(sim, Duration::seconds(1), [&]() { ++fired; });
+  Timer to(std::move(from));
+  EXPECT_TRUE(to.armed());
+  EXPECT_FALSE(from.armed());  // NOLINT(bugprone-use-after-move)
+  from.cancel();               // owns nothing: cancels nothing
+  {
+    Timer gone = std::move(from);  // destroying an empty handle is inert
+  }
+  EXPECT_TRUE(to.armed());
+
+  // Move-assignment cancels what the target held and takes the source's.
+  Timer target;
+  target.after(sim, Duration::seconds(1), [&]() { ++replaced; });
+  target = std::move(to);
+  EXPECT_TRUE(target.armed());
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(replaced, 0);
+
+  // The moved-to handle is the owner: destroying it cancels the event.
+  from.after(sim, Duration::seconds(1), [&]() { ++fired; });
+  {
+    Timer owner = std::move(from);
+  }
+  sim.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Timer, OneShotCallbackMayReArmItsOwnHandle) {
+  Simulation sim;
+  Timer timer;
+  std::vector<double> at;
+  std::function<void()> tick = [&]() {
+    EXPECT_FALSE(timer.armed());  // a fired one-shot is no longer pending
+    at.push_back(sim.now().to_seconds());
+    if (at.size() < 3) timer.after(sim, Duration::seconds(1), tick);
+    EXPECT_EQ(timer.armed(), at.size() < 3);
+  };
+  timer.after(sim, Duration::seconds(1), tick);
+  sim.run();
+  EXPECT_EQ(at, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(Timer, CallbackMayDestroyItsOwnHandle) {
+  Simulation sim;
+  int fired = 0;
+  auto one_shot = std::make_unique<Timer>();
+  one_shot->after(sim, Duration::seconds(1), [&]() {
+    one_shot.reset();
+    ++fired;
+  });
+  auto series = std::make_unique<Timer>();
+  series->every(sim, Duration::seconds(1), [&]() {
+    series.reset();
+    ++fired;
+  });
+  sim.run_for(Duration::seconds(5));
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(one_shot, nullptr);
+  EXPECT_EQ(series, nullptr);
+  EXPECT_FALSE(sim.has_events());
+}
+
+TEST(Timer, SameEventCountsAsRawScheduling) {
+  // One script, run through handles and through raw after/cancel: arm,
+  // re-arm, cancel, destroy, fire, and a series stopped after two ticks.
+  auto through_timers = []() {
+    Simulation sim;
+    int n = 0;
+    Timer a;
+    Timer b;
+    Timer series;
+    a.after(sim, Duration::seconds(1), [&n]() { ++n; });
+    a.after(sim, Duration::seconds(2), [&n]() { ++n; });
+    b.after(sim, Duration::seconds(3), [&n]() { ++n; });
+    b.cancel();
+    {
+      Timer c;
+      c.after(sim, Duration::seconds(4), [&n]() { ++n; });
+    }
+    series.every(sim, Duration::millis(500), [&n]() { ++n; });
+    sim.run_for(Duration::seconds(1));
+    series.cancel();
+    sim.run();
+    return std::make_pair(sim.events_executed(),
+                          sim.queue_stats().live_highwater);
+  };
+  auto through_ids = []() {
+    Simulation sim;
+    int n = 0;
+    EventId a = sim.after(Duration::seconds(1), [&n]() { ++n; });
+    sim.cancel(a);
+    a = sim.after(Duration::seconds(2), [&n]() { ++n; });
+    EventId b = sim.after(Duration::seconds(3), [&n]() { ++n; });
+    sim.cancel(b);
+    EventId c = sim.after(Duration::seconds(4), [&n]() { ++n; });
+    sim.cancel(c);
+    EventId series = sim.schedule_periodic(Duration::millis(500),
+                                           [&n]() { ++n; });
+    sim.run_for(Duration::seconds(1));
+    sim.cancel(series);
+    sim.run();
+    return std::make_pair(sim.events_executed(),
+                          sim.queue_stats().live_highwater);
+  };
+  const auto timers = through_timers();
+  EXPECT_EQ(timers, through_ids());
+  EXPECT_EQ(timers.first, 3u);  // a's second arming and two series ticks
 }
 
 TEST(Simulation, DeterministicEventCountAcrossRuns) {

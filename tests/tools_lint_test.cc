@@ -496,15 +496,20 @@ TEST(LintEventCapture, FlagsDefaultRefCaptureScheduledViaAfter) {
   EXPECT_NE(findings[0].message.find("after"), std::string::npos);
 }
 
-TEST(LintEventCapture, FlagsRefDefaultWithExtrasAndPeriodicTask) {
+TEST(LintEventCapture, FlagsRefDefaultWithExtrasAndTimerArms) {
   // [&, this] still defaults everything else by reference.
   EXPECT_TRUE(has_rule(
       lint_content("src/cloud/x.cc",
                    "void f() { sim_->schedule(t, [&, this]() { go(); }); }\n"),
       "event-capture"));
+  // A sim::Timer's one-shot and periodic arms schedule the lambda too.
   EXPECT_TRUE(has_rule(
       lint_content("src/apps/y.cc",
-                   "void f() { task_ = PeriodicTask(sim, p, [&]() { s(); }); }\n"),
+                   "void f() { task_.every(sim, p, [&]() { s(); }); }\n"),
+      "event-capture"));
+  EXPECT_TRUE(has_rule(
+      lint_content("src/apps/y.cc",
+                   "void f() { timer_.after(sim, d, [&]() { s(); }); }\n"),
       "event-capture"));
 }
 
@@ -535,6 +540,80 @@ TEST(LintEventCapture, SuppressionCommentSilences) {
       "// picloud-lint: allow(event-capture)\n"
       "void f() { sim_.after(d, [&]() { tick(); }); }\n");
   EXPECT_FALSE(has_rule(diags, "event-capture"));
+}
+
+// ---------------------------------------------------------------------------
+// event-owner
+
+TEST(LintEventOwner, FlagsStructFieldAndClassMemberInAnotherModule) {
+  auto diags = lint_content(
+      "src/apps/x.h",
+      "#pragma once\n"
+      "class Client {\n"
+      " public:\n"
+      "  void go();\n"
+      " private:\n"
+      "  struct Pending {\n"
+      "    int attempts = 0;\n"
+      "    sim::EventId timeout_event = 0;\n"
+      "  };\n"
+      "  sim::EventId retry_event_{};\n"
+      "};\n");
+  auto findings = with_rule(diags, "event-owner");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 8);
+  EXPECT_EQ(findings[1].line, 10);
+  EXPECT_NE(findings[0].message.find("sim::Timer"), std::string::npos);
+  // A class with a base clause, in another layer.
+  EXPECT_TRUE(has_rule(
+      lint_content("src/net/y.h",
+                   "#pragma once\n"
+                   "class Y final : public Base {\n"
+                   "  EventId pending_ = 0;\n"
+                   "};\n"),
+      "event-owner"));
+}
+
+TEST(LintEventOwner, PassesSimReturnTypesParametersAndLocals) {
+  // src/sim is where the id and the handle live.
+  EXPECT_FALSE(has_rule(
+      lint_content("src/sim/z.h",
+                   "#pragma once\n"
+                   "class Timer {\n"
+                   "  EventId id_ = 0;\n"
+                   "};\n"),
+      "event-owner"));
+  auto diags = lint_content(
+      "src/cloud/x.h",
+      "#pragma once\n"
+      "enum class Kind { kA, kB };\n"
+      "template <class F> void later(F&& fn) { sim::EventId id = 0; }\n"
+      "class Cloud {\n"
+      " public:\n"
+      "  sim::EventId schedule_fault(sim::Duration delay);\n"
+      "  void forget(sim::EventId id, int n);\n"
+      "  void run() {\n"
+      "    sim::EventId local = sim_.after(d, [this]() { go(); });\n"
+      "  }\n"
+      "  sim::Timer timer_;\n"
+      "};\n"
+      "sim::EventId Cloud::later_id() { sim::EventId id = 0; return id; }\n");
+  EXPECT_FALSE(has_rule(diags, "event-owner"));
+  // tests/ keep raw ids to exercise the queue itself.
+  EXPECT_FALSE(has_rule(
+      lint_content("tests/x_test.cc",
+                   "struct Fixture { sim::EventId id = 0; };\n"),
+      "event-owner"));
+}
+
+TEST(LintEventOwner, SuppressionCommentSilences) {
+  auto diags = lint_content(
+      "src/apps/x.h",
+      "#pragma once\n"
+      "struct S {\n"
+      "  sim::EventId id = 0;  // picloud-lint: allow(event-owner)\n"
+      "};\n");
+  EXPECT_FALSE(has_rule(diags, "event-owner"));
 }
 
 // ---------------------------------------------------------------------------

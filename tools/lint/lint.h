@@ -6,7 +6,8 @@
 // by-reference lambda capture firing from the event queue — so the analyzer
 // lexes the whole tree (lexer.h), builds a cross-file project model
 // (model.h: include graph, computed module layering, symbol index) and runs
-// fifteen rules over it:
+// eighteen rules over it (schedule-point and hot-path-alloc are described
+// in rules.cc):
 //
 //   nondeterminism       banned wall-clock / libc-RNG / threading APIs
 //                        (rand/srand, std::random_device, time(),
@@ -33,11 +34,15 @@
 //                        the repo's ordered-container convention (std::map/
 //                        std::set) is enforced.
 //   event-capture        a lambda with a `[&]` default-reference capture
-//                        passed to Simulation::after/at/schedule or a
-//                        PeriodicTask — the event fires after the enclosing
-//                        frame is gone, so default reference captures are
-//                        dangling-by-fire-time hazards. Capture explicitly
-//                        ([this], [this, id], by value) in src/.
+//                        passed to Simulation::after/at/schedule or
+//                        sim::Timer::after/every — the event fires after
+//                        the enclosing frame is gone, so default reference
+//                        captures are dangling-by-fire-time hazards.
+//                        Capture explicitly ([this], [this, id], by value)
+//                        in src/.
+//   event-owner          a sim::EventId data member outside src/sim — an
+//                        object holds its pending events through sim::Timer,
+//                        which cancels on re-arm, cancel() and destruction.
 //   dead-symbol          a function or type defined in src/ that no file in
 //                        src/, tests/, bench/ or examples/ references —
 //                        dead checking code (an unregistered probe, an

@@ -213,8 +213,9 @@ void per_file_rules(const ProjectModel& model, int fi, const Reporter& report) {
 // --- event-capture -----------------------------------------------------------
 //
 // A `[&]` (or `[&, ...]`) lambda handed to the event queue outlives its
-// enclosing frame: Simulation::after/at/schedule and PeriodicTask run it at
-// fire time, when everything the default capture referenced may be gone.
+// enclosing frame: Simulation::after/at/schedule and sim::Timer's
+// after/every run it at fire time, when everything the default capture
+// referenced may be gone.
 // Explicit captures ([this], [this, id], by value) state the lifetime
 // contract; `[&]` hides it. src/ only — tests pump the queue inside the
 // capturing scope.
@@ -227,11 +228,10 @@ void event_capture_rule(const ProjectModel& model, int fi,
   for (int ci = 0; ci < v.n; ++ci) {
     if (!v.is_ident(ci) || !v.punct(ci + 1, "(")) continue;
     const std::string& name = v.tok(ci).text;
-    bool scheduler_method =
-        (name == "after" || name == "at" || name == "schedule") &&
-        (v.punct(ci - 1, ".") || v.punct(ci - 1, "->"));
-    bool periodic_ctor = name == "PeriodicTask";
-    if (!scheduler_method && !periodic_ctor) continue;
+    bool scheduler_method = (name == "after" || name == "at" ||
+                             name == "schedule" || name == "every") &&
+                            (v.punct(ci - 1, ".") || v.punct(ci - 1, "->"));
+    if (!scheduler_method) continue;
     int close = v.skip_parens(ci + 1);
     for (int j = ci + 2; j < close - 1; ++j) {
       if (!v.punct(j, "[") || !v.punct(j + 1, "&")) continue;
@@ -247,6 +247,71 @@ void event_capture_rule(const ProjectModel& model, int fi,
                  "' dangles by fire time; capture explicitly ([this], "
                  "[this, id], or by value)");
     }
+  }
+}
+
+// --- event-owner -------------------------------------------------------------
+//
+// An object holds each event it schedules through a sim::Timer (DESIGN.md
+// §12.1): re-arming, cancel() and destruction cancel the pending event, so
+// none can fire into an owner that is gone. A sim::EventId data member is
+// the hand-kept form the handle replaced, where every path out of the owner
+// had to remember its cancel. Flags `EventId` named in a class body outside
+// src/sim; member function return types, parameters, and the locals of a
+// function body are fine.
+
+// Marks each code-token '{' that opens a class, struct or union body.
+std::vector<bool> class_body_braces(const FileView& v) {
+  std::vector<bool> opens(v.n, false);
+  for (int ci = 0; ci < v.n; ++ci) {
+    if (!v.ident(ci, "class") && !v.ident(ci, "struct") &&
+        !v.ident(ci, "union")) {
+      continue;
+    }
+    if (v.ident(ci - 1, "enum")) continue;
+    // The head runs through the name and any base clause; a '(' ')' '='
+    // or ';' first means a template parameter, an elaborated type or a
+    // forward declaration.
+    for (int j = ci + 1; j < v.n; ++j) {
+      if (v.punct(j, "{")) {
+        opens[j] = true;
+        break;
+      }
+      if (v.punct(j, ";") || v.punct(j, "(") || v.punct(j, ")") ||
+          v.punct(j, "=") || v.punct(j, "}")) {
+        break;
+      }
+    }
+  }
+  return opens;
+}
+
+void event_owner_rule(const ProjectModel& model, int fi,
+                      const Reporter& report) {
+  const SourceFile& f = model.files()[fi];
+  if (f.module.empty() || f.module == "sim") return;
+  const FileView v(f);
+  const std::vector<bool> class_brace = class_body_braces(v);
+  std::vector<bool> scopes;  // one per open '{': true for a class body
+  int parens = 0;            // open '(': an EventId inside is a parameter
+  for (int ci = 0; ci < v.n; ++ci) {
+    if (v.punct(ci, "{")) {
+      scopes.push_back(class_brace[ci]);
+    } else if (v.punct(ci, "}")) {
+      if (!scopes.empty()) scopes.pop_back();
+    } else if (v.punct(ci, "(")) {
+      ++parens;
+    } else if (v.punct(ci, ")")) {
+      if (parens > 0) --parens;
+    }
+    if (scopes.empty() || !scopes.back() || parens > 0) continue;
+    if (!v.ident(ci, "EventId")) continue;
+    // `EventId name(` declares a member function returning an id.
+    if (v.is_ident(ci + 1) && v.punct(ci + 2, "(")) continue;
+    report(fi, v.tok(ci).line, "event-owner",
+           "a sim::EventId data member keeps a pending event by hand; hold "
+           "it in a sim::Timer, which cancels it on re-arm, cancel() and "
+           "destruction (DESIGN.md §12.1)");
   }
 }
 
@@ -763,6 +828,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"event-capture",
        "[&] default-reference capture in a scheduled lambda dangles by fire "
        "time"},
+      {"event-owner",
+       "sim::EventId data member outside src/sim: hold the event in a "
+       "sim::Timer"},
       {"schedule-point",
        "delivery dispatch in src/net must consult the SchedulePoint hub "
        "(model-checker seam, DESIGN.md §13.1)"},
@@ -800,6 +868,7 @@ std::vector<Diagnostic> analyze(const ProjectModel& model,
   for (int fi = 0; fi < static_cast<int>(model.files().size()); ++fi) {
     per_file_rules(model, fi, report);
     event_capture_rule(model, fi, report);
+    event_owner_rule(model, fi, report);
     schedule_point_rule(model, fi, report);
     rest_retry_rule(model, fi, report);
     json_boundary_rule(model, fi, report);
