@@ -42,8 +42,8 @@ int main() {
       for (std::uint64_t i = 0; i < dataset_mib; ++i) {
         kv.put(record.value().ip, util::format("blob-%03llu",
                                                static_cast<unsigned long long>(i)),
-               1ull << 20, [&](util::Result<util::Json> r) {
-                 if (r.ok() && r.value().get_bool("ok")) ++stored;
+               1ull << 20, [&](util::Result<apps::ServeReply> r) {
+                 if (r.ok() && r.value().ok.value_or(false)) ++stored;
                });
       }
       cloud.run_until(sim::Duration::seconds(120), [&]() {

@@ -109,8 +109,8 @@ int main() {
   int kv_ok = 0;
   for (int i = 0; i < 20; ++i) {
     kv.put(slots[1].ip, "key-" + std::to_string(i), 256 << 10,
-           [&](util::Result<util::Json> r) {
-             if (r.ok() && r.value().get_bool("ok")) ++kv_ok;
+           [&](util::Result<apps::ServeReply> r) {
+             if (r.ok() && r.value().ok.value_or(false)) ++kv_ok;
            });
   }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <utility>
 
+#include "apps/serving.h"
 #include "sim/simulation.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -76,9 +77,9 @@ struct AdmissionSeries {
 //   void serve(Entry entry, bool degraded);  // start the work; its
 //       // completion calls finish(), and if that is true, replies and
 //       // then calls pump()
-//   void shed(const Entry& entry, const char* cause);  // the cheap refusal
+//   void shed(const Entry& entry, ShedCause cause);  // the cheap refusal
 //
-// `cause` is "admission" (full queue) or "deadline" (waited too long).
+// `cause` is kAdmission (full queue) or kDeadline (waited too long).
 template <typename Owner, typename Entry>
 class AdmissionQueue {
  public:
@@ -122,7 +123,7 @@ class AdmissionQueue {
     if (static_cast<int>(queue_.size()) >= params_.queue_capacity) {
       ++shed_admission_;
       series_.shed_admission->inc();
-      owner_.shed(entry, "admission");
+      owner_.shed(entry, ShedCause::kAdmission);
       return;
     }
     queue_.push_back({std::move(entry), deadline});
@@ -152,7 +153,7 @@ class AdmissionQueue {
       if (sim_->now() > next.deadline) {
         ++shed_deadline_;
         series_.shed_deadline->inc();
-        owner_.shed(next.entry, "deadline");
+        owner_.shed(next.entry, ShedCause::kDeadline);
         continue;
       }
       ++in_service_;

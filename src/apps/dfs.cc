@@ -36,7 +36,7 @@ void DfsNodeApp::reply(net::Ipv4Addr to, std::uint16_t port, Json body,
 
 void DfsNodeApp::on_message(const net::Message& msg) {
   if (container_ == nullptr) return;
-  const Json& request = msg.payload;
+  const Json& request = msg.body.json();
   std::string op = request.get_string("op");
   std::string block = request.get_string("block");
   net::Ipv4Addr reply_to = msg.src;
@@ -215,13 +215,13 @@ void DfsNamenode::send_op(net::Ipv4Addr datanode, Json body, double padding,
   msg.dst = datanode;
   msg.src_port = port_;
   msg.dst_port = kDfsPort;
-  msg.payload = std::move(body);
+  msg.body = std::move(body);
   msg.padding_bytes = padding;
   network_.send(std::move(msg));
 }
 
 void DfsNamenode::on_message(const net::Message& msg) {
-  const Json& ack = msg.payload;
+  const Json& ack = msg.body.json();
   auto id = static_cast<std::uint64_t>(ack.get_number("id"));
   auto it = pending_.find(id);
   if (it == pending_.end()) return;

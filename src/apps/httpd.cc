@@ -49,7 +49,7 @@ void HttpdApp::start(os::Container& container) {
              container.name().c_str());
   }
   container.listen(params_.port,
-                   [this](const net::Message& msg) { on_request(msg); });
+                   [this](net::Message& msg) { on_request(msg); });
 }
 
 void HttpdApp::stop() {
@@ -63,30 +63,31 @@ void HttpdApp::stop() {
   container_ = nullptr;
 }
 
-void HttpdApp::shed(const Request& entry, const char* cause) {
+void HttpdApp::shed(const Request& entry, ShedCause cause) {
   // A shed response is deliberately cheap: no cycles, a header-sized body —
   // fast feedback is what lets client breakers and retry budgets react.
-  Json body = Json::object();
-  body.set("id", entry.id);
-  body.set("status", 503);
-  body.set("shed", std::string(cause));
-  container_->send(entry.reply_to, entry.reply_port, std::move(body),
+  ServeReply reply;
+  reply.id = entry.id;
+  reply.status = 503;
+  reply.shed = cause;
+  container_->send(entry.reply_to, entry.reply_port, std::move(reply),
                    params_.port, 128);
 }
 
-void HttpdApp::on_request(const net::Message& msg) {
+void HttpdApp::on_request(net::Message& msg) {
   if (container_ == nullptr) return;
-  const Json& request = msg.payload;
+  ServeRequest* request = msg.body.get<ServeRequest>();
+  if (request == nullptr) return;  // not a serving-tier request
 
   // Liveness probes (LB health checks) bypass admission: a loaded-but-alive
   // server must keep answering them or the LB would eject it exactly when
   // shedding is doing its job.
-  if (request.get_string("op") == "health") {
-    Json body = Json::object();
-    body.set("id", request.get_number("id"));
-    body.set("status", 200);
-    body.set("health", true);
-    container_->send(msg.src, msg.src_port, std::move(body), params_.port,
+  if (request->op == ServeOp::kHealth) {
+    ServeReply reply;
+    reply.id = request->id;
+    reply.status = 200;
+    reply.health = true;
+    container_->send(msg.src, msg.src_port, std::move(reply), params_.port,
                      64);
     return;
   }
@@ -94,9 +95,9 @@ void HttpdApp::on_request(const net::Message& msg) {
   Request entry;
   entry.reply_to = msg.src;
   entry.reply_port = msg.src_port;
-  entry.id = request.get_number("id");
-  entry.path = request.get_string("path", "/");
-  entry.cost = request.get_number("cost", 1.0);
+  entry.id = request->id;
+  entry.path = std::move(request->path).value_or("/");
+  entry.cost = request->cost.value_or(1.0);
   if (entry.cost < 1e-3) entry.cost = 1.0;
   admission_.admit(std::move(entry));
 }
@@ -109,7 +110,7 @@ void HttpdApp::serve(Request entry, bool degraded) {
       static_cast<double>(params_.response_bytes) *
       (degraded ? params_.brownout_bytes_factor : 1.0);
   container_->run_cpu(cycles, [this, entry = std::move(entry), degraded,
-                               bytes](bool completed) {
+                               bytes](bool completed) mutable {
     if (!admission_.finish(completed)) return;
     if (degraded) {
       ++served_brownout_;
@@ -118,12 +119,12 @@ void HttpdApp::serve(Request entry, bool degraded) {
       ++served_ok_;
       m_served_ok_->inc();
     }
-    Json body = Json::object();
-    body.set("id", entry.id);
-    body.set("status", 200);
-    body.set("path", entry.path);
-    if (degraded) body.set("brownout", true);
-    container_->send(entry.reply_to, entry.reply_port, std::move(body),
+    ServeReply reply;
+    reply.id = entry.id;
+    reply.status = 200;
+    reply.path = std::move(entry.path);
+    if (degraded) reply.brownout = true;
+    container_->send(entry.reply_to, entry.reply_port, std::move(reply),
                      params_.port, bytes);
     admission_.pump();
   });

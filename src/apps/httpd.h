@@ -19,6 +19,7 @@
 #include <string>
 
 #include "apps/admission.h"
+#include "apps/serving.h"
 #include "os/container.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -43,7 +44,7 @@ class HttpdApp : public os::ContainerApp {
   struct Request {
     net::Ipv4Addr reply_to;
     std::uint16_t reply_port = 0;
-    double id = 0;
+    std::uint64_t id = 0;
     std::string path;
     double cost = 1.0;  // heavy-tailed per-request work multiplier
   };
@@ -73,9 +74,9 @@ class HttpdApp : public os::ContainerApp {
  private:
   friend Queue;
 
-  void on_request(const net::Message& msg);
+  void on_request(net::Message& msg);
   void serve(Request entry, bool degraded);
-  void shed(const Request& entry, const char* cause);
+  void shed(const Request& entry, ShedCause cause);
 
   HttpdParams params_;
   Queue admission_{*this, params_};

@@ -35,7 +35,7 @@ void KvStoreApp::start(os::Container& container) {
     }
   }
   container.listen(params_.port,
-                   [this](const net::Message& msg) { on_request(msg); });
+                   [this](net::Message& msg) { on_request(msg); });
 }
 
 void KvStoreApp::stop() {
@@ -46,37 +46,37 @@ void KvStoreApp::stop() {
   container_ = nullptr;
 }
 
-void KvStoreApp::reply(net::Ipv4Addr to, std::uint16_t port, Json body,
-                       double padding) {
+void KvStoreApp::send_reply(net::Ipv4Addr to, std::uint16_t port,
+                            ServeReply reply, double padding) {
   if (container_ == nullptr) return;
-  container_->send(to, port, std::move(body), params_.port, padding);
+  container_->send(to, port, std::move(reply), params_.port, padding);
 }
 
-void KvStoreApp::shed(const Op& entry, const char* cause) {
-  Json body = Json::object();
-  body.set("id", entry.id);
-  body.set("ok", false);
-  body.set("shed", std::string(cause));
-  reply(entry.reply_to, entry.reply_port, std::move(body));
+void KvStoreApp::shed(const Op& entry, ShedCause cause) {
+  ServeReply reply;
+  reply.id = entry.id;
+  reply.ok = false;
+  reply.shed = cause;
+  send_reply(entry.reply_to, entry.reply_port, std::move(reply));
 }
 
-void KvStoreApp::on_request(const net::Message& msg) {
+void KvStoreApp::on_request(net::Message& msg) {
   if (container_ == nullptr) return;
-  const Json& request = msg.payload;
-  std::string op = request.get_string("op");
+  ServeRequest* request = msg.body.get<ServeRequest>();
+  if (request == nullptr) return;  // not a serving-tier request
 
-  if (op == "health") {
-    Json body = Json::object();
-    body.set("id", request.get_number("id"));
-    body.set("ok", true);
-    body.set("health", true);
-    reply(msg.src, msg.src_port, std::move(body), 64);
+  if (request->op == ServeOp::kHealth) {
+    ServeReply reply;
+    reply.id = request->id;
+    reply.ok = true;
+    reply.health = true;
+    send_reply(msg.src, msg.src_port, std::move(reply), 64);
     return;
   }
 
-  admission_.admit({msg.src, msg.src_port, request.get_number("id"),
-                    std::move(op), request.get_string("key"),
-                    request.get_number("bytes")});
+  admission_.admit({msg.src, msg.src_port, request->id, request->op,
+                    std::move(request->key).value_or(std::string()),
+                    request->bytes.value_or(0)});
 }
 
 void KvStoreApp::serve(Op entry, bool degraded) {
@@ -92,12 +92,11 @@ void KvStoreApp::serve(Op entry, bool degraded) {
 }
 
 void KvStoreApp::execute(const Op& entry, bool degraded) {
-  const std::string& op = entry.op;
   const std::string& key = entry.key;
   net::Ipv4Addr reply_to = entry.reply_to;
   std::uint16_t reply_port = entry.reply_port;
-  Json body = Json::object();
-  body.set("id", entry.id);
+  ServeReply reply;
+  reply.id = entry.id;
 
   auto served = [this, degraded]() {
     ++ops_served_;
@@ -108,67 +107,60 @@ void KvStoreApp::execute(const Op& entry, bool degraded) {
     }
   };
 
-  if (op == "put") {
-    auto bytes = static_cast<std::uint64_t>(entry.bytes);
+  if (entry.op == ServeOp::kPut) {
+    const std::uint64_t bytes = entry.bytes;
     auto existing = values_.find(key);
     std::uint64_t old_bytes = existing != values_.end() ? existing->second : 0;
     std::uint64_t delta = bytes > old_bytes ? bytes - old_bytes : 0;
     if (delta > 0 && !container_->alloc_memory(delta).ok()) {
       ++ops_rejected_;
-      body.set("ok", false);
-      body.set("error", "out of memory");
-      reply(reply_to, reply_port, std::move(body));
+      reply.ok = false;
+      reply.error = KvError::kOutOfMemory;
+      send_reply(reply_to, reply_port, std::move(reply));
       return;
     }
     if (old_bytes > bytes) container_->free_memory(old_bytes - bytes);
     values_[key] = bytes;
     stored_bytes_ = stored_bytes_ + bytes - old_bytes;
     served();
-    body.set("ok", true);
-    reply(reply_to, reply_port, std::move(body));
+    reply.ok = true;
+    send_reply(reply_to, reply_port, std::move(reply));
     return;
   }
 
-  if (op == "get") {
+  if (entry.op == ServeOp::kGet) {
     auto it = values_.find(key);
     served();
     if (it == values_.end()) {
-      body.set("ok", false);
-      body.set("error", "no such key");
-      reply(reply_to, reply_port, std::move(body));
+      reply.ok = false;
+      reply.error = KvError::kNoSuchKey;
+      send_reply(reply_to, reply_port, std::move(reply));
       return;
     }
-    body.set("ok", true);
-    body.set("bytes", static_cast<unsigned long long>(it->second));
+    reply.ok = true;
+    reply.bytes = it->second;
     if (degraded) {
       // Brownout: metadata only — the value's bytes stay off the wire.
-      body.set("brownout", true);
-      reply(reply_to, reply_port, std::move(body));
+      reply.brownout = true;
+      send_reply(reply_to, reply_port, std::move(reply));
     } else {
       // The value itself rides as padding.
-      reply(reply_to, reply_port, std::move(body),
-            static_cast<double>(it->second));
+      send_reply(reply_to, reply_port, std::move(reply),
+                 static_cast<double>(it->second));
     }
     return;
   }
 
-  if (op == "del") {
-    auto it = values_.find(key);
-    if (it != values_.end()) {
-      container_->free_memory(it->second);
-      stored_bytes_ -= it->second;
-      values_.erase(it);
-    }
-    served();
-    body.set("ok", true);
-    reply(reply_to, reply_port, std::move(body));
-    return;
+  // del (health is answered before admission).
+  auto it = values_.find(key);
+  if (it != values_.end()) {
+    container_->free_memory(it->second);
+    stored_bytes_ -= it->second;
+    values_.erase(it);
   }
-
-  ++ops_rejected_;
-  body.set("ok", false);
-  body.set("error", "unknown op");
-  reply(reply_to, reply_port, std::move(body));
+  served();
+  reply.ok = true;
+  send_reply(reply_to, reply_port, std::move(reply));
 }
 
 util::Json KvStoreApp::status() const {

@@ -6,10 +6,10 @@
 // behaviour the management API controls. The dataset survives migration:
 // stop() keeps the map, start() re-charges it on the destination node.
 //
-// Wire protocol (JSON datagrams on port 6379):
-//   {"op":"put","key":k,"bytes":n,"id":i}   -> {"ok":true,"id":i}
-//   {"op":"get","key":k,"id":i}             -> {"ok":true,"bytes":n,"id":i}
-//   {"op":"del","key":k,"id":i}             -> {"ok":true,"id":i}
+// Wire protocol (serving-tier datagrams on port 6379, apps/serving.h):
+//   {"bytes":n,"id":i,"key":k,"op":"put"}   -> {"id":i,"ok":true}
+//   {"id":i,"key":k,"op":"get"}             -> {"bytes":n,"id":i,"ok":true}
+//   {"id":i,"key":k,"op":"del"}             -> {"id":i,"ok":true}
 //
 // Overload resilience (DESIGN.md §11): ops pass the shared admission queue
 // (apps/admission.h), served at fixed concurrency; a full queue or an
@@ -23,6 +23,7 @@
 #include <string>
 
 #include "apps/admission.h"
+#include "apps/serving.h"
 #include "os/container.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -45,10 +46,10 @@ class KvStoreApp : public os::ContainerApp {
   struct Op {
     net::Ipv4Addr reply_to;
     std::uint16_t reply_port = 0;
-    double id = 0;
-    std::string op;
+    std::uint64_t id = 0;
+    ServeOp op = ServeOp::kGet;
     std::string key;
-    double bytes = 0;  // read by put only
+    std::uint64_t bytes = 0;  // read by put only
   };
   using Queue = AdmissionQueue<KvStoreApp, Op>;
 
@@ -67,7 +68,7 @@ class KvStoreApp : public os::ContainerApp {
   std::uint64_t stored_bytes() const { return stored_bytes_; }
 
   // Completed work: served ops (degraded ones included, and also counted
-  // in served_brownout) and rejected ones (bad op, OOM put). The admission
+  // in served_brownout) and rejected ones (OOM put). The admission
   // identity's `completed` is ops_served + ops_rejected (see invariants.cc).
   std::uint64_t ops_served() const { return ops_served_; }
   std::uint64_t served_brownout() const { return served_brownout_; }
@@ -77,12 +78,12 @@ class KvStoreApp : public os::ContainerApp {
  private:
   friend Queue;
 
-  void on_request(const net::Message& msg);
+  void on_request(net::Message& msg);
   void serve(Op entry, bool degraded);
-  void shed(const Op& entry, const char* cause);
+  void shed(const Op& entry, ShedCause cause);
   void execute(const Op& entry, bool degraded);
-  void reply(net::Ipv4Addr to, std::uint16_t port, util::Json body,
-             double padding = 0);
+  void send_reply(net::Ipv4Addr to, std::uint16_t port, ServeReply reply,
+                  double padding = 0);
 
   KvStoreParams params_;
   Queue admission_{*this, params_};

@@ -64,9 +64,9 @@ void LbApp::start(os::Container& container) {
   m_healthy_ = &reg.gauge("apps.lb.healthy_backends");
   m_upstream_latency_ = &reg.histogram("apps.lb.upstream_latency_ms");
   container.listen(params_.port,
-                   [this](const net::Message& msg) { on_client(msg); });
+                   [this](net::Message& msg) { on_client(msg); });
   container.listen(params_.upstream_port,
-                   [this](const net::Message& msg) { on_upstream(msg); });
+                   [this](net::Message& msg) { on_upstream(msg); });
   health_task_.every(*sim_, kHealthPeriod, [this]() { run_health_checks(); });
 }
 
@@ -149,8 +149,10 @@ bool LbApp::choose_backend(net::Ipv4Addr exclude, bool use_exclude,
   return use_exclude && choose_backend({}, false, out);
 }
 
-void LbApp::on_client(const net::Message& msg) {
+void LbApp::on_client(net::Message& msg) {
   if (container_ == nullptr) return;
+  ServeRequest* request = msg.body.get<ServeRequest>();
+  if (request == nullptr) return;  // not a serving-tier request
 
   ++requests_received_;
   m_received_->inc();
@@ -159,9 +161,9 @@ void LbApp::on_client(const net::Message& msg) {
   Proxy proxy;
   proxy.client = msg.src;
   proxy.client_port = msg.src_port;
-  proxy.client_id = msg.payload.get_number("id");
-  proxy.payload = msg.payload;
-  proxy.payload.set("id", static_cast<unsigned long long>(pid));
+  proxy.client_id = request->id;
+  proxy.request = std::move(*request);
+  proxy.request.id = pid;
   proxy.padding = msg.padding_bytes;
 
   net::Ipv4Addr target;
@@ -169,11 +171,11 @@ void LbApp::on_client(const net::Message& msg) {
     ++no_backend_;
     m_no_backend_->inc();
     ++responses_error_;
-    Json body = Json::object();
-    body.set("id", proxy.client_id);
-    body.set("status", 503);
-    body.set("lb_error", std::string("no_backend"));
-    container_->send(proxy.client, proxy.client_port, std::move(body),
+    ServeReply reply;
+    reply.id = proxy.client_id;
+    reply.status = 503;
+    reply.lb_error = LbError::kNoBackend;
+    container_->send(proxy.client, proxy.client_port, std::move(reply),
                      params_.port, 128);
     return;
   }
@@ -198,8 +200,9 @@ void LbApp::forward(std::uint64_t pid) {
     m_upstream_timeouts_->inc();
     attempt_failed(pid);
   });
+  // The proxy keeps its request for a retry; each attempt sends a copy.
   bool sent = container_->send(proxy.backend, params_.backend_port,
-                               proxy.payload, params_.upstream_port,
+                               proxy.request, params_.upstream_port,
                                proxy.padding);
   if (!sent) {
     // No route (backend's node is gone): fail fast instead of waiting out
@@ -232,14 +235,14 @@ void LbApp::attempt_failed(std::uint64_t pid) {
     return;
   }
 
-  Json body = Json::object();
-  body.set("id", proxy.client_id);
-  body.set("status", 503);
-  body.set("lb_error", std::string("upstream_failed"));
-  finish(pid, std::move(body), 128, /*ok=*/false);
+  ServeReply reply;
+  reply.id = proxy.client_id;
+  reply.status = 503;
+  reply.lb_error = LbError::kUpstreamFailed;
+  finish(pid, std::move(reply), 128, /*ok=*/false);
 }
 
-void LbApp::finish(std::uint64_t pid, util::Json payload, double padding,
+void LbApp::finish(std::uint64_t pid, ServeReply reply, double padding,
                    bool ok) {
   auto it = proxies_.find(pid);
   if (it == proxies_.end()) return;
@@ -251,16 +254,17 @@ void LbApp::finish(std::uint64_t pid, util::Json payload, double padding,
   } else {
     ++responses_error_;
   }
-  container_->send(client, client_port, std::move(payload), params_.port,
+  container_->send(client, client_port, std::move(reply), params_.port,
                    padding);
 }
 
-void LbApp::on_upstream(const net::Message& msg) {
+void LbApp::on_upstream(net::Message& msg) {
   if (container_ == nullptr) return;
-  const Json& reply = msg.payload;
-  auto id = static_cast<std::uint64_t>(reply.get_number("id"));
+  ServeReply* reply = msg.body.get<ServeReply>();
+  if (reply == nullptr) return;  // not a serving-tier reply
+  const std::uint64_t id = reply->id;
 
-  if (reply.has("health")) {
+  if (reply->health.has_value()) {
     auto probe_it = probes_.find(id);
     if (probe_it == probes_.end()) return;  // late probe reply
     net::Ipv4Addr backend = probe_it->second.backend;
@@ -280,18 +284,15 @@ void LbApp::on_upstream(const net::Message& msg) {
   }
   m_upstream_latency_->observe((sim_->now() - proxy.attempt_at).to_millis());
 
-  const double status = reply.get_number("status", 200);
-  const bool shed = !reply.get_string("shed", "").empty();
-  if (status >= 500 || shed) {
+  if (reply->failed()) {
     // Fast-fail from an overloaded backend. Count it against the breaker and
     // let the retry budget decide whether to try a sibling.
     attempt_failed(id);
     return;
   }
   backend_success(proxy.backend);
-  Json response = reply;
-  response.set("id", proxy.client_id);
-  finish(id, std::move(response), msg.padding_bytes, /*ok=*/true);
+  reply->id = proxy.client_id;
+  finish(id, std::move(*reply), msg.padding_bytes, /*ok=*/true);
 }
 
 void LbApp::on_health_reply(net::Ipv4Addr backend) {
@@ -362,9 +363,9 @@ void LbApp::run_health_checks() {
 void LbApp::probe(net::Ipv4Addr ip) {
   if (container_ == nullptr) return;
   std::uint64_t hid = next_pid_++;
-  Json body = Json::object();
-  body.set("op", std::string("health"));
-  body.set("id", static_cast<unsigned long long>(hid));
+  ServeRequest request;
+  request.id = hid;
+  request.op = ServeOp::kHealth;
   PendingProbe& pending = probes_[hid];
   pending.backend = ip;
   pending.timer.after(*sim_, kHealthTimeout, [this, hid]() {
@@ -373,7 +374,7 @@ void LbApp::probe(net::Ipv4Addr ip) {
     probes_.erase(it);
     backend_failure(backend);
   });
-  bool sent = container_->send(ip, params_.backend_port, std::move(body),
+  bool sent = container_->send(ip, params_.backend_port, std::move(request),
                                params_.upstream_port, 64);
   if (!sent) {
     probes_.erase(hid);

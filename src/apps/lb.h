@@ -2,8 +2,8 @@
 // (DESIGN.md §11).
 //
 // The paper's public-website use case (§II) puts a fleet of lightweight httpd
-// containers behind one address; this app is that address. It proxies JSON
-// request datagrams to a backend pool, with:
+// containers behind one address; this app is that address. It proxies
+// serving-tier request datagrams (apps/serving.h) to a backend pool, with:
 //
 //   * pluggable balancing policy: round-robin or least-outstanding;
 //   * per-backend active health checks ({"op":"health"} probes) driving a
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/serving.h"
 #include "apps/upstream.h"
 #include "os/container.h"
 #include "sim/simulation.h"
@@ -96,8 +97,8 @@ class LbApp : public os::ContainerApp {
   struct Proxy {
     net::Ipv4Addr client;
     std::uint16_t client_port = 0;
-    double client_id = 0;          // restored on the way back
-    util::Json payload;            // rewritten request (proxy id installed)
+    std::uint64_t client_id = 0;   // restored on the way back
+    ServeRequest request;          // the client's, with the proxy id in place
     double padding = 0;
     net::Ipv4Addr backend;         // current attempt's target
     int attempts = 0;
@@ -105,8 +106,8 @@ class LbApp : public os::ContainerApp {
     sim::Timer timer;              // the current attempt's timeout
   };
 
-  void on_client(const net::Message& msg);
-  void on_upstream(const net::Message& msg);
+  void on_client(net::Message& msg);
+  void on_upstream(net::Message& msg);
   void on_health_reply(net::Ipv4Addr backend);
   void run_health_checks();
   void probe(net::Ipv4Addr ip);
@@ -115,7 +116,7 @@ class LbApp : public os::ContainerApp {
   bool choose_backend(net::Ipv4Addr exclude, bool use_exclude,
                       net::Ipv4Addr* out);
   void forward(std::uint64_t pid);
-  void finish(std::uint64_t pid, util::Json payload, double padding, bool ok);
+  void finish(std::uint64_t pid, ServeReply reply, double padding, bool ok);
   void attempt_failed(std::uint64_t pid);
   void backend_failure(net::Ipv4Addr ip);
   void backend_success(net::Ipv4Addr ip);

@@ -19,6 +19,7 @@ namespace {
 constexpr int kBreakerFailures = 5;
 constexpr sim::Duration kBreakerOpen = sim::Duration::seconds(2);
 constexpr double kRequestBytes = 256;  // GET + headers
+constexpr const char* kRequestPath = "/index.html";
 
 }  // namespace
 
@@ -100,7 +101,7 @@ HttpLoadGen::HttpLoadGen(net::Network& network, net::Ipv4Addr self,
       port_(client_port) {
   targets_.set(std::move(targets));
   network_.listen(self_, port_,
-                  [this](const net::Message& msg) { on_message(msg); });
+                  [this](net::Message& msg) { on_message(msg); });
 }
 
 HttpLoadGen::~HttpLoadGen() { network_.unlisten(self_, port_); }
@@ -208,14 +209,14 @@ void HttpLoadGen::on_arrival() {
   Pending pending;
   pending.first_sent_at = sim_.now();
   pending.target = target;
-  pending.path = "/index.html";
-  pending.cost = 1.0;
   if (params_.shape.cost_alpha > 1.0) {
     // Pareto with the requested mean: mean = alpha * xm / (alpha - 1).
     const double xm = params_.shape.cost_mean *
                       (params_.shape.cost_alpha - 1.0) /
                       params_.shape.cost_alpha;
-    pending.cost = rng_.pareto(params_.shape.cost_alpha, xm);
+    const double cost = rng_.pareto(params_.shape.cost_alpha, xm);
+    // A cost of exactly 1 is the default, which the request leaves out.
+    if (cost != 1.0) pending.cost = cost;
   }
   pending_[id] = std::move(pending);
   send_attempt(id);
@@ -228,11 +229,11 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   ++pending.attempts;
   ++attempts_sent_;
 
-  Json body = Json::object();
-  body.set("op", "get");
-  body.set("path", pending.path);
-  body.set("id", static_cast<unsigned long long>(id));
-  if (pending.cost != 1.0) body.set("cost", pending.cost);
+  ServeRequest request;
+  request.id = id;
+  request.op = ServeOp::kGet;
+  request.path = kRequestPath;
+  request.cost = pending.cost;
 
   pending.timer.after(sim_, params_.request_timeout, [this, id]() {
     attempt_failed(id, /*timed_out=*/true);
@@ -243,7 +244,7 @@ void HttpLoadGen::send_attempt(std::uint64_t id) {
   msg.dst = pending.target;
   msg.src_port = port_;
   msg.dst_port = params_.server_port;
-  msg.payload = std::move(body);
+  msg.body = std::move(request);
   msg.padding_bytes = kRequestBytes;
   network_.send(std::move(msg));
 }
@@ -267,22 +268,21 @@ void HttpLoadGen::attempt_failed(std::uint64_t id, bool timed_out) {
   ++(timed_out ? timed_out_ : failed_);
 }
 
-void HttpLoadGen::on_message(const net::Message& msg) {
-  const Json& reply = msg.payload;
-  auto id = static_cast<std::uint64_t>(reply.get_number("id"));
+void HttpLoadGen::on_message(net::Message& msg) {
+  const ServeReply* reply = msg.body.get<ServeReply>();
+  if (reply == nullptr) return;  // not a serving-tier reply
+  const std::uint64_t id = reply->id;
   auto it = pending_.find(id);
   if (it == pending_.end()) return;  // late reply after timeout
   if (msg.src != it->second.target) return;  // stale attempt's reply
 
-  const double status = reply.get_number("status", 200);
-  const bool shed = reply.has("shed") || reply.has("lb_error");
-  if (status >= 500 || shed) {
+  if (reply->failed()) {
     attempt_failed(id, /*timed_out=*/false);
     return;
   }
   record_success(it->second.target);
   latencies_.observe((sim_.now() - it->second.first_sent_at).to_millis());
-  const bool brownout = reply.get_bool("brownout", false);
+  const bool brownout = reply->brownout.value_or(false);
   pending_.erase(it);  // cancels the timeout
   ++completed_;
   if (brownout) ++completed_brownout_;
@@ -362,15 +362,15 @@ KvClient::KvClient(net::Network& network, net::Ipv4Addr self,
       self_(self),
       port_(client_port) {
   network_.listen(self_, port_,
-                  [this](const net::Message& msg) { on_message(msg); });
+                  [this](net::Message& msg) { on_message(msg); });
 }
 
 KvClient::~KvClient() { network_.unlisten(self_, port_); }
 
 void KvClient::request(net::Ipv4Addr server, std::uint16_t server_port,
-                       Json body, Callback cb) {
+                       ServeRequest request, Callback cb) {
   std::uint64_t id = next_id_++;
-  body.set("id", static_cast<unsigned long long>(id));
+  request.id = id;
   Pending& pending = pending_[id];
   pending.cb = std::move(cb);
   pending.timer.after(sim_, sim::Duration::seconds(10), [this, id]() {
@@ -386,46 +386,45 @@ void KvClient::request(net::Ipv4Addr server, std::uint16_t server_port,
   msg.src_port = port_;
   msg.dst_port = server_port;
   // put carries the value's bytes on the wire.
-  if (body.get_string("op") == "put") {
-    msg.padding_bytes = body.get_number("bytes");
-  }
-  msg.payload = std::move(body);
+  msg.padding_bytes = static_cast<double>(request.bytes.value_or(0));
+  msg.body = std::move(request);
   network_.send(std::move(msg));
 }
 
 void KvClient::put(net::Ipv4Addr server, const std::string& key,
                    std::uint64_t bytes, Callback cb,
                    std::uint16_t server_port) {
-  Json body = Json::object();
-  body.set("op", "put");
-  body.set("key", key);
-  body.set("bytes", static_cast<unsigned long long>(bytes));
-  request(server, server_port, std::move(body), std::move(cb));
+  ServeRequest request;
+  request.op = ServeOp::kPut;
+  request.key = key;
+  request.bytes = bytes;
+  this->request(server, server_port, std::move(request), std::move(cb));
 }
 
 void KvClient::get(net::Ipv4Addr server, const std::string& key, Callback cb,
                    std::uint16_t server_port) {
-  Json body = Json::object();
-  body.set("op", "get");
-  body.set("key", key);
-  request(server, server_port, std::move(body), std::move(cb));
+  ServeRequest request;
+  request.op = ServeOp::kGet;
+  request.key = key;
+  this->request(server, server_port, std::move(request), std::move(cb));
 }
 
 void KvClient::del(net::Ipv4Addr server, const std::string& key, Callback cb,
                    std::uint16_t server_port) {
-  Json body = Json::object();
-  body.set("op", "del");
-  body.set("key", key);
-  request(server, server_port, std::move(body), std::move(cb));
+  ServeRequest request;
+  request.op = ServeOp::kDel;
+  request.key = key;
+  this->request(server, server_port, std::move(request), std::move(cb));
 }
 
-void KvClient::on_message(const net::Message& msg) {
-  auto id = static_cast<std::uint64_t>(msg.payload.get_number("id"));
-  auto it = pending_.find(id);
+void KvClient::on_message(net::Message& msg) {
+  ServeReply* reply = msg.body.get<ServeReply>();
+  if (reply == nullptr) return;  // not a kvstore reply
+  auto it = pending_.find(reply->id);
   if (it == pending_.end()) return;
   Callback cb = std::move(it->second.cb);
   pending_.erase(it);  // cancels the timeout
-  cb(msg.payload);
+  cb(std::move(*reply));
 }
 
 }  // namespace picloud::apps

@@ -15,8 +15,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "apps/serving.h"
 #include "apps/upstream.h"
 #include "net/fabric.h"
 #include "net/network.h"
@@ -121,8 +124,7 @@ class HttpLoadGen {
   struct Pending {
     sim::SimTime first_sent_at;
     net::Ipv4Addr target;
-    std::string path;
-    double cost = 1.0;
+    std::optional<double> cost;  // absent: constant cost 1
     int attempts = 0;
     sim::Timer timer;  // the current attempt's timeout
   };
@@ -133,7 +135,7 @@ class HttpLoadGen {
   // Retries a failed attempt if attempts and retry budget allow, else
   // settles the request as timed out or failed.
   void attempt_failed(std::uint64_t id, bool timed_out);
-  void on_message(const net::Message& msg);
+  void on_message(net::Message& msg);
   bool pick_target(net::Ipv4Addr exclude, bool use_exclude,
                    net::Ipv4Addr* out);
   void record_failure(net::Ipv4Addr target);
@@ -200,14 +202,15 @@ class BackgroundTraffic {
   double bytes_offered_ = 0;
 };
 
-// Thin client for KvStoreApp (used by examples/tests).
+// Thin client for KvStoreApp (used by examples/tests). The callback gets
+// kvstore's reply, or a "timeout" error after 10 s.
 class KvClient {
  public:
   KvClient(net::Network& network, net::Ipv4Addr self,
            std::uint16_t client_port = 46379);
   ~KvClient();
 
-  using Callback = std::function<void(util::Result<util::Json>)>;
+  using Callback = std::function<void(util::Result<ServeReply>)>;
   void put(net::Ipv4Addr server, const std::string& key, std::uint64_t bytes,
            Callback cb, std::uint16_t server_port = 6379);
   void get(net::Ipv4Addr server, const std::string& key, Callback cb,
@@ -217,8 +220,8 @@ class KvClient {
 
  private:
   void request(net::Ipv4Addr server, std::uint16_t server_port,
-               util::Json body, Callback cb);
-  void on_message(const net::Message& msg);
+               ServeRequest request, Callback cb);
+  void on_message(net::Message& msg);
 
   net::Network& network_;
   sim::Simulation& sim_;

@@ -31,7 +31,7 @@ util::Json MapReduceWorkerApp::status() const {
 
 void MapReduceWorkerApp::on_message(const net::Message& msg) {
   if (container_ == nullptr) return;
-  const Json& request = msg.payload;
+  const Json& request = msg.body.json();
   std::string op = request.get_string("op");
   if (op == "map") {
     handle_map(request, msg.src, msg.src_port);
@@ -151,7 +151,7 @@ void MapReduceDriver::send(net::Ipv4Addr to, Json body) {
   msg.dst = to;
   msg.src_port = port_;
   msg.dst_port = kMapReducePort;
-  msg.payload = std::move(body);
+  msg.body = std::move(body);
   network_.send(std::move(msg));
 }
 
@@ -214,7 +214,7 @@ void MapReduceDriver::order_reduces(JobState& job) {
 }
 
 void MapReduceDriver::on_message(const net::Message& msg) {
-  const Json& body = msg.payload;
+  const Json& body = msg.body.json();
   std::string job_id = body.get_string("job");
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;

@@ -111,15 +111,15 @@ void GossipAgent::round() {
     msg.dst = candidates[i]->ip;
     msg.src_port = kGossipPort;
     msg.dst_port = kGossipPort;
-    msg.payload = payload;
+    msg.body = payload;
     network_.send(std::move(msg));
     ++messages_sent_;
   }
 }
 
 void GossipAgent::on_message(const net::Message& msg) {
-  if (msg.payload.get_string("type") != "gossip") return;
-  for (const Json& j : msg.payload.get("entries").as_array()) {
+  if (msg.body.json().get_string("type") != "gossip") return;
+  for (const Json& j : msg.body.json().get("entries").as_array()) {
     std::string hostname = j.get_string("h");
     if (hostname.empty() || hostname == self_hostname_) continue;
     auto version = static_cast<std::uint64_t>(j.get_number("v"));

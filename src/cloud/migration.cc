@@ -322,7 +322,9 @@ void MigrationCoordinator::commit(std::shared_ptr<Session> session) {
   auto shared_app =
       std::make_shared<std::unique_ptr<os::ContainerApp>>(std::move(app));
   std::string name = config.name;
-  sim_.after(darkness, [this, session, ip, name, shared_app]() {
+  blackouts_[name].after(sim_, darkness, [this, session, ip, name,
+                                          shared_app]() {
+    blackouts_.erase(name);
     NodeDaemon* dst = live_node(session->params.to);
     os::Container* target =
         dst != nullptr ? dst->node().find_container(name) : nullptr;

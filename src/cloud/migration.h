@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -129,6 +130,9 @@ class MigrationCoordinator {
   net::Fabric& fabric_;
   NodeAccessor accessor_;
   std::set<std::string> migrating_;  // instances currently moving
+  // Each committed instance's blackout, by name, until the destination
+  // restarts it; destroying the coordinator cancels them.
+  std::map<std::string, sim::Timer> blackouts_;
   size_t in_flight_ = 0;
   // Registry handles under `cloud.migration.*` (never null).
   util::Counter* started_ = nullptr;

@@ -48,6 +48,7 @@ void NodeDaemon::stop() {
   started_ = false;
   registered_ = false;
   heartbeat_task_.cancel();
+  register_retry_.cancel();
   server_.reset();
   client_.reset();
   dhcp_.reset();
@@ -59,6 +60,7 @@ void NodeDaemon::crash() {
   started_ = false;
   registered_ = false;
   heartbeat_task_.cancel();
+  register_retry_.cancel();
   server_.reset();
   client_.reset();
   dhcp_.reset();
@@ -95,9 +97,12 @@ void NodeDaemon::register_with_master() {
         if (!result.ok()) return;  // cancelled: the daemon is going down
         if (!result.value().ok()) {
           // Master answered but refused: retry after a beat.
-          node_.simulation().after(sim::Duration::seconds(2), [this]() {
-            if (started_ && !registered_) register_with_master();
-          });
+          register_retry_.after(node_.simulation(), sim::Duration::seconds(2),
+                                [this]() {
+                                  if (started_ && !registered_) {
+                                    register_with_master();
+                                  }
+                                });
           return;
         }
         registered_ = true;

@@ -133,6 +133,9 @@ class NodeDaemon {
   std::unique_ptr<proto::RestServer> server_;
   std::unique_ptr<proto::RestClient> client_;
   sim::Timer heartbeat_task_;
+  // The re-register after the master refused one; stop() and crash() cancel
+  // it, so it never runs on a later boot.
+  sim::Timer register_retry_;
   // Dedup cache for idempotent mutations (spawn/delete), under
   // `node.<hostname>.dedup.*`.
   proto::IdempotencyCache idem_;

@@ -1,0 +1,162 @@
+// Body — what a net::Message carries: a util::Json value, or a schema'd
+// struct (util/schema.h) held inline.
+//
+// The protocols that moved onto schemas (the REST envelope, the serving
+// tier) hand their struct across the fabric as is, so the receiver reads
+// members instead of looking up keys, and nothing is built, copied or
+// walked as a Json per message. The rest still carry a Json. Either way
+// the fabric charges wire_size(): the length of the JSON text the body
+// stands for, which for a struct is its schema's exact size.
+//
+// The struct sits in the body's own storage, so holding one allocates
+// nothing; a type that does not fit (kCapacity) does not compile. The body
+// knows its struct only through a table of functions made per type, so
+// this header names no module above net.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <new>
+#include <type_traits>
+#include <utility>
+
+#include "util/json.h"
+#include "util/schema.h"
+
+namespace picloud::net {
+
+template <typename T>
+concept BodyStruct = std::derived_from<T, util::JsonSchema<T>> &&
+                     std::is_nothrow_move_constructible_v<T>;
+
+class Body {
+ public:
+  // Room for the largest struct a message carries (the serving tier's
+  // request).
+  static constexpr size_t kCapacity = 128;
+
+  Body() { new (storage_) util::Json(); }
+  Body(util::Json json) {  // NOLINT(google-explicit-constructor)
+    new (storage_) util::Json(std::move(json));
+  }
+  template <BodyStruct T>
+  Body(T value) : ops_(&kOps<T>) {  // NOLINT(google-explicit-constructor)
+    static_assert(sizeof(T) <= kCapacity && alignof(T) <= kAlign,
+                  "a message struct must fit Body's inline storage");
+    new (storage_) T(std::move(value));
+  }
+
+  Body(const Body& other) : ops_(other.ops_) {
+    if (ops_ == nullptr) {
+      new (storage_) util::Json(other.json_ref());
+    } else {
+      ops_->copy(storage_, other.storage_);
+    }
+  }
+  // A moved-from body holds a null Json.
+  Body(Body&& other) noexcept { take(other); }
+  Body& operator=(const Body& other) {
+    if (this != &other) *this = Body(other);
+    return *this;
+  }
+  Body& operator=(Body&& other) noexcept {
+    if (this != &other) {
+      destroy();
+      take(other);
+    }
+    return *this;
+  }
+  ~Body() { destroy(); }
+
+  // The length of the JSON text this body stands for.
+  size_t wire_size() const {
+    return ops_ == nullptr ? json_ref().dump_size() : ops_->wire_size(storage_);
+  }
+
+  // The struct, or null when the body holds a Json or another struct.
+  template <BodyStruct T>
+  const T* get() const {
+    return ops_ == &kOps<T> ? std::launder(reinterpret_cast<const T*>(storage_))
+                            : nullptr;
+  }
+  template <BodyStruct T>
+  T* get() {
+    return ops_ == &kOps<T> ? std::launder(reinterpret_cast<T*>(storage_))
+                            : nullptr;
+  }
+
+  // The Json value the body holds; a null Json when it holds a struct.
+  const util::Json& json() const {
+    static const util::Json kNull;
+    return ops_ == nullptr ? json_ref() : kNull;
+  }
+
+  // The value the body stands for, built as a Json (tests and boundaries).
+  util::Json to_json() const {
+    return ops_ == nullptr ? json_ref() : ops_->to_json(storage_);
+  }
+
+ private:
+  static constexpr size_t kAlign = alignof(std::uint64_t);
+
+  struct Ops {
+    void (*copy)(void* to, const void* from);
+    // Move-constructs at `to` and ends the lifetime of `from`.
+    void (*move)(void* to, void* from) noexcept;
+    void (*destroy)(void* p) noexcept;
+    size_t (*wire_size)(const void* p);
+    util::Json (*to_json)(const void* p);
+  };
+
+  template <typename T>
+  static constexpr Ops kOps{
+      [](void* to, const void* from) {
+        new (to) T(*std::launder(static_cast<const T*>(from)));
+      },
+      [](void* to, void* from) noexcept {
+        T* src = std::launder(static_cast<T*>(from));
+        new (to) T(std::move(*src));
+        src->~T();
+      },
+      [](void* p) noexcept { std::launder(static_cast<T*>(p))->~T(); },
+      [](const void* p) {
+        return std::launder(static_cast<const T*>(p))->wire_size();
+      },
+      [](const void* p) {
+        return std::launder(static_cast<const T*>(p))->to_json();
+      },
+  };
+
+  util::Json& json_ref() {
+    return *std::launder(reinterpret_cast<util::Json*>(storage_));
+  }
+  const util::Json& json_ref() const {
+    return *std::launder(reinterpret_cast<const util::Json*>(storage_));
+  }
+  // Moves what `other` holds into storage_, which holds nothing, and leaves
+  // `other` holding a null Json.
+  void take(Body& other) noexcept {
+    ops_ = other.ops_;
+    if (ops_ == nullptr) {
+      new (storage_) util::Json(std::move(other.json_ref()));
+      return;
+    }
+    ops_->move(storage_, other.storage_);
+    other.ops_ = nullptr;
+    new (other.storage_) util::Json();
+  }
+  // Ends the held value's lifetime; the storage holds nothing afterwards.
+  void destroy() noexcept {
+    if (ops_ == nullptr) {
+      json_ref().~Json();
+    } else {
+      ops_->destroy(storage_);
+    }
+  }
+
+  // Null: storage_ holds a util::Json.
+  const Ops* ops_ = nullptr;
+  alignas(kAlign) unsigned char storage_[kCapacity];
+};
+
+}  // namespace picloud::net

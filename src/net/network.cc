@@ -89,16 +89,18 @@ void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(InFlight{std::move(msg), l2_node});
+    in_flight_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
-    in_flight_[slot] = InFlight{std::move(msg), l2_node};
   }
+  Parked& parked = in_flight_[slot].parked;
+  parked.msg = std::move(msg);
+  parked.l2_node = l2_node;
   FlowSpec spec;
   spec.src = src_node;
   spec.dst = dst_node;
-  spec.bytes = in_flight_[slot].msg.wire_bytes();
+  spec.bytes = parked.msg.wire_bytes();
   // The fabric fires this once, after the last byte, with the propagation
   // delay of the path it admitted the flow on.
   spec.on_complete = [this, slot](sim::Duration delay, bool success) {
@@ -107,19 +109,20 @@ void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
       unpark(slot);
       return;
     }
-    sim_.after(delay, [this, slot]() { arrive(slot); });
+    in_flight_[slot].delivery.after(sim_, delay,
+                                    [this, slot]() { arrive(slot); });
   };
   fabric_.start_flow(std::move(spec));
 }
 
-Network::InFlight Network::unpark(std::uint32_t slot) {
-  InFlight parked = std::move(in_flight_[slot]);
+Network::Parked Network::unpark(std::uint32_t slot) {
+  Parked parked = std::move(in_flight_[slot].parked);
   free_slots_.push_back(slot);
   return parked;
 }
 
 void Network::arrive(std::uint32_t slot) {
-  InFlight parked = unpark(slot);
+  Parked parked = unpark(slot);
   // Delivery schedule point (DESIGN.md §13): in a default run the hub is
   // empty and the message is handed to its listener right here, exactly
   // where it always was. Under a model-checking strategy the delivery is
@@ -145,8 +148,10 @@ void Network::arrive(std::uint32_t slot) {
   point.dst_ip = msg.dst.to_string();
   point.src_port = msg.src_port;
   point.dst_port = msg.dst_port;
+  // The closure keeps the message it parked and hands it to the listener
+  // to own, as a default run does.
   sim_.schedule_points().intercept(
-      std::move(point), [this, parked = std::move(parked)]() {
+      std::move(point), [this, parked = std::move(parked)]() mutable {
         deliver(parked.msg, parked.l2_node);
       });
 }
@@ -180,7 +185,7 @@ void Network::send_to_node(NetNodeId src_node, std::optional<NetNodeId> dst_node
   for (NetNodeId target : targets) transmit(src_node, target, msg, target);
 }
 
-void Network::deliver(const Message& msg, std::optional<NetNodeId> l2_node) {
+void Network::deliver(Message& msg, std::optional<NetNodeId> l2_node) {
   // Copy the handler: it may unlisten itself while running.
   Handler handler;
   if (l2_node) {

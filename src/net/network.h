@@ -22,9 +22,9 @@
 #include <vector>
 
 #include "net/addr.h"
+#include "net/body.h"
 #include "net/fabric.h"
 #include "sim/simulation.h"
-#include "util/json.h"
 
 namespace picloud::net {
 
@@ -33,10 +33,11 @@ struct Message {
   Ipv4Addr dst;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
-  // The body, handed to the receiver as a value. On the wire it is its JSON
-  // text, so the fabric charges payload.dump_size() bytes for it.
-  util::Json payload;
-  // Bulk body size carried on the wire but not materialised in the payload
+  // The body, handed to the receiver as a value: a Json or a schema'd
+  // struct (net/body.h). On the wire it is its JSON text, so the fabric
+  // charges body.wire_size() bytes for it.
+  Body body;
+  // Bulk body size carried on the wire but not materialised in the body
   // (MapReduce shuffle partitions, file chunks). The fabric charges it;
   // receivers read it as metadata.
   double padding_bytes = 0;
@@ -44,7 +45,7 @@ struct Message {
   // L2-L4 framing overhead charged to the fabric per message.
   static constexpr double kHeaderBytes = 64;
   double wire_bytes() const {
-    return kHeaderBytes + static_cast<double>(payload.dump_size()) +
+    return kHeaderBytes + static_cast<double>(body.wire_size()) +
            padding_bytes;
   }
 };
@@ -65,7 +66,9 @@ class Network {
   size_t ips_on_node(NetNodeId node) const;
 
   // --- Sockets ----------------------------------------------------------------
-  using Handler = std::function<void(const Message&)>;
+  // A handler owns the delivered message: it may move the body out. One
+  // that takes `const Message&` binds as well.
+  using Handler = std::function<void(Message&)>;
   // Registers a listener on (ip, port). Replaces any existing listener.
   void listen(Ipv4Addr ip, std::uint16_t port, Handler handler);
   void unlisten(Ipv4Addr ip, std::uint16_t port);
@@ -96,10 +99,16 @@ class Network {
 
  private:
   // A message between transmit() and its arrival.
-  struct InFlight {
+  struct Parked {
     Message msg;
     // For pre-IP traffic, the fabric node it is addressed to.
     std::optional<NetNodeId> l2_node;
+  };
+  struct InFlight {
+    Parked parked;
+    // The delivery event once the flow has landed; destroying the Network
+    // cancels it.
+    sim::Timer delivery;
   };
 
   // Parks `msg` in a slot and carries it from src_node to dst_node as one
@@ -109,13 +118,13 @@ class Network {
                 std::optional<NetNodeId> l2_node);
   // Moves the message out of `slot` and frees the slot, so a handler that
   // sends (and grows the slot table) never sees it.
-  InFlight unpark(std::uint32_t slot);
+  Parked unpark(std::uint32_t slot);
   // The delivery event: unparks the message and hands it to deliver(), or
   // to the schedule-point hub when a strategy is installed.
   void arrive(std::uint32_t slot);
   // Hands `msg` to the listener on its dst_port: the node listener of
   // `l2_node` when set, else the listener of its dst IP.
-  void deliver(const Message& msg, std::optional<NetNodeId> l2_node);
+  void deliver(Message& msg, std::optional<NetNodeId> l2_node);
 
   sim::Simulation& sim_;
   Fabric& fabric_;

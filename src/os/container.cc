@@ -125,7 +125,7 @@ void Container::free_memory(std::uint64_t bytes) {
 }
 
 bool Container::send(net::Ipv4Addr dst, std::uint16_t dst_port,
-                     util::Json payload, std::uint16_t src_port,
+                     net::Body body, std::uint16_t src_port,
                      double padding_bytes) {
   if (state_ != ContainerState::kRunning) return false;
   net::Message msg;
@@ -133,7 +133,7 @@ bool Container::send(net::Ipv4Addr dst, std::uint16_t dst_port,
   msg.dst = dst;
   msg.src_port = src_port;
   msg.dst_port = dst_port;
-  msg.payload = std::move(payload);
+  msg.body = std::move(body);
   msg.padding_bytes = padding_bytes;
   return node_.network().send(std::move(msg));
 }

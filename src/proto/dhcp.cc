@@ -79,12 +79,12 @@ void DhcpServer::send_to_client(net::NetNodeId client_node, Json payload) {
   msg.src = ip_;
   msg.src_port = kDhcpServerPort;
   msg.dst_port = kDhcpClientPort;
-  msg.payload = std::move(payload);
+  msg.body = std::move(payload);
   network_.send_to_node(node_, client_node, std::move(msg));
 }
 
 void DhcpServer::on_message(const net::Message& msg) {
-  const Json& j = msg.payload;
+  const Json& j = msg.body.json();
   std::string type = j.get_string("type");
   std::string mac = j.get_string("mac");
   std::string hostname = j.get_string("hostname");
@@ -225,7 +225,7 @@ void DhcpClient::send_discover() {
   msg.src = net::Ipv4Addr::any();
   msg.src_port = kDhcpClientPort;
   msg.dst_port = kDhcpServerPort;
-  msg.payload = std::move(discover);
+  msg.body = std::move(discover);
   network_.send_to_node(node_, std::nullopt, std::move(msg));
   arm_retry();
 }
@@ -242,7 +242,7 @@ void DhcpClient::send_request() {
   msg.src = net::Ipv4Addr::any();
   msg.src_port = kDhcpClientPort;
   msg.dst_port = kDhcpServerPort;
-  msg.payload = std::move(request);
+  msg.body = std::move(request);
   network_.send_to_node(node_, server_node_, std::move(msg));
   arm_retry();
 }
@@ -258,7 +258,7 @@ void DhcpClient::arm_retry() {
 }
 
 void DhcpClient::on_message(const net::Message& msg) {
-  const Json& j = msg.payload;
+  const Json& j = msg.body.json();
   std::string type = j.get_string("type");
 
   if (type == "offer" && state_ == State::kSelecting) {

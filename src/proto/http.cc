@@ -5,63 +5,8 @@
 namespace picloud::proto {
 
 const char* method_name(Method m) {
-  switch (m) {
-    case Method::kGet: return "GET";
-    case Method::kPost: return "POST";
-    case Method::kPut: return "PUT";
-    case Method::kDelete: return "DELETE";
-  }
-  return "?";
-}
-
-std::optional<Method> parse_method(const std::string& name) {
-  if (name == "GET") return Method::kGet;
-  if (name == "POST") return Method::kPost;
-  if (name == "PUT") return Method::kPut;
-  if (name == "DELETE") return Method::kDelete;
-  return std::nullopt;
-}
-
-util::Json HttpRequest::to_json() && {
-  util::Json j = util::Json::object();
-  j.set("m", method_name(method));
-  j.set("p", std::move(path));
-  if (!body.is_null()) j.set("b", std::move(body));
-  j.set("i", static_cast<unsigned long long>(id));
-  return j;
-}
-
-util::Result<HttpRequest> HttpRequest::from_json(const util::Json& wire) {
-  auto method = parse_method(wire.get_string("m"));
-  if (!method) return util::Error::make("bad_request", "unknown method");
-  HttpRequest req;
-  req.method = *method;
-  req.path = wire.get_string("p");
-  req.body = wire.get("b");
-  req.id = static_cast<std::uint64_t>(wire.get_number("i"));
-  if (req.path.empty() || req.path[0] != '/') {
-    return util::Error::make("bad_request", "path must start with /");
-  }
-  return req;
-}
-
-util::Json HttpResponse::to_json() && {
-  util::Json j = util::Json::object();
-  j.set("s", status);
-  if (!body.is_null()) j.set("b", std::move(body));
-  j.set("i", static_cast<unsigned long long>(id));
-  return j;
-}
-
-util::Result<HttpResponse> HttpResponse::from_json(const util::Json& wire) {
-  HttpResponse resp;
-  resp.status = static_cast<int>(wire.get_number("s", 0));
-  if (resp.status < 100 || resp.status > 599) {
-    return util::Error::make("bad_response", "invalid status code");
-  }
-  resp.body = wire.get("b");
-  resp.id = static_cast<std::uint64_t>(wire.get_number("i"));
-  return resp;
+  // The names are literals, so each view is NUL-terminated.
+  return json_names(m)[static_cast<size_t>(m)].data();
 }
 
 HttpResponse HttpResponse::make(int status, util::Json body) {

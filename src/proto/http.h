@@ -2,54 +2,71 @@
 //
 // The paper's management plane is RESTful (§II-C: "controls workloads
 // running on the Pi devices using RESTful interfaces"), so the model carries
-// real method/path/status semantics. Requests and responses travel as a
-// JSON envelope value (the fabric charges its encoded size).
+// real method/path/status semantics. Requests and responses travel as
+// schema'd envelopes (util/schema.h): the message carries the struct, and
+// the fabric charges the size of its JSON text.
 //
 // Router supports literal segments and ":param" captures:
 //   router.handle(Method::kPost, "/containers/:name/freeze", handler);
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "util/intern.h"
 #include "util/json.h"
 #include "util/result.h"
+#include "util/schema.h"
 
 namespace picloud::proto {
 
-enum class Method { kGet, kPost, kPut, kDelete };
+enum class Method : std::uint8_t { kGet, kPost, kPut, kDelete };
 
+constexpr std::array<std::string_view, 4> json_names(Method) {
+  return {"GET", "POST", "PUT", "DELETE"};
+}
 const char* method_name(Method m);
-std::optional<Method> parse_method(const std::string& name);
 
-struct HttpRequest {
+// The request envelope {"b"?, "i", "m", "p"}; "b" only when the body is not
+// null.
+struct HttpRequest : util::JsonSchema<HttpRequest> {
   Method method = Method::kGet;
   std::string path;        // "/nodes/pi-r0-03/containers"
   util::Json body;         // JSON payload (null for body-less requests)
   std::uint64_t id = 0;    // correlation id, set by the client
 
-  // The envelope {"m", "p", "b", "i"}; the path and body move into it.
-  util::Json to_json() &&;
-  // Rejects an unknown method and a path that does not start with '/'.
-  static util::Result<HttpRequest> from_json(const util::Json& wire);
+  // A server answers a request whose path does not start with '/' with 400.
+  bool valid_path() const { return !path.empty() && path[0] == '/'; }
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("b", &HttpRequest::body),
+                      util::field("i", &HttpRequest::id),
+                      util::field("m", &HttpRequest::method),
+                      util::field("p", &HttpRequest::path)};
+  }
 };
 
-struct HttpResponse {
+// The response envelope {"b"?, "i", "s"}.
+struct HttpResponse : util::JsonSchema<HttpResponse> {
   int status = 200;
   util::Json body;
   std::uint64_t id = 0;  // echoes the request id
 
   bool ok() const { return status >= 200 && status < 300; }
-  // The envelope {"s", "b", "i"}; the body moves into it.
-  util::Json to_json() &&;
-  // Rejects a status outside 100-599.
-  static util::Result<HttpResponse> from_json(const util::Json& wire);
+  // A client drops a response whose status is outside 100-599.
+  bool valid_status() const { return status >= 100 && status <= 599; }
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("b", &HttpResponse::body),
+                      util::field("i", &HttpResponse::id),
+                      util::field("s", &HttpResponse::status)};
+  }
 
   static HttpResponse make(int status, util::Json body = util::Json());
   // Convenience bodies: {"error": code, "message": ...}.

@@ -91,8 +91,7 @@ RestServer::~RestServer() { stop(); }
 void RestServer::start() {
   if (serving_) return;
   serving_ = true;
-  network_.listen(ip_, port_,
-                  [this](const net::Message& msg) { on_message(msg); });
+  network_.listen(ip_, port_, [this](net::Message& msg) { on_message(msg); });
 }
 
 void RestServer::stop() {
@@ -101,7 +100,7 @@ void RestServer::stop() {
   network_.unlisten(ip_, port_);
 }
 
-void RestServer::on_message(const net::Message& msg) {
+void RestServer::on_message(net::Message& msg) {
   requests_counter_->inc();
   net::Ipv4Addr reply_to = msg.src;
   std::uint16_t reply_port = msg.src_port;
@@ -118,15 +117,20 @@ void RestServer::on_message(const net::Message& msg) {
     reply.dst = reply_to;
     reply.src_port = self_port;
     reply.dst_port = reply_port;
-    reply.payload = std::move(response).to_json();
+    reply.body = std::move(response);
     network.send(std::move(reply));
   };
-  auto request = HttpRequest::from_json(msg.payload);
-  if (!request.ok()) {
-    send_reply(HttpResponse::bad_request(request.error().message));
+  // The router reads the delivered request in place.
+  const HttpRequest* request = msg.body.get<HttpRequest>();
+  if (request == nullptr) {
+    send_reply(HttpResponse::bad_request("not a request envelope"));
     return;
   }
-  router_->dispatch_async(request.value(), std::move(send_reply));
+  if (!request->valid_path()) {
+    send_reply(HttpResponse::bad_request("path must start with /"));
+    return;
+  }
+  router_->dispatch_async(*request, std::move(send_reply));
 }
 
 RestClient::RestClient(net::Network& network, net::Ipv4Addr self,
@@ -147,7 +151,7 @@ RestClient::RestClient(net::Network& network, net::Ipv4Addr self,
   exhausted_ = &m.counter(metrics_prefix + ".exhausted");
   deadline_exceeded_ = &m.counter(metrics_prefix + ".deadline_exceeded");
   network_.listen(self_, port_,
-                  [this](const net::Message& msg) { on_message(msg); });
+                  [this](net::Message& msg) { on_message(msg); });
 }
 
 RestClient::~RestClient() {
@@ -214,7 +218,7 @@ void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
   msg.dst = server;
   msg.src_port = port_;
   msg.dst_port = port;
-  msg.payload = std::move(request).to_json();
+  msg.body = std::move(request);
   network_.send(std::move(msg));
   // Drops are handled by the timeout: a datagram network, reliability here.
 }
@@ -314,14 +318,15 @@ void RestClient::retry_done(std::uint64_t retry_id,
   if (cb) cb(std::move(result));
 }
 
-void RestClient::on_message(const net::Message& msg) {
-  auto response = HttpResponse::from_json(msg.payload);
-  if (!response.ok()) {
+void RestClient::on_message(net::Message& msg) {
+  HttpResponse* response = msg.body.get<HttpResponse>();
+  if (response == nullptr || !response->valid_status()) {
     LOG_WARN("rest", "invalid response at %s", self_.to_string().c_str());
     return;
   }
-  const std::uint64_t id = response.value().id;
-  finish(id, std::move(response));
+  // The callback takes the delivered response, body and all.
+  const std::uint64_t id = response->id;
+  finish(id, std::move(*response));
 }
 
 void RestClient::finish(std::uint64_t id, util::Result<HttpResponse> result) {

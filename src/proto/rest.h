@@ -169,7 +169,7 @@ class RestServer {
   std::uint16_t port() const { return port_; }
 
  private:
-  void on_message(const net::Message& msg);
+  void on_message(net::Message& msg);
 
   net::Network& network_;
   net::Ipv4Addr ip_;
@@ -256,7 +256,7 @@ class RestClient {
     sim::Timer backoff_timer;  // armed while waiting to retry
   };
 
-  void on_message(const net::Message& msg);
+  void on_message(net::Message& msg);
   void finish(std::uint64_t id, util::Result<HttpResponse> result);
   void retry_attempt(std::uint64_t retry_id);
   void retry_done(std::uint64_t retry_id, util::Result<HttpResponse> result);

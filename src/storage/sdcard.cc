@@ -52,11 +52,11 @@ void SdCard::service_next() {
   } else {
     bytes_read_ += static_cast<double>(req.bytes);
   }
-  sim_.after(sim::Duration::seconds(seconds),
-             [this, cb = std::move(req.on_done)]() {
-               if (cb) cb();
-               service_next();
-             });
+  io_timer_.after(sim_, sim::Duration::seconds(seconds),
+                  [this, cb = std::move(req.on_done)]() {
+                    if (cb) cb();
+                    service_next();
+                  });
 }
 
 }  // namespace picloud::storage

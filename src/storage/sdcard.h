@@ -54,6 +54,8 @@ class SdCard {
   double write_bps_;  // bytes/sec
   std::deque<IoRequest> queue_;
   bool busy_ = false;
+  // The in-service request's completion; destroying the card cancels it.
+  sim::Timer io_timer_;
   double bytes_read_ = 0;
   double bytes_written_ = 0;
 };

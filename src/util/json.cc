@@ -307,6 +307,19 @@ size_t Json::dump_size() const {
   return sink.bytes;
 }
 
+size_t Json::number_size(double d) {
+  if (!std::isfinite(d)) return 4;  // null, as Json(double) stores it
+  SizeSink sink;
+  encode_number(d, sink);
+  return sink.bytes;
+}
+
+size_t Json::string_size(std::string_view s) {
+  SizeSink sink;
+  encode_string(s, sink);
+  return sink.bytes;
+}
+
 // ---------------------------------------------------------------------------
 // Parser — recursive descent over a string_view with position tracking.
 

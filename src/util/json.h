@@ -170,6 +170,10 @@ class Json {
   std::string dump() const;
   std::string pretty() const;
   size_t dump_size() const;
+  // Json(d).dump_size() and Json(s).dump_size(), from the same encoder and
+  // without building a value: NaN and +-inf size as null, -0 as 0.
+  static size_t number_size(double d);
+  static size_t string_size(std::string_view s);
 
   // Parsing. Accepts strict JSON (RFC 8259 numbers: no '+', leading zeros,
   // or bare '.'); returns parse errors with position info.

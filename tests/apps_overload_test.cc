@@ -227,11 +227,11 @@ TEST(KvStoreOverload, BoundedQueueShedsInsteadOfCollapsing) {
   int ok = 0, shed = 0;
   for (int i = 0; i < 300; ++i) {
     client.put(ip, util::format("k%d", i), 1024,
-               [&](util::Result<util::Json> r) {
+               [&](util::Result<ServeReply> r) {
                  if (!r.ok()) return;
-                 if (r.value().get_bool("ok")) {
+                 if (r.value().ok.value_or(false)) {
                    ++ok;
-                 } else if (r.value().get_string("shed", "") == "admission") {
+                 } else if (r.value().shed == ShedCause::kAdmission) {
                    ++shed;
                  }
                });
@@ -263,15 +263,15 @@ TEST(KvStoreOverload, BrownoutServesMetadataOnly) {
   KvClient client(w.network, w.client_ip);
   bool stored = false;
   client.put(ip, "hot", 1 << 20,
-             [&](util::Result<util::Json> r) { stored = r.ok(); });
+             [&](util::Result<ServeReply> r) { stored = r.ok(); });
   w.sim.run();
   ASSERT_TRUE(stored);
 
   int full_reads = 0, brownout_reads = 0;
   for (int i = 0; i < 40; ++i) {
-    client.get(ip, "hot", [&](util::Result<util::Json> r) {
-      if (!r.ok() || !r.value().get_bool("ok")) return;
-      if (r.value().get_bool("brownout", false)) {
+    client.get(ip, "hot", [&](util::Result<ServeReply> r) {
+      if (!r.ok() || !r.value().ok.value_or(false)) return;
+      if (r.value().brownout.value_or(false)) {
         ++brownout_reads;
       } else {
         ++full_reads;
@@ -335,9 +335,10 @@ TEST(StoppedServer, HttpdRefusesItsBacklog) {
     msg.dst = ip;
     msg.src_port = 40000;
     msg.dst_port = hp.port;
-    msg.payload = util::Json::object();
-    msg.payload.set("id", i);
-    msg.payload.set("path", "/");
+    ServeRequest request;
+    request.id = static_cast<std::uint64_t>(i);
+    request.path = "/";
+    msg.body = std::move(request);
     w.network.send(std::move(msg));
   }
   stop_with_backlog(
@@ -358,7 +359,7 @@ TEST(StoppedServer, KvStoreRefusesItsBacklog) {
   KvClient client(w.network, w.client_ip);
   for (int i = 0; i < 20; ++i) {
     client.put(ip, util::format("k%d", i), 1024,
-               [](util::Result<util::Json>) {});
+               [](util::Result<ServeReply>) {});
   }
   stop_with_backlog(
       w, *container, app->admission(),

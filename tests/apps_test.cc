@@ -105,15 +105,15 @@ TEST(Kvstore, PutGetDelWithMemoryCharging) {
   auto ip = w.launch(0, "db", std::make_unique<KvStoreApp>());
   KvClient client(w.network, w.client_ip);
   bool put_ok = false, get_ok = false, del_ok = false, gone = false;
-  client.put(ip, "k1", 1 << 20, [&](util::Result<util::Json> r) {
-    put_ok = r.ok() && r.value().get_bool("ok");
-    client.get(ip, "k1", [&](util::Result<util::Json> r2) {
-      get_ok = r2.ok() && r2.value().get_bool("ok") &&
-               r2.value().get_number("bytes") == double(1 << 20);
-      client.del(ip, "k1", [&](util::Result<util::Json> r3) {
-        del_ok = r3.ok() && r3.value().get_bool("ok");
-        client.get(ip, "k1", [&](util::Result<util::Json> r4) {
-          gone = r4.ok() && !r4.value().get_bool("ok");
+  client.put(ip, "k1", 1 << 20, [&](util::Result<ServeReply> r) {
+    put_ok = r.ok() && r.value().ok.value_or(false);
+    client.get(ip, "k1", [&](util::Result<ServeReply> r2) {
+      get_ok = r2.ok() && r2.value().ok.value_or(false) &&
+               r2.value().bytes == std::uint64_t{1} << 20;
+      client.del(ip, "k1", [&](util::Result<ServeReply> r3) {
+        del_ok = r3.ok() && r3.value().ok.value_or(false);
+        client.get(ip, "k1", [&](util::Result<ServeReply> r4) {
+          gone = r4.ok() && !r4.value().ok.value_or(false);
         });
       });
     });
@@ -134,9 +134,9 @@ TEST(Kvstore, CgroupLimitRejectsOversizedDataset) {
   std::function<void(int)> put_next = [&](int i) {
     if (i >= 10) return;
     client.put(ip, "k" + std::to_string(i), 8ull << 20,
-               [&, i](util::Result<util::Json> r) {
+               [&, i](util::Result<ServeReply> r) {
                  ASSERT_TRUE(r.ok());
-                 if (r.value().get_bool("ok")) {
+                 if (r.value().ok.value_or(false)) {
                    ++accepted;
                  } else {
                    ++rejected;
@@ -161,7 +161,7 @@ TEST(Kvstore, StateSurvivesStopStart) {
   AppWorld w;
   auto ip = w.launch(0, "db", std::make_unique<KvStoreApp>());
   KvClient client(w.network, w.client_ip);
-  client.put(ip, "persistent", 4096, [](util::Result<util::Json>) {});
+  client.put(ip, "persistent", 4096, [](util::Result<ServeReply>) {});
   w.sim.run();
   os::Container* c = w.nodes[0]->find_container("db");
   auto* app = dynamic_cast<KvStoreApp*>(c->app());
@@ -169,8 +169,8 @@ TEST(Kvstore, StateSurvivesStopStart) {
   EXPECT_EQ(app->key_count(), 1u);  // dataset retained across stop
   ASSERT_TRUE(c->start(ip).ok());
   bool got = false;
-  client.get(ip, "persistent", [&](util::Result<util::Json> r) {
-    got = r.ok() && r.value().get_bool("ok");
+  client.get(ip, "persistent", [&](util::Result<ServeReply> r) {
+    got = r.ok() && r.value().ok.value_or(false);
   });
   w.sim.run();
   EXPECT_TRUE(got);
@@ -265,21 +265,21 @@ TEST(MapReduce, MapSkipsReducerEntriesThatAreNotStrings) {
       w.launch(0, "mr", std::make_unique<MapReduceWorkerApp>());
   int map_done = 0;
   w.network.listen(w.client_ip, 9000, [&](const net::Message& msg) {
-    if (msg.payload.get_string("op") == "map_done") ++map_done;
+    if (msg.body.json().get_string("op") == "map_done") ++map_done;
   });
   net::Message msg;
   msg.src = w.client_ip;
   msg.dst = worker;
   msg.src_port = 9000;
   msg.dst_port = kMapReducePort;
-  msg.payload = util::Json::object()
-                    .set("op", "map")
-                    .set("job", "j")
-                    .set("task", 0)
-                    .set("id", 0)
-                    .set("bytes", 1024)
-                    .set("reducers", util::Json::array().push_back(7).push_back(
-                                         worker.to_string()));
+  msg.body = util::Json::object()
+                 .set("op", "map")
+                 .set("job", "j")
+                 .set("task", 0)
+                 .set("id", 0)
+                 .set("bytes", 1024)
+                 .set("reducers", util::Json::array().push_back(7).push_back(
+                                      worker.to_string()));
   ASSERT_TRUE(w.network.send(std::move(msg)));
   w.sim.run();
   EXPECT_EQ(map_done, 1);
@@ -331,7 +331,7 @@ TEST(OwnerLifetime, KvClientDestroyedWithARequestPending) {
   const net::Ipv4Addr silent = silent_address(w);
   int callbacks = 0;
   auto client = std::make_unique<KvClient>(w.network, w.client_ip);
-  client->get(silent, "k", [&](util::Result<util::Json>) { ++callbacks; });
+  client->get(silent, "k", [&](util::Result<ServeReply>) { ++callbacks; });
   w.sim.run_for(sim::Duration::seconds(1));
   client.reset();
   expect_no_event_left(w.sim, sim::Duration::seconds(10));

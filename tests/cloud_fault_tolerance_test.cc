@@ -7,6 +7,11 @@
 #include "apps/loadgen.h"
 #include "cloud/cloud.h"
 #include "cloud/replicaset.h"
+#include "hw/device.h"
+#include "net/topology.h"
+#include "os/node_os.h"
+#include "proto/dhcp.h"
+#include "proto/rest.h"
 #include "util/strings.h"
 
 namespace picloud {
@@ -40,8 +45,8 @@ class FaultCloud : public ::testing::Test {
     int stored = 0;
     for (int i = 0; i < mb; ++i) {
       kv.put(record.value().ip, util::format("k%d", i), 1 << 20,
-             [&](util::Result<Json> r) {
-               if (r.ok() && r.value().get_bool("ok")) ++stored;
+             [&](util::Result<apps::ServeReply> r) {
+               if (r.ok() && r.value().ok.value_or(false)) ++stored;
              });
     }
     cloud_->run_until(sim::Duration::seconds(60),
@@ -131,6 +136,34 @@ TEST_F(FaultCloud, SourceCrashMidPreCopyAborts) {
   EXPECT_FALSE(cloud_->master().instance("db").ok());
 }
 
+// The coordinator owns a committed migration's blackout: destroying it
+// while the destination waits out the address update cancels the restart
+// instead of leaving it to fire into the freed coordinator.
+TEST_F(FaultCloud, CoordinatorDestroyedDuringTheBlackoutCancelsIt) {
+  spawn_loaded_kv("db", "pi-r0-00", 2);
+  auto coordinator = std::make_unique<cloud::MigrationCoordinator>(
+      *sim_, cloud_->fabric(), [this](const std::string& hostname) {
+        return cloud_->daemon_by_hostname(hostname);
+      });
+  bool done = false;
+  coordinator->migrate(
+      {.instance = "db", .from = "pi-r0-00", .to = "pi-r1-00",
+       .address_update = cloud::AddressUpdateMode::kArpConvergence},
+      [&done](const cloud::MigrationReport&) { done = true; });
+  // Step to the commit: the source container is destroyed and the
+  // destination is dark for the address update.
+  os::NodeOs& source = cloud_->daemon_by_hostname("pi-r0-00")->node();
+  const sim::SimTime give_up = sim_->now() + sim::Duration::seconds(120);
+  while (source.find_container("db") != nullptr && sim_->now() < give_up) {
+    sim_->step();
+  }
+  ASSERT_EQ(source.find_container("db"), nullptr);
+  ASSERT_FALSE(done);
+  coordinator.reset();
+  cloud_->run_for(sim::Duration::seconds(5));
+  EXPECT_FALSE(done);
+}
+
 TEST_F(FaultCloud, DestinationCrashMidPreCopyRollsBackToSource) {
   spawn_loaded_kv("db", "pi-r0-00", 20);
   warm_image_cache("pi-r1-00");
@@ -168,6 +201,58 @@ TEST_F(FaultCloud, DestinationCrashMidPreCopyRollsBackToSource) {
 // source (rollback), runs on the destination (crash landed after commit
 // completed... impossible here since the destination died for good), or the
 // record is "lost" — and never is a container duplicated or leaked.
+// A registration the master refused is retried 2 s later by a timer that
+// crash() cancels: a node that crashes and reboots inside that window sends
+// one registration per boot, and the old boot's retry never runs on the new
+// one. Here the new boot's DHCP bind comes after the window, so a stale
+// retry would call the master with no REST client yet.
+TEST(NodeRegistration, RefusedRetryDoesNotOutliveACrash) {
+  sim::Simulation sim(5);
+  net::Fabric fabric(sim);
+  net::Network network(sim, fabric);
+  const net::Topology topo = net::build_single_rack(fabric, 2);
+  const net::Ipv4Addr master_ip(10, 0, 0, 2);
+  network.bind_ip(master_ip, topo.gateway);
+  proto::DhcpServerConfig dhcp_config;
+  dhcp_config.subnet = net::Subnet(net::Ipv4Addr(10, 0, 0, 0), 16);
+  dhcp_config.range_start = net::Ipv4Addr(10, 0, 1, 1);
+  dhcp_config.range_end = net::Ipv4Addr(10, 0, 1, 100);
+  proto::DhcpServer dhcp(network, topo.gateway, master_ip, dhcp_config);
+  dhcp.start();
+  // A master that refuses the first registration and accepts the rest.
+  int registrations = 0;
+  proto::Router router;
+  router.handle(proto::Method::kPost, "/register",
+                [&registrations](const proto::HttpRequest&,
+                                 const proto::PathParams&) {
+                  return ++registrations == 1
+                             ? proto::HttpResponse::service_unavailable("busy")
+                             : proto::HttpResponse::make(200);
+                });
+  proto::RestServer master(network, master_ip, cloud::kPiMasterPort, &router);
+  master.start();
+
+  hw::Device device(0, "pi-r0-00", hw::pi_model_b());
+  os::NodeOs node(sim, device, network, topo.hosts[0]);
+  cloud::NodeDaemon daemon(node, {.pimaster_ip = master_ip, .rack = 0});
+  daemon.start();
+  const sim::SimTime give_up = sim.now() + sim::Duration::seconds(30);
+  while (registrations == 0 && sim.now() < give_up) sim.step();
+  sim.run_for(sim::Duration::millis(100));  // the refusal reaches the node
+  ASSERT_EQ(registrations, 1);
+  ASSERT_FALSE(daemon.registered());
+
+  dhcp.stop();
+  daemon.crash();
+  daemon.start();  // reboots inside the 2 s retry window
+  sim.run_for(sim::Duration::seconds(3));
+  EXPECT_EQ(registrations, 1);
+  dhcp.start();
+  sim.run_for(sim::Duration::seconds(30));
+  EXPECT_TRUE(daemon.registered());
+  EXPECT_EQ(registrations, 2);  // the refused one, then the new boot's
+}
+
 TEST(FaultSweep, DestinationCrashAnywhereNeverDuplicatesOrLeaks) {
   const double offsets_s[] = {0.5, 2.0, 4.0, 6.0, 8.0, 12.0};
   bool saw_abort = false;
@@ -192,8 +277,8 @@ TEST(FaultSweep, DestinationCrashAnywhereNeverDuplicatesOrLeaks) {
     int stored = 0;
     for (int i = 0; i < 20; ++i) {
       kv.put(db.value().ip, util::format("k%d", i), 1 << 20,
-             [&](util::Result<Json> r) {
-               if (r.ok() && r.value().get_bool("ok")) ++stored;
+             [&](util::Result<apps::ServeReply> r) {
+               if (r.ok() && r.value().ok.value_or(false)) ++stored;
              });
     }
     cloud.run_until(sim::Duration::seconds(60), [&]() { return stored == 20; });

@@ -268,8 +268,8 @@ TEST_F(SmallCloud, MigrationPreservesKvState) {
   int stored = 0;
   for (int i = 0; i < 10; ++i) {
     kv.put(db.value().ip, util::format("k%d", i), 1 << 20,
-           [&](util::Result<Json> r) {
-             if (r.ok() && r.value().get_bool("ok")) ++stored;
+           [&](util::Result<apps::ServeReply> r) {
+             if (r.ok() && r.value().ok.value_or(false)) ++stored;
            });
   }
   cloud_->run_until(sim::Duration::seconds(30), [&]() { return stored == 10; });
@@ -282,8 +282,8 @@ TEST_F(SmallCloud, MigrationPreservesKvState) {
   int found = 0;
   for (int i = 0; i < 10; ++i) {
     kv.get(db.value().ip, util::format("k%d", i),
-           [&](util::Result<Json> r) {
-             if (r.ok() && r.value().get_bool("ok")) ++found;
+           [&](util::Result<apps::ServeReply> r) {
+             if (r.ok() && r.value().ok.value_or(false)) ++found;
            });
   }
   cloud_->run_until(sim::Duration::seconds(30), [&]() { return found == 10; });
@@ -303,8 +303,8 @@ TEST_F(SmallCloud, ConcurrentDoubleMigrationRefused) {
   int stored = 0;
   for (int i = 0; i < 40; ++i) {
     kv.put(db.value().ip, util::format("k%d", i), 1 << 20,
-           [&](util::Result<Json> r) {
-             if (r.ok() && r.value().get_bool("ok")) ++stored;
+           [&](util::Result<apps::ServeReply> r) {
+             if (r.ok() && r.value().ok.value_or(false)) ++stored;
            });
   }
   cloud_->run_until(sim::Duration::seconds(60), [&]() { return stored == 40; });

@@ -2,16 +2,20 @@
 // fabric recycles flow records and routes into their path vectors, the SDN
 // controller walks its installed rules into that path, and Network parks the
 // message in a recycled slot, so the fabric callback and the delivery event
-// fit inline. The global operator new below counts every allocation in this
-// binary, so this test lives in a binary of its own.
+// fit inline. A typed body (net/body.h) sits inside the message, so moving
+// it through the slots allocates nothing either. The global operator new
+// below counts every allocation in this binary, so this test lives in a
+// binary of its own.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
+#include "apps/serving.h"
 #include "net/addr.h"
 #include "net/fabric.h"
 #include "net/network.h"
@@ -39,7 +43,11 @@ void* operator new(std::size_t size) {
 namespace picloud::net {
 namespace {
 
-TEST(NetAllocations, SteadyStateMessagesAllocateNothing) {
+// Sends batches of messages whose bodies `body(i)` builds, every other host
+// sending four to host 0 at one instant (so the flows share host 0's
+// downlink and the solver re-solves components), and returns how many
+// allocations the last batch made once warm.
+std::size_t steady_state_allocations(const std::function<Body(int)>& body) {
   sim::Simulation sim;
   Fabric fabric(sim);
   MultiRootTreeConfig cfg;
@@ -57,10 +65,8 @@ TEST(NetAllocations, SteadyStateMessagesAllocateNothing) {
   std::size_t delivered = 0;
   network.listen(ips[0], 80, [&delivered](const Message&) { ++delivered; });
 
-  // Every other host sends four messages to host 0, all at one instant, so
-  // the flows share host 0's downlink and the solver re-solves components.
   constexpr int kPerSender = 4;
-  auto build_batch = [&ips]() {
+  auto build_batch = [&ips, &body]() {
     std::vector<Message> batch;
     for (size_t h = 1; h < ips.size(); ++h) {
       for (int i = 0; i < kPerSender; ++i) {
@@ -69,7 +75,7 @@ TEST(NetAllocations, SteadyStateMessagesAllocateNothing) {
         msg.dst = ips[0];
         msg.src_port = 4000;
         msg.dst_port = 80;
-        msg.payload = util::Json(util::JsonObject{{"i", i}, {"m", "GET"}});
+        msg.body = body(i);
         batch.push_back(std::move(msg));
       }
     }
@@ -81,7 +87,10 @@ TEST(NetAllocations, SteadyStateMessagesAllocateNothing) {
   };
 
   // Warm-up: installs the SDN rules and grows every pool to its high water.
-  for (int warm = 0; warm < 3; ++warm) {
+  // Bodies of mixed sizes reorder completions, so a recycled flow record can
+  // meet a longer route than any it carried in the first batches; by the
+  // fourth, every record's path has grown to the longest it will carry.
+  for (int warm = 0; warm < 4; ++warm) {
     std::vector<Message> batch = build_batch();
     send_batch(batch);
   }
@@ -93,10 +102,38 @@ TEST(NetAllocations, SteadyStateMessagesAllocateNothing) {
   send_batch(batch);
   const std::size_t allocations = g_allocations - before;
 
-  EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(delivered - delivered_before, batch.size());
   EXPECT_EQ(batch.size(), 28u);
   EXPECT_GT(fabric.solver_stats().component_solves, solves_before);
+  return allocations;
+}
+
+TEST(NetAllocations, SteadyStateMessagesAllocateNothing) {
+  EXPECT_EQ(steady_state_allocations([](int i) {
+              return Body(util::Json(util::JsonObject{{"i", i}, {"m", "GET"}}));
+            }),
+            0u);
+}
+
+// The serving tier's bodies: the load generator's request (with a Pareto
+// cost) and httpd's reply, with short strings held in place.
+TEST(NetAllocations, SteadyStateTypedServingBodiesAllocateNothing) {
+  EXPECT_EQ(steady_state_allocations([](int i) {
+              if (i % 2 == 0) {
+                apps::ServeRequest request;
+                request.id = static_cast<std::uint64_t>(i);
+                request.path = "/index.html";
+                request.cost = 1.7;
+                return Body(std::move(request));
+              }
+              apps::ServeReply reply;
+              reply.id = static_cast<std::uint64_t>(i);
+              reply.status = 200;
+              reply.path = "/index.html";
+              reply.brownout = true;
+              return Body(std::move(reply));
+            }),
+            0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // node-level pre-IP messaging, drop semantics.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/addr.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -47,6 +49,34 @@ struct MessageWorld {
   MessageWorld() { topo = build_single_rack(fabric, 4); }
 };
 
+// The network owns each delivery still in flight: destroying it after a
+// message's flow has landed but before the path delay has passed cancels
+// the delivery event instead of leaving it to fire into the freed network.
+TEST(Network, DestroyedWithADeliveryPendingCancelsIt) {
+  sim::Simulation sim;
+  Fabric fabric(sim);
+  const Topology topo = build_single_rack(fabric, 2);
+  auto network = std::make_unique<Network>(sim, fabric);
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  network->bind_ip(a, topo.hosts[0]);
+  network->bind_ip(b, topo.hosts[1]);
+  int delivered = 0;
+  network->listen(b, 80, [&delivered](const Message&) { ++delivered; });
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.body = util::Json("hello");
+  ASSERT_TRUE(network->send(std::move(msg)));
+  // 71 bytes serialise in ~6 us; the two 50 us hops deliver at ~106 us.
+  sim.run_until(sim::SimTime::zero() + sim::Duration::micros(50));
+  ASSERT_EQ(fabric.active_flow_count(), 0u);
+  ASSERT_TRUE(sim.has_events());
+  network.reset();
+  sim.run();
+  EXPECT_EQ(delivered, 0);
+}
+
 TEST(Network, UnicastDeliveryWithLatency) {
   MessageWorld w;
   Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
@@ -55,14 +85,14 @@ TEST(Network, UnicastDeliveryWithLatency) {
   sim::SimTime delivered_at;
   std::string got;
   w.network.listen(b, 80, [&](const Message& msg) {
-    got = msg.payload.as_string();
+    got = msg.body.json().as_string();
     delivered_at = w.sim.now();
   });
   Message msg;
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.payload = "hello";
+  msg.body = util::Json("hello");
   EXPECT_TRUE(w.network.send(msg));
   w.sim.run();
   EXPECT_EQ(got, "hello");
@@ -94,7 +124,7 @@ TEST(Network, UnicastArrivesAtFlowCompletionPlusPathDelay) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.payload = "hello";
+  msg.body = util::Json("hello");
 
   // A bare flow of the message's wire size over the same idle path.
   FlowSpec spec;
@@ -143,7 +173,7 @@ TEST(Network, WireBytesAreHeaderEncodedPayloadAndPadding) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.payload = util::Json::object().set("id", 7).set("op", "get");
+  msg.body = util::Json::object().set("id", 7).set("op", "get");
   msg.padding_bytes = 100;
   EXPECT_EQ(one_way(w.sim, w.network, msg),
             (flow_done - flow_start) + path_delay);
@@ -158,7 +188,7 @@ TEST(Network, SameHostMessageTakesTwoLoopbackDelays) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.payload = "hello";
+  msg.body = util::Json("hello");
   EXPECT_EQ(one_way(w.sim, w.network, msg),
             Fabric::kLoopbackDelay + Fabric::kLoopbackDelay);
 }
@@ -172,7 +202,7 @@ TEST(Network, L2UnicastArrivesWithIpUnicastTiming) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 67;
-  msg.payload = "discover";
+  msg.body = util::Json("discover");
   const sim::Duration ip_latency = one_way(w.sim, w.network, msg);
 
   const sim::SimTime sent = w.sim.now();

@@ -51,11 +51,22 @@ TEST(Http, ResponseEnvelopeRoundTrip) {
 
 TEST(Http, FromJsonRejectsBadEnvelopes) {
   EXPECT_FALSE(HttpRequest::from_json(Json("not an envelope")).ok());
-  Json unknown_method = Json::object().set("m", "FETCH").set("p", "/x");
+  Json unknown_method =
+      Json::object().set("i", 1).set("m", "FETCH").set("p", "/x");
   EXPECT_FALSE(HttpRequest::from_json(unknown_method).ok());
-  Json relative_path = Json::object().set("m", "GET").set("p", "no-slash");
-  EXPECT_FALSE(HttpRequest::from_json(relative_path).ok());
-  EXPECT_FALSE(HttpResponse::from_json(Json::object().set("s", 9999)).ok());
+  EXPECT_FALSE(
+      HttpRequest::from_json(Json::object().set("m", "GET").set("p", "/x"))
+          .ok());
+  // A relative path or an out-of-range status decodes; the receiver checks
+  // it (RestServer answers 400, RestClient drops the response).
+  auto relative = HttpRequest::from_json(
+      Json::object().set("i", 1).set("m", "GET").set("p", "no-slash"));
+  ASSERT_TRUE(relative.ok());
+  EXPECT_FALSE(relative.value().valid_path());
+  auto bad_status =
+      HttpResponse::from_json(Json::object().set("i", 1).set("s", 9999));
+  ASSERT_TRUE(bad_status.ok());
+  EXPECT_FALSE(bad_status.value().valid_status());
 }
 
 TEST(Router, LiteralAndParamRoutes) {

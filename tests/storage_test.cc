@@ -2,6 +2,8 @@
 // spawning" substrate).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/simulation.h"
 #include "storage/image.h"
 #include "storage/sdcard.h"
@@ -33,6 +35,22 @@ TEST(SdCard, QueueDrainsInOrder) {
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(card.queue_depth(), 0u);
+}
+
+// The card owns its in-service IO's completion: destroying it with a
+// transfer pending cancels the event instead of leaving it to fire into the
+// freed card.
+TEST(SdCard, DestroyedWithIoPendingCancelsItsCompletion) {
+  sim::Simulation sim;
+  auto card = std::make_unique<SdCard>(sim, 1ull << 30, 20e6, 10e6);
+  bool done = false;
+  card->write(1 << 20, [&done]() { done = true; });
+  card->read(1 << 20, [&done]() { done = true; });
+  sim.run_for(sim::Duration::millis(10));
+  ASSERT_FALSE(done);
+  card.reset();
+  sim.run();
+  EXPECT_FALSE(done);
 }
 
 TEST(SdCard, SpaceAccounting) {
