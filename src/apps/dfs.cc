@@ -28,104 +28,99 @@ void DfsNodeApp::stop() {
   container_ = nullptr;
 }
 
-void DfsNodeApp::reply(net::Ipv4Addr to, std::uint16_t port, Json body,
+void DfsNodeApp::reply(net::Ipv4Addr to, std::uint16_t port, DfsAck ack,
                        double padding) {
   if (container_ == nullptr) return;
-  container_->send(to, port, std::move(body), kDfsPort, padding);
+  container_->send(to, port, std::move(ack), kDfsPort, padding);
 }
 
 void DfsNodeApp::on_message(const net::Message& msg) {
   if (container_ == nullptr) return;
-  const Json& request = msg.body.json();
-  std::string op = request.get_string("op");
-  std::string block = request.get_string("block");
+  const auto* order = msg.body.get<DfsOrder>();
+  if (order == nullptr) return;
   net::Ipv4Addr reply_to = msg.src;
   std::uint16_t reply_port = msg.src_port;
-  Json ack = Json::object();
-  ack.set("id", request.get_number("id"));
+  DfsAck ack;
+  ack.id = order->id;
 
-  if (op == "store") {
-    auto bytes = static_cast<std::uint64_t>(request.get_number("bytes"));
-    storage::SdCard& card = container_->node().sdcard();
-    if (blocks_.count(block) == 0 && !card.reserve(bytes)) {
-      ack.set("ok", false);
-      ack.set("error", "sd card full");
-      reply(reply_to, reply_port, std::move(ack));
-      return;
-    }
-    // The block is on the wire already (padding); persisting it queues on
-    // the card behind everything else being written.
-    card.write(bytes, [this, block, bytes, reply_to, reply_port,
-                       ack = std::move(ack)]() mutable {
-      if (container_ == nullptr) return;
-      if (blocks_.count(block) == 0) {
-        blocks_[block] = bytes;
-        stored_bytes_ += bytes;
+  switch (order->op) {
+    case DfsOp::kStore: {
+      if (!order->bytes) return;
+      const std::uint64_t bytes = *order->bytes;
+      storage::SdCard& card = container_->node().sdcard();
+      if (blocks_.count(order->block) == 0 && !card.reserve(bytes)) {
+        ack.error = DfsError::kCardFull;
+        reply(reply_to, reply_port, ack);
+        return;
       }
-      ack.set("ok", true);
-      reply(reply_to, reply_port, std::move(ack));
-    });
-    return;
-  }
-
-  if (op == "fetch") {
-    auto it = blocks_.find(block);
-    if (it == blocks_.end()) {
-      ack.set("ok", false);
-      ack.set("error", "no such block");
-      reply(reply_to, reply_port, std::move(ack));
+      // The block is on the wire already (padding); persisting it queues on
+      // the card behind everything else being written.
+      card.write(bytes, [this, block = order->block, bytes, reply_to,
+                         reply_port, ack]() mutable {
+        if (container_ == nullptr) return;
+        if (blocks_.count(block) == 0) {
+          blocks_[block] = bytes;
+          stored_bytes_ += bytes;
+        }
+        ack.ok = true;
+        reply(reply_to, reply_port, ack);
+      });
       return;
     }
-    std::uint64_t bytes = it->second;
-    container_->node().sdcard().read(
-        bytes, [this, bytes, reply_to, reply_port,
-                ack = std::move(ack)]() mutable {
-          if (container_ == nullptr) return;
-          ack.set("ok", true);
-          ack.set("bytes", static_cast<unsigned long long>(bytes));
-          reply(reply_to, reply_port, std::move(ack),
-                static_cast<double>(bytes));
-        });
-    return;
-  }
 
-  if (op == "push") {
-    // Re-replication: read the block and store it on a peer datanode.
-    auto it = blocks_.find(block);
-    auto peer = net::Ipv4Addr::parse(request.get_string("to"));
-    if (it == blocks_.end() || !peer) {
-      ack.set("ok", false);
-      ack.set("error", "no such block/peer");
-      reply(reply_to, reply_port, std::move(ack));
+    case DfsOp::kFetch: {
+      auto it = blocks_.find(order->block);
+      if (it == blocks_.end()) {
+        ack.error = DfsError::kNoSuchBlock;
+        reply(reply_to, reply_port, ack);
+        return;
+      }
+      std::uint64_t bytes = it->second;
+      container_->node().sdcard().read(
+          bytes, [this, bytes, reply_to, reply_port, ack]() mutable {
+            if (container_ == nullptr) return;
+            ack.ok = true;
+            ack.bytes = bytes;
+            reply(reply_to, reply_port, ack, static_cast<double>(bytes));
+          });
       return;
     }
-    std::uint64_t bytes = it->second;
-    container_->node().sdcard().read(
-        bytes, [this, block, bytes, peer = *peer]() {
-          if (container_ == nullptr) return;
-          Json store = Json::object();
-          store.set("op", "store");
-          store.set("block", block);
-          store.set("bytes", static_cast<unsigned long long>(bytes));
-          store.set("id", 0);  // peer's ack is dropped; namenode re-probes
-          container_->send(peer, kDfsPort, std::move(store), kDfsPort,
-                           static_cast<double>(bytes));
-        });
-    ack.set("ok", true);
-    reply(reply_to, reply_port, std::move(ack));
-    return;
-  }
 
-  if (op == "drop") {
-    auto it = blocks_.find(block);
-    if (it != blocks_.end()) {
-      container_->node().sdcard().release(it->second);
-      stored_bytes_ -= it->second;
-      blocks_.erase(it);
+    case DfsOp::kPush: {
+      // Re-replication: read the block and store it on a peer datanode.
+      auto it = blocks_.find(order->block);
+      if (it == blocks_.end() || !order->to) {
+        ack.error = DfsError::kNoBlockOrPeer;
+        reply(reply_to, reply_port, ack);
+        return;
+      }
+      DfsOrder store;
+      store.block = order->block;
+      store.bytes = it->second;
+      store.id = 0;  // peer's ack is dropped; namenode re-probes
+      store.op = DfsOp::kStore;
+      container_->node().sdcard().read(
+          it->second, [this, store = std::move(store), peer = *order->to]() {
+            if (container_ == nullptr) return;
+            container_->send(peer, kDfsPort, store, kDfsPort,
+                             static_cast<double>(*store.bytes));
+          });
+      ack.ok = true;
+      reply(reply_to, reply_port, ack);
+      return;
     }
-    ack.set("ok", true);
-    reply(reply_to, reply_port, std::move(ack));
-    return;
+
+    case DfsOp::kDrop: {
+      auto it = blocks_.find(order->block);
+      if (it != blocks_.end()) {
+        container_->node().sdcard().release(it->second);
+        stored_bytes_ -= it->second;
+        blocks_.erase(it);
+      }
+      ack.ok = true;
+      reply(reply_to, reply_port, ack);
+      return;
+    }
   }
 }
 
@@ -198,10 +193,10 @@ std::vector<net::Ipv4Addr> DfsNamenode::pick_replicas(
   return chosen;
 }
 
-void DfsNamenode::send_op(net::Ipv4Addr datanode, Json body, double padding,
-                          AckCallback cb) {
+void DfsNamenode::send_op(net::Ipv4Addr datanode, DfsOrder order,
+                          double padding, AckCallback cb) {
   std::uint64_t id = next_id_++;
-  body.set("id", static_cast<unsigned long long>(id));
+  order.id = id;
   PendingOp& op = pending_[id];
   op.cb = std::move(cb);
   op.timer.after(sim_, config_.request_timeout, [this, id]() {
@@ -215,19 +210,19 @@ void DfsNamenode::send_op(net::Ipv4Addr datanode, Json body, double padding,
   msg.dst = datanode;
   msg.src_port = port_;
   msg.dst_port = kDfsPort;
-  msg.body = std::move(body);
+  msg.body = std::move(order);
   msg.padding_bytes = padding;
   network_.send(std::move(msg));
 }
 
 void DfsNamenode::on_message(const net::Message& msg) {
-  const Json& ack = msg.body.json();
-  auto id = static_cast<std::uint64_t>(ack.get_number("id"));
-  auto it = pending_.find(id);
+  const auto* ack = msg.body.get<DfsAck>();
+  if (ack == nullptr) return;
+  auto it = pending_.find(ack->id);
   if (it == pending_.end()) return;
   AckCallback cb = std::move(it->second.cb);
   pending_.erase(it);  // cancels the timeout
-  cb(ack.get_bool("ok"), ack.get_number("bytes"));
+  cb(ack->ok, static_cast<double>(ack->bytes.value_or(0)));
 }
 
 void DfsNamenode::write(const std::string& file, std::uint64_t bytes,
@@ -259,10 +254,10 @@ void DfsNamenode::write(const std::string& file, std::uint64_t bytes,
     }
     for (net::Ipv4Addr replica : block.replicas) {
       ++*outstanding;
-      Json store = Json::object();
-      store.set("op", "store");
-      store.set("block", block.id);
-      store.set("bytes", static_cast<unsigned long long>(block.bytes));
+      DfsOrder store;
+      store.block = block.id;
+      store.bytes = block.bytes;
+      store.op = DfsOp::kStore;
       send_op(replica, std::move(store), static_cast<double>(block.bytes),
               [this, outstanding, failed, cb](bool ok, double) {
                 if (!ok) *failed = true;
@@ -288,14 +283,18 @@ void DfsNamenode::read(const std::string& file, ReadCallback cb) {
     cb(util::Error::make("not_found", "no such file: " + file));
     return;
   }
+  const std::vector<Block>& blocks = it->second.blocks;
+  // Every block needs a replica before any fetch goes out: a fetch already
+  // sent would count down and answer a second time.
+  if (std::any_of(blocks.begin(), blocks.end(),
+                  [](const Block& block) { return block.replicas.empty(); })) {
+    cb(util::Error::make("data_loss", "block has no replicas"));
+    return;
+  }
   auto outstanding = std::make_shared<int>(0);
   auto total = std::make_shared<double>(0);
   auto failed = std::make_shared<bool>(false);
-  for (const Block& block : it->second.blocks) {
-    if (block.replicas.empty()) {
-      cb(util::Error::make("data_loss", "block has no replicas"));
-      return;
-    }
+  for (const Block& block : blocks) {
     ++*outstanding;
     // Least-assigned live replica serves the read.
     net::Ipv4Addr source = block.replicas[0];
@@ -306,9 +305,9 @@ void DfsNamenode::read(const std::string& file, ReadCallback cb) {
         break;
       }
     }
-    Json fetch = Json::object();
-    fetch.set("op", "fetch");
-    fetch.set("block", block.id);
+    DfsOrder fetch;
+    fetch.block = block.id;
+    fetch.op = DfsOp::kFetch;
     ++stats_.blocks_read;
     send_op(source, std::move(fetch), 0,
             [this, outstanding, total, failed, cb](bool ok, double bytes) {
@@ -334,9 +333,9 @@ void DfsNamenode::remove(const std::string& file, StatusCallback cb) {
   }
   for (const Block& block : it->second.blocks) {
     for (net::Ipv4Addr replica : block.replicas) {
-      Json drop = Json::object();
-      drop.set("op", "drop");
-      drop.set("block", block.id);
+      DfsOrder drop;
+      drop.block = block.id;
+      drop.op = DfsOp::kDrop;
       send_op(replica, std::move(drop), 0, [](bool, double) {});
     }
   }
@@ -370,10 +369,10 @@ void DfsNamenode::handle_datanode_death(net::Ipv4Addr ip) {
       if (fresh.empty()) continue;  // nowhere to put it; stays degraded
       net::Ipv4Addr survivor = block.replicas[0];
       net::Ipv4Addr target = fresh[0];
-      Json push = Json::object();
-      push.set("op", "push");
-      push.set("block", block.id);
-      push.set("to", target.to_string());
+      DfsOrder push;
+      push.block = block.id;
+      push.op = DfsOp::kPush;
+      push.to = target;
       send_op(survivor, std::move(push), 0, [](bool, double) {});
       block.replicas.push_back(target);
       ++stats_.re_replications;

@@ -12,19 +12,26 @@
 // with all other traffic) and once on the destination SD card's FIFO write
 // queue — the two bottlenecks that shape file management on real Pis.
 //
-// Wire protocol (JSON datagrams on port 7400; block payloads as padding):
-//   namenode -> datanode: {"op":"store","block":b,"bytes":n,"id":i}
-//                         {"op":"fetch","block":b,"id":i}
-//                         {"op":"drop","block":b,"id":i}
-//                         {"op":"push","block":b,"to":ip,"id":i}   (re-replication)
-//   datanode -> namenode: {"ok":bool,"id":i[,"bytes":n]}
+// Wire protocol (datagrams on port 7400; block payloads as padding):
+//   namenode -> datanode (DfsOrder): {"block":b,"bytes":n,"id":i,"op":"store"}
+//                                    {"block":b,"id":i,"op":"fetch"}
+//                                    {"block":b,"id":i,"op":"drop"}
+//                                    {"block":b,"id":i,"op":"push","to":ip}
+//   datanode -> datanode: {"block":b,"bytes":n,"id":0,"op":"store"} (the
+//                         push; its ack is dropped)
+//   datanode -> namenode (DfsAck): {"bytes":n (fetch),"id":i,"ok":true}
+//                                  {"error":e,"id":i,"ok":false}
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
@@ -32,10 +39,52 @@
 #include "sim/simulation.h"
 #include "util/json.h"
 #include "util/result.h"
+#include "util/schema.h"
 
 namespace picloud::apps {
 
 inline constexpr std::uint16_t kDfsPort = 7400;
+
+enum class DfsOp : std::uint8_t { kStore, kFetch, kPush, kDrop };
+constexpr std::array<std::string_view, 4> json_names(DfsOp) {
+  return {"store", "fetch", "push", "drop"};
+}
+
+struct DfsOrder : util::JsonSchema<DfsOrder> {
+  std::string block;
+  std::optional<std::uint64_t> bytes;  // store: the block's size
+  std::uint64_t id = 0;                // echoed by the ack
+  std::optional<net::Ipv4Addr> to;     // push: the block's new home
+  DfsOp op = DfsOp::kStore;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("block", &DfsOrder::block),
+                      util::field("bytes", &DfsOrder::bytes),
+                      util::field("id", &DfsOrder::id),
+                      util::field("op", &DfsOrder::op),
+                      util::field("to", &DfsOrder::to)};
+  }
+};
+
+// Why a datanode refused an order.
+enum class DfsError : std::uint8_t { kCardFull, kNoSuchBlock, kNoBlockOrPeer };
+constexpr std::array<std::string_view, 3> json_names(DfsError) {
+  return {"sd card full", "no such block", "no such block/peer"};
+}
+
+struct DfsAck : util::JsonSchema<DfsAck> {
+  std::optional<std::uint64_t> bytes;  // fetch: the block's size
+  std::uint64_t id = 0;
+  std::optional<DfsError> error;
+  bool ok = false;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("bytes", &DfsAck::bytes),
+                      util::field("error", &DfsAck::error),
+                      util::field("id", &DfsAck::id),
+                      util::field("ok", &DfsAck::ok)};
+  }
+};
 
 // The datanode: runs inside a container, stores block bytes on the host's
 // SD card (space reserved, writes serviced through the card's FIFO queue).
@@ -52,7 +101,7 @@ class DfsNodeApp : public os::ContainerApp {
 
  private:
   void on_message(const net::Message& msg);
-  void reply(net::Ipv4Addr to, std::uint16_t port, util::Json body,
+  void reply(net::Ipv4Addr to, std::uint16_t port, DfsAck ack,
              double padding = 0);
 
   os::Container* container_ = nullptr;
@@ -139,7 +188,7 @@ class DfsNamenode {
     AckCallback cb;
     sim::Timer timer;
   };
-  void send_op(net::Ipv4Addr datanode, util::Json body, double padding,
+  void send_op(net::Ipv4Addr datanode, DfsOrder order, double padding,
                AckCallback cb);
   void on_message(const net::Message& msg);
   // Rack-aware replica choice: spread racks first, then least-assigned.

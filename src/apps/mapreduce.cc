@@ -31,38 +31,27 @@ util::Json MapReduceWorkerApp::status() const {
 
 void MapReduceWorkerApp::on_message(const net::Message& msg) {
   if (container_ == nullptr) return;
-  const Json& request = msg.body.json();
-  std::string op = request.get_string("op");
-  if (op == "map") {
-    handle_map(request, msg.src, msg.src_port);
-  } else if (op == "partition") {
-    handle_partition(request, msg.padding_bytes);
-  } else if (op == "reduce") {
-    handle_reduce_order(request, msg.src, msg.src_port);
+  if (const auto* map = msg.body.get<MapTask>()) {
+    handle_map(*map, msg.src, msg.src_port);
+  } else if (const auto* partition = msg.body.get<MapPartition>()) {
+    handle_partition(*partition);
+  } else if (const auto* order = msg.body.get<ReduceOrder>()) {
+    handle_reduce_order(*order, msg.src, msg.src_port);
   }
 }
 
-void MapReduceWorkerApp::handle_map(const Json& request, net::Ipv4Addr from,
+void MapReduceWorkerApp::handle_map(const MapTask& map, net::Ipv4Addr from,
                                     std::uint16_t from_port) {
-  double bytes = request.get_number("bytes");
-  double cycles = bytes * request.get_number("cpb", 1.0);
-  std::string job = request.get_string("job");
-  double shuffle_frac = request.get_number("shuffle_frac", 0.4);
-  // Copy the reducer list out of the request, skipping entries that are
-  // not address strings.
-  std::vector<net::Ipv4Addr> reducers;
-  for (const Json& r : request.get("reducers").as_array()) {
-    if (!r.is_string()) continue;
-    auto ip = net::Ipv4Addr::parse(r.as_string());
-    if (ip) reducers.push_back(*ip);
-  }
-  Json done = Json::object();
-  done.set("op", "map_done");
-  done.set("job", job);
-  done.set("task", request.get_number("task"));
-  done.set("id", request.get_number("id"));
+  double cycles = map.bytes * map.cycles_per_byte;
+  TaskDone done;
+  done.job = map.job;
+  done.id = map.id;
+  done.task = map.task;
+  done.op = MapReduceOp::kMapDone;
 
-  container_->run_cpu(cycles, [this, bytes, shuffle_frac, job, reducers, from,
+  container_->run_cpu(cycles, [this, bytes = map.bytes,
+                               shuffle_frac = map.shuffle_fraction,
+                               job = map.job, reducers = map.reducers, from,
                                from_port, done](bool completed) {
     if (!completed || container_ == nullptr) return;
     ++maps_done_;
@@ -72,10 +61,9 @@ void MapReduceWorkerApp::handle_map(const Json& request, net::Ipv4Addr from,
       double partition = bytes * shuffle_frac /
                          static_cast<double>(reducers.size());
       for (net::Ipv4Addr reducer : reducers) {
-        Json part = Json::object();
-        part.set("op", "partition");
-        part.set("job", job);
-        part.set("bytes", partition);
+        MapPartition part;
+        part.job = job;
+        part.bytes = partition;
         container_->send(reducer, kMapReducePort, std::move(part),
                          kMapReducePort, partition);
       }
@@ -84,28 +72,25 @@ void MapReduceWorkerApp::handle_map(const Json& request, net::Ipv4Addr from,
   });
 }
 
-void MapReduceWorkerApp::handle_partition(const Json& request,
-                                          double /*padding*/) {
-  std::string job = request.get_string("job");
-  ReduceState& state = reduce_jobs_[job];
-  state.received_bytes += request.get_number("bytes");
+void MapReduceWorkerApp::handle_partition(const MapPartition& partition) {
+  ReduceState& state = reduce_jobs_[partition.job];
+  state.received_bytes += partition.bytes;
   state.received_parts += 1;
-  maybe_run_reduce(job);
+  maybe_run_reduce(partition.job);
 }
 
-void MapReduceWorkerApp::handle_reduce_order(const Json& request,
+void MapReduceWorkerApp::handle_reduce_order(const ReduceOrder& order,
                                              net::Ipv4Addr from,
                                              std::uint16_t from_port) {
-  std::string job = request.get_string("job");
-  ReduceState& state = reduce_jobs_[job];
+  ReduceState& state = reduce_jobs_[order.job];
   state.ordered = true;
-  state.expect_bytes = request.get_number("expect_bytes");
-  state.expect_parts = static_cast<int>(request.get_number("expect_parts"));
-  state.cycles_per_byte = request.get_number("cpb", 0.5);
+  state.expect_bytes = order.expect_bytes;
+  state.expect_parts = order.expect_parts;
+  state.cycles_per_byte = order.cycles_per_byte;
   state.driver = from;
   state.driver_port = from_port;
-  state.request_id = request.get_number("id");
-  maybe_run_reduce(job);
+  state.request_id = order.id;
+  maybe_run_reduce(order.job);
 }
 
 void MapReduceWorkerApp::maybe_run_reduce(const std::string& job) {
@@ -116,10 +101,10 @@ void MapReduceWorkerApp::maybe_run_reduce(const std::string& job) {
   double cycles = state.received_bytes * state.cycles_per_byte;
   net::Ipv4Addr driver = state.driver;
   std::uint16_t driver_port = state.driver_port;
-  Json done = Json::object();
-  done.set("op", "reduce_done");
-  done.set("job", job);
-  done.set("id", state.request_id);
+  TaskDone done;
+  done.job = job;
+  done.id = state.request_id;
+  done.op = MapReduceOp::kReduceDone;
   container_->run_cpu(cycles,
                       [this, job, driver, driver_port, done](bool completed) {
                         if (!completed || container_ == nullptr) return;
@@ -145,7 +130,7 @@ MapReduceDriver::MapReduceDriver(net::Network& network, net::Ipv4Addr self,
 
 MapReduceDriver::~MapReduceDriver() { network_.unlisten(self_, port_); }
 
-void MapReduceDriver::send(net::Ipv4Addr to, Json body) {
+void MapReduceDriver::send(net::Ipv4Addr to, net::Body body) {
   net::Message msg;
   msg.src = self_;
   msg.dst = to;
@@ -181,17 +166,14 @@ void MapReduceDriver::run(MapReduceJobSpec spec, JobCallback cb,
   double split = spec.input_bytes / spec.map_tasks;
   for (int task = 0; task < spec.map_tasks; ++task) {
     net::Ipv4Addr worker = spec.workers[task % spec.workers.size()];
-    Json map = Json::object();
-    map.set("op", "map");
-    map.set("job", spec.job_id);
-    map.set("task", task);
-    map.set("bytes", split);
-    map.set("cpb", spec.map_cycles_per_byte);
-    map.set("shuffle_frac", spec.shuffle_fraction);
-    map.set("id", task);
-    Json reducers = Json::array();
-    for (net::Ipv4Addr r : spec.reducers) reducers.push_back(r.to_string());
-    map.set("reducers", std::move(reducers));
+    MapTask map;
+    map.job = spec.job_id;
+    map.reducers = spec.reducers;
+    map.bytes = split;
+    map.cycles_per_byte = spec.map_cycles_per_byte;
+    map.shuffle_fraction = spec.shuffle_fraction;
+    map.id = static_cast<std::uint64_t>(task);
+    map.task = task;
     send(worker, std::move(map));
   }
 }
@@ -202,33 +184,31 @@ void MapReduceDriver::order_reduces(JobState& job) {
   double shuffle_total = spec.input_bytes * spec.shuffle_fraction;
   double per_reducer = shuffle_total / spec.reducers.size();
   for (size_t i = 0; i < spec.reducers.size(); ++i) {
-    Json reduce = Json::object();
-    reduce.set("op", "reduce");
-    reduce.set("job", spec.job_id);
-    reduce.set("expect_bytes", per_reducer);
-    reduce.set("expect_parts", spec.map_tasks);
-    reduce.set("cpb", spec.reduce_cycles_per_byte);
-    reduce.set("id", static_cast<double>(i));
+    ReduceOrder reduce;
+    reduce.job = spec.job_id;
+    reduce.cycles_per_byte = spec.reduce_cycles_per_byte;
+    reduce.expect_bytes = per_reducer;
+    reduce.id = i;
+    reduce.expect_parts = spec.map_tasks;
     send(spec.reducers[i], std::move(reduce));
   }
 }
 
 void MapReduceDriver::on_message(const net::Message& msg) {
-  const Json& body = msg.body.json();
-  std::string job_id = body.get_string("job");
-  auto it = jobs_.find(job_id);
+  const auto* done = msg.body.get<TaskDone>();
+  if (done == nullptr) return;
+  auto it = jobs_.find(done->job);
   if (it == jobs_.end()) return;
   JobState& job = it->second;
 
-  std::string op = body.get_string("op");
-  if (op == "map_done") {
+  if (done->op == MapReduceOp::kMapDone) {
     if (job.maps_pending > 0) --job.maps_pending;
     if (job.maps_pending == 0 && !job.reduces_ordered) order_reduces(job);
     return;
   }
-  if (op == "reduce_done") {
+  if (done->op == MapReduceOp::kReduceDone) {
     if (job.reduces_pending > 0) --job.reduces_pending;
-    if (job.reduces_pending == 0) finish(job_id, true, "");
+    if (job.reduces_pending == 0) finish(done->job, true, "");
   }
 }
 

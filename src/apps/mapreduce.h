@@ -14,30 +14,115 @@
 // real flows, producing the all-to-all traffic pattern whose interaction
 // with placement the paper wants observable.
 //
-// Wire protocol (port 7070, JSON datagrams; bulk bytes ride as padding):
-//   driver -> worker : {"op":"map","job":J,"task":T,"bytes":B,
-//                       "reducers":[ips],"cpb":c,"shuffle_frac":f,"id":i}
-//   worker -> reducer: {"op":"partition","job":J,"bytes":P}
-//   driver -> reducer: {"op":"reduce","job":J,"expect_bytes":E,
-//                       "expect_parts":N,"cpb":c,"id":i}
-//   worker -> driver : {"op":"map_done","job":J,"task":T,"id":i}
-//   reducer -> driver: {"op":"reduce_done","job":J,"id":i}
+// Wire protocol (port 7070, datagrams; bulk bytes ride as padding):
+//   driver -> worker  (MapTask):      {"bytes":B,"cpb":c,"id":i,"job":J,
+//                                      "op":"map","reducers":[ips],
+//                                      "shuffle_frac":f,"task":T}
+//   worker -> reducer (MapPartition): {"bytes":P,"job":J,"op":"partition"}
+//   driver -> reducer (ReduceOrder):  {"cpb":c,"expect_bytes":E,
+//                                      "expect_parts":N,"id":i,"job":J,
+//                                      "op":"reduce"}
+//   worker -> driver  (TaskDone):     {"id":i,"job":J,"op":"map_done","task":T}
+//   reducer -> driver (TaskDone):     {"id":i,"job":J,"op":"reduce_done"}
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
 #include "os/container.h"
 #include "sim/simulation.h"
 #include "util/json.h"
+#include "util/schema.h"
 
 namespace picloud::apps {
 
 inline constexpr std::uint16_t kMapReducePort = 7070;
+
+enum class MapReduceOp : std::uint8_t {
+  kMap,
+  kPartition,
+  kReduce,
+  kMapDone,
+  kReduceDone
+};
+constexpr std::array<std::string_view, 5> json_names(MapReduceOp) {
+  return {"map", "partition", "reduce", "map_done", "reduce_done"};
+}
+
+struct MapTask : util::JsonSchema<MapTask> {
+  std::string job;
+  std::vector<net::Ipv4Addr> reducers;  // each gets one partition
+  double bytes = 0;                     // the split
+  double cycles_per_byte = 0;
+  double shuffle_fraction = 0;  // map output / input
+  std::uint64_t id = 0;
+  int task = 0;
+  MapReduceOp op = MapReduceOp::kMap;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("bytes", &MapTask::bytes),
+                      util::field("cpb", &MapTask::cycles_per_byte),
+                      util::field("id", &MapTask::id),
+                      util::field("job", &MapTask::job),
+                      util::field("op", &MapTask::op),
+                      util::field("reducers", &MapTask::reducers),
+                      util::field("shuffle_frac", &MapTask::shuffle_fraction),
+                      util::field("task", &MapTask::task)};
+  }
+};
+
+struct MapPartition : util::JsonSchema<MapPartition> {
+  std::string job;
+  double bytes = 0;
+  MapReduceOp op = MapReduceOp::kPartition;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("bytes", &MapPartition::bytes),
+                      util::field("job", &MapPartition::job),
+                      util::field("op", &MapPartition::op)};
+  }
+};
+
+struct ReduceOrder : util::JsonSchema<ReduceOrder> {
+  std::string job;
+  double cycles_per_byte = 0;
+  double expect_bytes = 0;
+  std::uint64_t id = 0;
+  int expect_parts = 0;
+  MapReduceOp op = MapReduceOp::kReduce;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("cpb", &ReduceOrder::cycles_per_byte),
+                      util::field("expect_bytes", &ReduceOrder::expect_bytes),
+                      util::field("expect_parts", &ReduceOrder::expect_parts),
+                      util::field("id", &ReduceOrder::id),
+                      util::field("job", &ReduceOrder::job),
+                      util::field("op", &ReduceOrder::op)};
+  }
+};
+
+// A map or reduce task's completion, echoing its order's id.
+struct TaskDone : util::JsonSchema<TaskDone> {
+  std::string job;
+  std::uint64_t id = 0;
+  std::optional<int> task;  // map_done only
+  MapReduceOp op = MapReduceOp::kMapDone;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("id", &TaskDone::id),
+                      util::field("job", &TaskDone::job),
+                      util::field("op", &TaskDone::op),
+                      util::field("task", &TaskDone::task)};
+  }
+};
 
 class MapReduceWorkerApp : public os::ContainerApp {
  public:
@@ -61,15 +146,15 @@ class MapReduceWorkerApp : public os::ContainerApp {
     double cycles_per_byte = 0;
     net::Ipv4Addr driver;
     std::uint16_t driver_port = 0;
-    double request_id = 0;
+    std::uint64_t request_id = 0;
     bool running = false;
   };
 
   void on_message(const net::Message& msg);
-  void handle_map(const util::Json& request, net::Ipv4Addr from,
+  void handle_map(const MapTask& map, net::Ipv4Addr from,
                   std::uint16_t from_port);
-  void handle_partition(const util::Json& request, double padding);
-  void handle_reduce_order(const util::Json& request, net::Ipv4Addr from,
+  void handle_partition(const MapPartition& partition);
+  void handle_reduce_order(const ReduceOrder& order, net::Ipv4Addr from,
                            std::uint16_t from_port);
   void maybe_run_reduce(const std::string& job);
 
@@ -126,7 +211,7 @@ class MapReduceDriver {
   void order_reduces(JobState& job);
   void finish(const std::string& job_id, bool success,
               const std::string& error);
-  void send(net::Ipv4Addr to, util::Json body);
+  void send(net::Ipv4Addr to, net::Body body);
 
   net::Network& network_;
   sim::Simulation& sim_;

@@ -166,8 +166,10 @@ class PiCloud {
   PiCloudConfig config_;
 
   std::unique_ptr<net::Fabric> fabric_;
-  std::unique_ptr<net::Network> network_;
+  // Declared before the network, which cancels its flows through the
+  // fabric's routing provider when destroyed.
   std::unique_ptr<net::SdnController> sdn_;
+  std::unique_ptr<net::Network> network_;
   net::Topology topology_;
 
   hw::MachineRoom machine_room_;

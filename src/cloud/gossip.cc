@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-
 namespace picloud::cloud {
-
-using util::Json;
 
 GossipAgent::GossipAgent(net::Network& network, GossipConfig config,
                          util::Rng rng)
@@ -61,22 +58,11 @@ void GossipAgent::update_self(double cpu, std::uint64_t mem_used,
   me.freshened_at = sim_.now();
 }
 
-Json GossipAgent::digest() const {
-  Json entries = Json::array();
-  for (const auto& [hostname, e] : entries_) {
-    Json j = Json::object();
-    j.set("h", e.hostname);
-    j.set("ip", e.ip.to_string());
-    j.set("v", static_cast<unsigned long long>(e.version));
-    j.set("cpu", e.cpu);
-    j.set("mem", static_cast<unsigned long long>(e.mem_used));
-    j.set("ct", e.containers);
-    entries.push_back(std::move(j));
-  }
-  Json out = Json::object();
-  out.set("type", "gossip");
-  out.set("from", self_hostname_);
-  out.set("entries", std::move(entries));
+GossipDigest GossipAgent::digest() const {
+  GossipDigest out;
+  out.entries.reserve(entries_.size());
+  for (const auto& [hostname, e] : entries_) out.entries.push_back(e);
+  out.from = self_hostname_;
   return out;
 }
 
@@ -104,7 +90,7 @@ void GossipAgent::round() {
   rng_.shuffle(candidates);
   size_t targets = std::min<size_t>(
       candidates.size(), static_cast<size_t>(std::max(config_.fanout, 1)));
-  const Json payload = digest();
+  const GossipDigest payload = digest();
   for (size_t i = 0; i < targets; ++i) {
     net::Message msg;
     msg.src = self_ip_;
@@ -118,24 +104,17 @@ void GossipAgent::round() {
 }
 
 void GossipAgent::on_message(const net::Message& msg) {
-  if (msg.body.json().get_string("type") != "gossip") return;
-  for (const Json& j : msg.body.json().get("entries").as_array()) {
-    std::string hostname = j.get_string("h");
-    if (hostname.empty() || hostname == self_hostname_) continue;
-    auto version = static_cast<std::uint64_t>(j.get_number("v"));
-    auto ip = net::Ipv4Addr::parse(j.get_string("ip"));
-    if (!ip) continue;
-    GossipEntry& entry = entries_[hostname];
+  const auto* digest = msg.body.get<GossipDigest>();
+  if (digest == nullptr) return;
+  for (const GossipEntry& heard : digest->entries) {
+    if (heard.hostname.empty() || heard.hostname == self_hostname_) continue;
+    GossipEntry& entry = entries_[heard.hostname];
     if (entry.hostname.empty()) {  // newly learned member
-      entry.hostname = hostname;
+      entry.hostname = heard.hostname;
       entry.freshened_at = sim_.now();
     }
-    if (version > entry.version) {
-      entry.version = version;
-      entry.ip = *ip;
-      entry.cpu = j.get_number("cpu");
-      entry.mem_used = static_cast<std::uint64_t>(j.get_number("mem"));
-      entry.containers = static_cast<int>(j.get_number("ct"));
+    if (heard.version > entry.version) {
+      entry = heard;
       entry.freshened_at = sim_.now();
       ++merges_;
     }

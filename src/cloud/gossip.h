@@ -9,11 +9,11 @@
 // like?", and failures are detected by version staleness rather than by a
 // central monitor.
 //
-// Protocol (JSON datagrams on port 7946, SWIM-flavoured push gossip):
+// Protocol (datagrams on port 7946, SWIM-flavoured push gossip):
 //   every `period`, an agent bumps its own version and sends its full
-//   digest to `fanout` random live peers:
-//     {"type":"gossip","from":h,"entries":[{"h":..,"ip":..,"v":..,
-//       "cpu":..,"mem":..,"ct":..}, ...]}
+//   digest (GossipDigest) to `fanout` random live peers:
+//     {"entries":[{"cpu":..,"ct":..,"h":..,"ip":..,"mem":..,"v":..}, ...],
+//      "from":h,"type":"gossip"}
 //   receivers merge entry-wise by version (greater wins) and adopt unknown
 //   members. An entry whose version has not advanced within
 //   `suspect_after` is suspected dead.
@@ -22,24 +22,28 @@
 // monitor on detection latency and management-plane traffic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "net/addr.h"
 #include "net/network.h"
 #include "sim/simulation.h"
-#include "util/json.h"
 #include "util/rng.h"
+#include "util/schema.h"
 
 namespace picloud::cloud {
 
 inline constexpr std::uint16_t kGossipPort = 7946;
 
-struct GossipEntry {
+// One member as an agent sees it, and as a digest carries it.
+struct GossipEntry : util::JsonSchema<GossipEntry> {
   std::string hostname;
   net::Ipv4Addr ip;
   std::uint64_t version = 0;
@@ -48,6 +52,33 @@ struct GossipEntry {
   int containers = 0;
   // Local clock when the version last advanced (not gossiped).
   sim::SimTime freshened_at;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("cpu", &GossipEntry::cpu),
+                      util::field("ct", &GossipEntry::containers),
+                      util::field("h", &GossipEntry::hostname),
+                      util::field("ip", &GossipEntry::ip),
+                      util::field("mem", &GossipEntry::mem_used),
+                      util::field("v", &GossipEntry::version)};
+  }
+};
+
+enum class GossipType : std::uint8_t { kGossip };
+constexpr std::array<std::string_view, 1> json_names(GossipType) {
+  return {"gossip"};
+}
+
+// What an agent sends each round: every entry it knows, its own included.
+struct GossipDigest : util::JsonSchema<GossipDigest> {
+  std::vector<GossipEntry> entries;
+  std::string from;
+  GossipType type = GossipType::kGossip;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("entries", &GossipDigest::entries),
+                      util::field("from", &GossipDigest::from),
+                      util::field("type", &GossipDigest::type)};
+  }
 };
 
 struct GossipConfig {
@@ -103,7 +134,7 @@ class GossipAgent {
  private:
   void on_message(const net::Message& msg);
   void round();
-  util::Json digest() const;
+  GossipDigest digest() const;
 
   net::Network& network_;
   sim::Simulation& sim_;

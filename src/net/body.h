@@ -1,12 +1,11 @@
-// Body — what a net::Message carries: a util::Json value, or a schema'd
-// struct (util/schema.h) held inline.
+// Body — what a net::Message carries: a schema'd struct (util/schema.h)
+// held inline.
 //
-// The protocols that moved onto schemas (the REST envelope, the serving
-// tier) hand their struct across the fabric as is, so the receiver reads
-// members instead of looking up keys, and nothing is built, copied or
-// walked as a Json per message. The rest still carry a Json. Either way
-// the fabric charges wire_size(): the length of the JSON text the body
-// stands for, which for a struct is its schema's exact size.
+// Every protocol declares its messages as schemas and hands its struct
+// across the fabric as is, so the receiver reads members instead of looking
+// up keys, and nothing is built, copied or walked as a Json per message.
+// The fabric charges wire_size(): the length of the JSON text the struct
+// stands for, its schema's exact size.
 //
 // The struct sits in the body's own storage, so holding one allocates
 // nothing; a type that does not fit (kCapacity) does not compile. The body
@@ -35,10 +34,10 @@ class Body {
   // request).
   static constexpr size_t kCapacity = 128;
 
-  Body() { new (storage_) util::Json(); }
-  Body(util::Json json) {  // NOLINT(google-explicit-constructor)
-    new (storage_) util::Json(std::move(json));
-  }
+  // An empty body holds nothing: get<T>() is null for every T. It stands
+  // for JSON null, so it sizes as 4 bytes and to_json() is null. A
+  // moved-from body is empty.
+  Body() = default;
   template <BodyStruct T>
   Body(T value) : ops_(&kOps<T>) {  // NOLINT(google-explicit-constructor)
     static_assert(sizeof(T) <= kCapacity && alignof(T) <= kAlign,
@@ -47,13 +46,8 @@ class Body {
   }
 
   Body(const Body& other) : ops_(other.ops_) {
-    if (ops_ == nullptr) {
-      new (storage_) util::Json(other.json_ref());
-    } else {
-      ops_->copy(storage_, other.storage_);
-    }
+    ops_->copy(storage_, other.storage_);
   }
-  // A moved-from body holds a null Json.
   Body(Body&& other) noexcept { take(other); }
   Body& operator=(const Body& other) {
     if (this != &other) *this = Body(other);
@@ -61,19 +55,17 @@ class Body {
   }
   Body& operator=(Body&& other) noexcept {
     if (this != &other) {
-      destroy();
+      ops_->destroy(storage_);
       take(other);
     }
     return *this;
   }
-  ~Body() { destroy(); }
+  ~Body() { ops_->destroy(storage_); }
 
   // The length of the JSON text this body stands for.
-  size_t wire_size() const {
-    return ops_ == nullptr ? json_ref().dump_size() : ops_->wire_size(storage_);
-  }
+  size_t wire_size() const { return ops_->wire_size(storage_); }
 
-  // The struct, or null when the body holds a Json or another struct.
+  // The struct, or null when the body holds another struct or nothing.
   template <BodyStruct T>
   const T* get() const {
     return ops_ == &kOps<T> ? std::launder(reinterpret_cast<const T*>(storage_))
@@ -85,16 +77,8 @@ class Body {
                             : nullptr;
   }
 
-  // The Json value the body holds; a null Json when it holds a struct.
-  const util::Json& json() const {
-    static const util::Json kNull;
-    return ops_ == nullptr ? json_ref() : kNull;
-  }
-
   // The value the body stands for, built as a Json (tests and boundaries).
-  util::Json to_json() const {
-    return ops_ == nullptr ? json_ref() : ops_->to_json(storage_);
-  }
+  util::Json to_json() const { return ops_->to_json(storage_); }
 
  private:
   static constexpr size_t kAlign = alignof(std::uint64_t);
@@ -126,36 +110,24 @@ class Body {
         return std::launder(static_cast<const T*>(p))->to_json();
       },
   };
+  // The empty body's table: nothing to copy, move or destroy.
+  static constexpr Ops kEmpty{
+      [](void*, const void*) {},
+      [](void*, void*) noexcept {},
+      [](void*) noexcept {},
+      [](const void*) -> size_t { return 4; },  // null
+      [](const void*) { return util::Json(); },
+  };
 
-  util::Json& json_ref() {
-    return *std::launder(reinterpret_cast<util::Json*>(storage_));
-  }
-  const util::Json& json_ref() const {
-    return *std::launder(reinterpret_cast<const util::Json*>(storage_));
-  }
   // Moves what `other` holds into storage_, which holds nothing, and leaves
-  // `other` holding a null Json.
+  // `other` empty.
   void take(Body& other) noexcept {
     ops_ = other.ops_;
-    if (ops_ == nullptr) {
-      new (storage_) util::Json(std::move(other.json_ref()));
-      return;
-    }
     ops_->move(storage_, other.storage_);
-    other.ops_ = nullptr;
-    new (other.storage_) util::Json();
-  }
-  // Ends the held value's lifetime; the storage holds nothing afterwards.
-  void destroy() noexcept {
-    if (ops_ == nullptr) {
-      json_ref().~Json();
-    } else {
-      ops_->destroy(storage_);
-    }
+    other.ops_ = &kEmpty;
   }
 
-  // Null: storage_ holds a util::Json.
-  const Ops* ops_ = nullptr;
+  const Ops* ops_ = &kEmpty;
   alignas(kAlign) unsigned char storage_[kCapacity];
 };
 

@@ -12,6 +12,14 @@ namespace picloud::net {
 Network::Network(sim::Simulation& sim, Fabric& fabric)
     : sim_(sim), fabric_(fabric) {}
 
+Network::~Network() {
+  // A cancelled flow calls back at once with success = false, which only
+  // unparks its slot.
+  for (const InFlight& entry : in_flight_) {
+    if (entry.flow != 0) fabric_.cancel_flow(entry.flow);
+  }
+}
+
 void Network::bind_ip(Ipv4Addr ip, NetNodeId node) {
   PICLOUD_CHECK(!ip.is_any() && !ip.is_broadcast())
       << "bind_ip to reserved address " << ip.to_string();
@@ -104,6 +112,7 @@ void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
   // The fabric fires this once, after the last byte, with the propagation
   // delay of the path it admitted the flow on.
   spec.on_complete = [this, slot](sim::Duration delay, bool success) {
+    in_flight_[slot].flow = 0;
     if (!success) {
       ++dropped_;
       unpark(slot);
@@ -112,7 +121,7 @@ void Network::transmit(NetNodeId src_node, NetNodeId dst_node, Message msg,
     in_flight_[slot].delivery.after(sim_, delay,
                                     [this, slot]() { arrive(slot); });
   };
-  fabric_.start_flow(std::move(spec));
+  in_flight_[slot].flow = fabric_.start_flow(std::move(spec));
 }
 
 Network::Parked Network::unpark(std::uint32_t slot) {

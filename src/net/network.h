@@ -33,9 +33,9 @@ struct Message {
   Ipv4Addr dst;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
-  // The body, handed to the receiver as a value: a Json or a schema'd
-  // struct (net/body.h). On the wire it is its JSON text, so the fabric
-  // charges body.wire_size() bytes for it.
+  // The body, handed to the receiver as a value: a schema'd struct
+  // (net/body.h). On the wire it is its JSON text, so the fabric charges
+  // body.wire_size() bytes for it.
   Body body;
   // Bulk body size carried on the wire but not materialised in the body
   // (MapReduce shuffle partitions, file chunks). The fabric charges it;
@@ -53,6 +53,10 @@ struct Message {
 class Network {
  public:
   Network(sim::Simulation& sim, Fabric& fabric);
+  // Cancels the flows of the messages still in the fabric, so the fabric
+  // never calls back into a destroyed network. The fabric, and the routing
+  // provider it was given, must outlive the network.
+  ~Network();
 
   Fabric& fabric() { return fabric_; }
   sim::Simulation& simulation() { return sim_; }
@@ -106,6 +110,9 @@ class Network {
   };
   struct InFlight {
     Parked parked;
+    // The message's flow until it lands (0 afterwards); destroying the
+    // Network cancels it.
+    FlowId flow = 0;
     // The delivery event once the flow has landed; destroying the Network
     // cancels it.
     sim::Timer delivery;

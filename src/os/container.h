@@ -108,9 +108,9 @@ class Container {
   util::Status alloc_memory(std::uint64_t bytes);
   void free_memory(std::uint64_t bytes);
 
-  // Datagram API, bridged through the host NIC. The body is a Json or a
-  // schema'd struct (net/body.h). `padding_bytes` models bulk body size
-  // charged on the wire without materialising the bytes.
+  // Datagram API, bridged through the host NIC. The body is a schema'd
+  // struct (net/body.h). `padding_bytes` models bulk body size charged on
+  // the wire without materialising the bytes.
   bool send(net::Ipv4Addr dst, std::uint16_t dst_port, net::Body body,
             std::uint16_t src_port = 0, double padding_bytes = 0);
   void listen(std::uint16_t port, net::Network::Handler handler);

@@ -2,12 +2,9 @@
 
 #include "proto/rest.h"
 #include "util/check.h"
-#include "util/json.h"
 #include "util/logging.h"
 
 namespace picloud::proto {
-
-using util::Json;
 
 DhcpServer::DhcpServer(net::Network& network, net::NetNodeId server_node,
                        net::Ipv4Addr server_ip, DhcpServerConfig config)
@@ -74,79 +71,73 @@ std::optional<net::Ipv4Addr> DhcpServer::pick_address(const std::string& mac) {
   return std::nullopt;
 }
 
-void DhcpServer::send_to_client(net::NetNodeId client_node, Json payload) {
+void DhcpServer::send_to_client(net::NetNodeId client_node,
+                                DhcpServerMessage reply) {
   net::Message msg;
   msg.src = ip_;
   msg.src_port = kDhcpServerPort;
   msg.dst_port = kDhcpClientPort;
-  msg.body = std::move(payload);
+  msg.body = std::move(reply);
   network_.send_to_node(node_, client_node, std::move(msg));
 }
 
-void DhcpServer::on_message(const net::Message& msg) {
-  const Json& j = msg.body.json();
-  std::string type = j.get_string("type");
-  std::string mac = j.get_string("mac");
-  std::string hostname = j.get_string("hostname");
-  auto client_node =
-      static_cast<net::NetNodeId>(j.get_number("node", net::kInvalidNode));
-  if (mac.empty() || client_node == net::kInvalidNode) return;
+void DhcpServer::nak(net::NetNodeId client_node, DhcpNakReason reason) {
+  ++naks_;
+  DhcpServerMessage nak;
+  nak.type = DhcpType::kNak;
+  nak.reason = reason;
+  send_to_client(client_node, std::move(nak));
+}
 
-  if (type == "discover") {
+void DhcpServer::on_message(const net::Message& msg) {
+  const auto* request = msg.body.get<DhcpClientMessage>();
+  if (request == nullptr || request->mac.empty() ||
+      request->node == net::kInvalidNode) {
+    return;
+  }
+  const std::string& mac = request->mac;
+
+  if (request->type == DhcpType::kDiscover) {
     ++discovers_;
     auto ip = pick_address(mac);
     if (!ip) {
-      ++naks_;
-      Json nak = Json::object();
-      nak.set("type", "nak");
-      nak.set("reason", "address pool exhausted");
-      send_to_client(client_node, std::move(nak));
+      nak(request->node, DhcpNakReason::kPoolExhausted);
       return;
     }
-    Json offer = Json::object();
-    offer.set("type", "offer");
-    offer.set("ip", ip->to_string());
-    offer.set("lease_s", config_.lease_duration.to_seconds());
-    offer.set("server_ip", ip_.to_string());
-    offer.set("server_node", node_);
+    DhcpServerMessage offer;
+    offer.type = DhcpType::kOffer;
+    offer.ip = *ip;
+    offer.lease_s = config_.lease_duration.to_seconds();
+    offer.server_ip = ip_;
+    offer.server_node = node_;
     LOG_DEBUG("dhcp", "OFFER %s to %s", ip->to_string().c_str(), mac.c_str());
-    send_to_client(client_node, std::move(offer));
+    send_to_client(request->node, std::move(offer));
     return;
   }
 
-  if (type == "request") {
-    auto requested = net::Ipv4Addr::parse(j.get_string("ip"));
+  if (request->type == DhcpType::kRequest) {
+    const std::optional<net::Ipv4Addr>& requested = request->ip;
     if (!requested || ip_in_use(*requested, mac) ||
         !config_.subnet.contains(*requested)) {
-      ++naks_;
-      Json nak = Json::object();
-      nak.set("type", "nak");
-      nak.set("reason", "requested address unavailable");
-      send_to_client(client_node, std::move(nak));
+      nak(request->node, DhcpNakReason::kUnavailable);
       return;
     }
     DhcpLease lease;
     lease.mac = mac;
-    lease.hostname = hostname;
+    lease.hostname = request->hostname;
     lease.ip = *requested;
     lease.expires = sim_.now() + config_.lease_duration;
     leases_[requested->value()] = lease;
     ++acks_;
-    Json ack = Json::object();
-    ack.set("type", "ack");
-    ack.set("ip", requested->to_string());
-    ack.set("lease_s", config_.lease_duration.to_seconds());
-    ack.set("server_node", node_);
+    DhcpServerMessage ack;
+    ack.type = DhcpType::kAck;
+    ack.ip = *requested;
+    ack.lease_s = config_.lease_duration.to_seconds();
+    ack.server_node = node_;
     LOG_DEBUG("dhcp", "ACK %s to %s (%s)", requested->to_string().c_str(),
-              mac.c_str(), hostname.c_str());
-    send_to_client(client_node, std::move(ack));
+              mac.c_str(), lease.hostname.c_str());
+    send_to_client(request->node, std::move(ack));
     if (on_lease_) on_lease_(lease);
-    return;
-  }
-
-  if (type == "release") {
-    auto released = net::Ipv4Addr::parse(j.get_string("ip"));
-    if (released) release(*released);
   }
 }
 
@@ -216,35 +207,29 @@ void DhcpClient::stop() {
 void DhcpClient::send_discover() {
   state_ = State::kSelecting;
   ++discovers_sent_;
-  Json discover = Json::object();
-  discover.set("type", "discover");
-  discover.set("mac", mac_);
-  discover.set("hostname", hostname_);
-  discover.set("node", node_);
-  net::Message msg;
-  msg.src = net::Ipv4Addr::any();
-  msg.src_port = kDhcpClientPort;
-  msg.dst_port = kDhcpServerPort;
-  msg.body = std::move(discover);
-  network_.send_to_node(node_, std::nullopt, std::move(msg));
+  send(DhcpType::kDiscover, std::nullopt);
   arm_retry();
 }
 
 void DhcpClient::send_request() {
   state_ = State::kRequesting;
-  Json request = Json::object();
-  request.set("type", "request");
-  request.set("mac", mac_);
-  request.set("hostname", hostname_);
-  request.set("node", node_);
-  request.set("ip", offered_ip_.to_string());
+  send(DhcpType::kRequest, server_node_);
+  arm_retry();
+}
+
+void DhcpClient::send(DhcpType type, std::optional<net::NetNodeId> server) {
+  DhcpClientMessage body;
+  body.hostname = hostname_;
+  body.mac = mac_;
+  if (type == DhcpType::kRequest) body.ip = offered_ip_;
+  body.node = node_;
+  body.type = type;
   net::Message msg;
   msg.src = net::Ipv4Addr::any();
   msg.src_port = kDhcpClientPort;
   msg.dst_port = kDhcpServerPort;
-  msg.body = std::move(request);
-  network_.send_to_node(node_, server_node_, std::move(msg));
-  arm_retry();
+  msg.body = std::move(body);
+  network_.send_to_node(node_, server, std::move(msg));
 }
 
 void DhcpClient::arm_retry() {
@@ -258,27 +243,24 @@ void DhcpClient::arm_retry() {
 }
 
 void DhcpClient::on_message(const net::Message& msg) {
-  const Json& j = msg.body.json();
-  std::string type = j.get_string("type");
+  const auto* reply = msg.body.get<DhcpServerMessage>();
+  if (reply == nullptr) return;
 
-  if (type == "offer" && state_ == State::kSelecting) {
-    auto ip = net::Ipv4Addr::parse(j.get_string("ip"));
-    if (!ip) return;
-    offered_ip_ = *ip;
-    server_node_ = static_cast<net::NetNodeId>(
-        j.get_number("server_node", net::kInvalidNode));
+  if (reply->type == DhcpType::kOffer && state_ == State::kSelecting) {
+    if (!reply->ip || !reply->server_node) return;
+    offered_ip_ = *reply->ip;
+    server_node_ = *reply->server_node;
     send_request();
     return;
   }
 
-  if (type == "ack" && state_ == State::kRequesting) {
-    auto ip = net::Ipv4Addr::parse(j.get_string("ip"));
-    if (!ip) return;
-    ip_ = *ip;
+  if (reply->type == DhcpType::kAck && state_ == State::kRequesting) {
+    if (!reply->ip || !reply->lease_s) return;
+    ip_ = *reply->ip;
     state_ = State::kBound;
     retry_attempt_ = 0;  // bound: the backoff ladder starts over
     retry_timer_.cancel();
-    sim::Duration lease = sim::Duration::seconds(j.get_number("lease_s", 3600));
+    sim::Duration lease = sim::Duration::seconds(*reply->lease_s);
     // Renew at half-lease by re-requesting the same address.
     renew_timer_.after(sim_, lease / 2.0, [this]() {
       if (state_ != State::kBound) return;
@@ -289,7 +271,7 @@ void DhcpClient::on_message(const net::Message& msg) {
     return;
   }
 
-  if (type == "nak") {
+  if (reply->type == DhcpType::kNak) {
     // Back to square one after a backed-off delay: a NAK storm (e.g. pool
     // exhaustion) shouldn't keep the whole rack hammering the server.
     state_ = State::kInit;

@@ -7,24 +7,80 @@
 // floods the management network with discovery traffic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "net/addr.h"
 #include "net/network.h"
 #include "sim/simulation.h"
-#include "util/json.h"
 #include "util/result.h"
 #include "util/rng.h"
+#include "util/schema.h"
 
 namespace picloud::proto {
 
 inline constexpr std::uint16_t kDhcpServerPort = 67;
 inline constexpr std::uint16_t kDhcpClientPort = 68;
+
+enum class DhcpType : std::uint8_t { kDiscover, kOffer, kRequest, kAck, kNak };
+constexpr std::array<std::string_view, 5> json_names(DhcpType) {
+  return {"discover", "offer", "request", "ack", "nak"};
+}
+
+// Why the server NAKed.
+enum class DhcpNakReason : std::uint8_t { kPoolExhausted, kUnavailable };
+constexpr std::array<std::string_view, 2> json_names(DhcpNakReason) {
+  return {"address pool exhausted", "requested address unavailable"};
+}
+
+// Client -> server: {"hostname", "ip" (request only), "mac", "node",
+// "type":"discover"|"request"}. The server answers at `node`, the client's
+// fabric node, since the client has no address yet.
+struct DhcpClientMessage : util::JsonSchema<DhcpClientMessage> {
+  std::string hostname;
+  std::string mac;
+  std::optional<net::Ipv4Addr> ip;  // the address requested
+  net::NetNodeId node = net::kInvalidNode;
+  DhcpType type = DhcpType::kDiscover;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("hostname", &DhcpClientMessage::hostname),
+                      util::field("ip", &DhcpClientMessage::ip),
+                      util::field("mac", &DhcpClientMessage::mac),
+                      util::field("node", &DhcpClientMessage::node),
+                      util::field("type", &DhcpClientMessage::type)};
+  }
+};
+
+// Server -> client:
+//   offer: {"ip", "lease_s", "server_ip", "server_node", "type":"offer"}
+//   ack:   {"ip", "lease_s", "server_node", "type":"ack"}
+//   nak:   {"reason", "type":"nak"}
+struct DhcpServerMessage : util::JsonSchema<DhcpServerMessage> {
+  std::optional<double> lease_s;
+  std::optional<net::Ipv4Addr> ip;
+  std::optional<net::Ipv4Addr> server_ip;
+  std::optional<net::NetNodeId> server_node;
+  std::optional<DhcpNakReason> reason;
+  DhcpType type = DhcpType::kOffer;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("ip", &DhcpServerMessage::ip),
+                      util::field("lease_s", &DhcpServerMessage::lease_s),
+                      util::field("reason", &DhcpServerMessage::reason),
+                      util::field("server_ip", &DhcpServerMessage::server_ip),
+                      util::field("server_node",
+                                  &DhcpServerMessage::server_node),
+                      util::field("type", &DhcpServerMessage::type)};
+  }
+};
 
 struct DhcpLease {
   std::string mac;
@@ -72,7 +128,8 @@ class DhcpServer {
  private:
   void on_message(const net::Message& msg);
   std::optional<net::Ipv4Addr> pick_address(const std::string& mac);
-  void send_to_client(net::NetNodeId client_node, util::Json payload);
+  void send_to_client(net::NetNodeId client_node, DhcpServerMessage reply);
+  void nak(net::NetNodeId client_node, DhcpNakReason reason);
   bool ip_in_use(net::Ipv4Addr ip, const std::string& for_mac) const;
 
   net::Network& network_;
@@ -124,6 +181,9 @@ class DhcpClient {
   // DHCPREQUEST for offered_ip_ to server_node_ (an offer's answer and the
   // half-lease renewal alike).
   void send_request();
+  // Sends a message of `type` to `server`'s node, or broadcasts it when
+  // unset.
+  void send(DhcpType type, std::optional<net::NetNodeId> server);
   void on_message(const net::Message& msg);
   void arm_retry();
 

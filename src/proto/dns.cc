@@ -2,11 +2,7 @@
 
 #include <vector>
 
-#include "util/json.h"
-
 namespace picloud::proto {
-
-using util::Json;
 
 DnsServer::DnsServer(net::Network& network, net::Ipv4Addr server_ip,
                      sim::Duration record_ttl)
@@ -56,17 +52,17 @@ std::vector<std::string> DnsServer::names() const {
 }
 
 void DnsServer::on_message(const net::Message& msg) {
-  const Json& j = msg.body.json();
-  std::string name = j.get_string("q");
+  const auto* query = msg.body.get<DnsQuery>();
+  if (query == nullptr) return;
   ++queries_;
-  Json answer = Json::object();
-  answer.set("id", j.get_number("id"));
-  auto found = lookup(name);
+  DnsAnswer answer;
+  answer.id = query->id;
+  auto found = lookup(query->q);
   if (found) {
-    answer.set("a", found->to_string());
-    answer.set("ttl_s", ttl_.to_seconds());
+    answer.a = *found;
+    answer.ttl_s = ttl_.to_seconds();
   } else {
-    answer.set("nx", true);
+    answer.nx = true;
   }
   net::Message reply;
   reply.src = ip_;
@@ -119,9 +115,9 @@ void DnsResolver::resolve(const std::string& name, ResolveCallback cb,
     finish(id, util::Error::make("timeout", "DNS query timed out"));
   });
 
-  Json query = Json::object();
-  query.set("q", name);
-  query.set("id", static_cast<unsigned long long>(id));
+  DnsQuery query;
+  query.q = name;
+  query.id = id;
   net::Message msg;
   msg.src = self_;
   msg.dst = server_;
@@ -132,26 +128,21 @@ void DnsResolver::resolve(const std::string& name, ResolveCallback cb,
 }
 
 void DnsResolver::on_message(const net::Message& msg) {
-  const Json& j = msg.body.json();
-  std::uint64_t id = static_cast<std::uint64_t>(j.get_number("id"));
-  auto it = pending_.find(id);
+  const auto* answer = msg.body.get<DnsAnswer>();
+  if (answer == nullptr) return;
+  auto it = pending_.find(answer->id);
   if (it == pending_.end()) return;
-  if (j.get_bool("nx")) {
-    finish(id, util::Error::make("not_found",
-                                 "NXDOMAIN: " + it->second.name));
+  if (answer->nx.value_or(false)) {
+    finish(answer->id, util::Error::make("not_found",
+                                         "NXDOMAIN: " + it->second.name));
     return;
   }
-  auto ip = net::Ipv4Addr::parse(j.get_string("a"));
-  if (!ip) {
-    finish(id, util::Error::make("bad_response", "malformed DNS answer"));
-    return;
-  }
+  if (!answer->a || !answer->ttl_s) return;  // neither answer nor NXDOMAIN
   CacheEntry entry;
-  entry.ip = *ip;
-  entry.expires =
-      sim_.now() + sim::Duration::seconds(j.get_number("ttl_s", 60));
+  entry.ip = *answer->a;
+  entry.expires = sim_.now() + sim::Duration::seconds(*answer->ttl_s);
   cache_[it->second.name] = entry;
-  finish(id, *ip);
+  finish(answer->id, *answer->a);
 }
 
 void DnsResolver::finish(std::uint64_t id,

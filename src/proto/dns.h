@@ -11,16 +11,45 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/addr.h"
 #include "net/network.h"
 #include "sim/simulation.h"
 #include "util/result.h"
+#include "util/schema.h"
 
 namespace picloud::proto {
 
 inline constexpr std::uint16_t kDnsPort = 53;
+
+// Resolver -> server: {"id", "q"}, the name to resolve.
+struct DnsQuery : util::JsonSchema<DnsQuery> {
+  std::string q;
+  std::uint64_t id = 0;  // echoed by the answer
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("id", &DnsQuery::id),
+                      util::field("q", &DnsQuery::q)};
+  }
+};
+
+// Server -> resolver: {"a", "id", "ttl_s"} when the name has a record,
+// {"id", "nx":true} when it has none.
+struct DnsAnswer : util::JsonSchema<DnsAnswer> {
+  std::optional<double> ttl_s;
+  std::optional<net::Ipv4Addr> a;
+  std::optional<bool> nx;
+  std::uint64_t id = 0;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("a", &DnsAnswer::a),
+                      util::field("id", &DnsAnswer::id),
+                      util::field("nx", &DnsAnswer::nx),
+                      util::field("ttl_s", &DnsAnswer::ttl_s)};
+  }
+};
 
 class DnsServer {
  public:

@@ -19,7 +19,10 @@
 // without building anything.
 //
 // Member types: integers, double, bool, std::string, a small enum written
-// as a string (see JsonEnum), util::Json for a free-form body, and
+// as a string (see JsonEnum), a value written as the string its
+// to_string() returns (see JsonText; an address is one), another schema'd
+// struct written as a nested object, std::vector of any member type but
+// std::optional written as an array, util::Json for a free-form body, and
 // std::optional of any of these but Json. An optional member is written
 // only when it holds a value, and a Json member only when it is not null;
 // every other member is always written. A double follows Json(double):
@@ -27,9 +30,10 @@
 // as 0.
 //
 // from_json() reads an object: a member's key must hold a value of its
-// type (a number in range for an integer), a missing key leaves an
-// optional empty and a Json member null and fails for any other member,
-// and keys outside the table are ignored.
+// type (a number in range for an integer, a string its parse() accepts for
+// a JsonText value, an array whose every element reads as the element
+// type), a missing key leaves an optional empty and a Json member null and
+// fails for any other member, and keys outside the table are ignored.
 #pragma once
 
 #include <array>
@@ -44,6 +48,7 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "util/json.h"
 #include "util/result.h"
@@ -62,6 +67,18 @@ template <typename E>
 concept JsonEnum = std::is_enum_v<E> && requires(E e) {
   { json_names(e)[0] } -> std::convertible_to<std::string_view>;
 };
+
+// A value written as a JSON string: the text its to_string() returns, read
+// back by a static parse() that returns std::nullopt for text it does not
+// accept. net::Ipv4Addr is one.
+template <typename V>
+concept JsonText = requires(const V& v, const std::string& text) {
+  { v.to_string() } -> std::same_as<std::string>;
+  { V::parse(text) } -> std::same_as<std::optional<V>>;
+};
+
+template <typename T>
+struct JsonSchema;
 
 // One row of a field table: the JSON key and the member it holds.
 template <typename T, typename M>
@@ -165,6 +182,68 @@ struct Codec<E> {
   }
 };
 
+template <JsonText V>
+struct Codec<V> {
+  static bool present(const V&) { return true; }
+  static size_t size(const V& v) { return Json::string_size(v.to_string()); }
+  static Json to_json(const V& v) { return Json(v.to_string()); }
+  static bool from_json(const Json& j, V* out) {
+    if (!j.is_string()) return false;
+    std::optional<V> parsed = V::parse(j.as_string());
+    if (!parsed) return false;
+    *out = *parsed;
+    return true;
+  }
+};
+
+// A nested schema'd struct, written as an object.
+template <typename S>
+  requires std::derived_from<S, JsonSchema<S>>
+struct Codec<S> {
+  static bool present(const S&) { return true; }
+  static size_t size(const S& v) { return v.wire_size(); }
+  static Json to_json(const S& v) { return v.to_json(); }
+  static Json to_json(S&& v) { return std::move(v).to_json(); }
+  static bool from_json(const Json& j, S* out) {
+    Result<S> parsed = S::from_json(j);
+    if (!parsed.ok()) return false;
+    *out = std::move(parsed).value();
+    return true;
+  }
+};
+
+template <typename M>
+constexpr bool kOptional = false;
+template <typename M>
+constexpr bool kOptional<std::optional<M>> = true;
+
+template <typename M>
+struct Codec<std::vector<M>> {
+  static_assert(!kOptional<M>, "an array element is always written");
+  static bool present(const std::vector<M>&) { return true; }
+  // [a,b,c]: the brackets, each element, and a comma between two.
+  static size_t size(const std::vector<M>& v) {
+    size_t bytes = v.empty() ? 2 : 1 + v.size();
+    for (const M& m : v) bytes += Codec<M>::size(m);
+    return bytes;
+  }
+  static Json to_json(const std::vector<M>& v) {
+    JsonArray out;
+    out.reserve(v.size());
+    for (const M& m : v) out.push_back(Codec<M>::to_json(m));
+    return Json(std::move(out));
+  }
+  static bool from_json(const Json& j, std::vector<M>* out) {
+    if (!j.is_array()) return false;
+    std::vector<M> values(j.as_array().size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!Codec<M>::from_json(j.as_array()[i], &values[i])) return false;
+    }
+    *out = std::move(values);
+    return true;
+  }
+};
+
 template <>
 struct Codec<Json> {
   static bool present(const Json& v) { return !v.is_null(); }
@@ -196,11 +275,6 @@ struct Codec<std::optional<M>> {
     return true;
   }
 };
-
-template <typename M>
-constexpr bool kOptional = false;
-template <typename M>
-constexpr bool kOptional<std::optional<M>> = true;
 
 // Keys strictly ascending in byte order (std::string::compare, which
 // JsonObject sorts by) and written without escapes, so a key costs its

@@ -164,6 +164,81 @@ TEST_F(DfsCloud, DatanodeDeathTriggersReReplicationAndDataSurvives) {
   EXPECT_EQ(bytes.value(), 12ull << 20);
 }
 
+// Pinned to the nanosecond: each operation's control messages (store,
+// fetch and push orders, their acks, the survivor's store to the new home)
+// are charged their exact encoded length on the fabric, so a body that
+// sizes one byte differently moves these times.
+TEST_F(DfsCloud, WriteReadAndReReplicationFinishAtPinnedTimes) {
+  std::int64_t written_at = -1;
+  namenode_->write("pinned", 6ull << 20, [&](util::Status status) {
+    EXPECT_TRUE(status.ok());
+    written_at = sim_->now().ns();
+  });
+  cloud_->run_until(sim::Duration::minutes(5),
+                    [&]() { return written_at >= 0; });
+  std::int64_t read_at = -1;
+  namenode_->read("pinned", [&](util::Result<std::uint64_t> bytes) {
+    EXPECT_TRUE(bytes.ok());
+    read_at = sim_->now().ns();
+  });
+  cloud_->run_until(sim::Duration::minutes(5), [&]() { return read_at >= 0; });
+
+  // Lose block 0's first replica; the survivor pushes the block to a new
+  // home, which has it once its SD card write completes.
+  const net::Ipv4Addr victim = namenode_->block_replicas("pinned", 0)[0];
+  namenode_->handle_datanode_death(victim);
+  const net::Ipv4Addr target = namenode_->block_replicas("pinned", 0).back();
+  DfsNodeApp* home = nullptr;
+  for (size_t i = 0; i < datanode_ips_.size(); ++i) {
+    if (datanode_ips_[i] != target) continue;
+    home = dynamic_cast<DfsNodeApp*>(
+        cloud_->node(i).find_container(util::format("dn-%zu", i))->app());
+  }
+  ASSERT_NE(home, nullptr);
+  const size_t blocks_before = home->block_count();
+  const sim::SimTime limit = sim_->now() + sim::Duration::minutes(2);
+  while (home->block_count() == blocks_before && sim_->now() < limit) {
+    sim_->step();
+  }
+  ASSERT_GT(home->block_count(), blocks_before);
+  EXPECT_EQ(written_at, 14926515520);
+  EXPECT_EQ(read_at, 15608606720);
+  EXPECT_EQ(sim_->now().ns(), 16665109360);
+}
+
+// A read whose later block has lost every replica answers once, with
+// data_loss, and sends no fetch for the blocks before it.
+TEST_F(DfsCloud, ReadOfAFileWithALostBlockCallsBackOnce) {
+  DfsNamenode::Config config;
+  config.block_bytes = 4ull << 20;
+  config.replication = 1;
+  DfsNamenode namenode(cloud_->network(), cloud_->admin_ip(), config, 47401);
+  for (size_t i = 0; i < datanode_ips_.size(); ++i) {
+    namenode.add_datanode(datanode_ips_[i], cloud_->daemon(i).rack());
+  }
+  bool written = false;
+  namenode.write("two-blocks", 8ull << 20, [&](util::Status status) {
+    EXPECT_TRUE(status.ok());
+    written = true;
+  });
+  cloud_->run_until(sim::Duration::minutes(5), [&]() { return written; });
+  ASSERT_TRUE(written);
+  const auto block0 = namenode.block_replicas("two-blocks", 0);
+  const auto block1 = namenode.block_replicas("two-blocks", 1);
+  ASSERT_EQ(block0.size(), 1u);
+  ASSERT_EQ(block1.size(), 1u);
+  ASSERT_NE(block0[0], block1[0]);
+  namenode.handle_datanode_death(block1[0]);
+
+  std::vector<std::string> outcomes;
+  namenode.read("two-blocks", [&](util::Result<std::uint64_t> bytes) {
+    outcomes.push_back(bytes.ok() ? "ok" : bytes.error().code);
+  });
+  cloud_->run_for(sim::Duration::minutes(1));
+  EXPECT_EQ(outcomes, std::vector<std::string>{"data_loss"});
+  EXPECT_EQ(namenode.stats().blocks_read, 0u);
+}
+
 TEST_F(DfsCloud, DuplicateFileNameRejected) {
   ASSERT_TRUE(write_file("once", 1 << 20).ok());
   util::Status again = write_file("once", 1 << 20);

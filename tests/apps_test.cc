@@ -193,14 +193,21 @@ TEST(MapReduce, WordcountStyleJobCompletes) {
   spec.reducers = {workers[0], workers[1]};
   bool done = false;
   MapReduceJobResult result;
+  sim::SimTime finished_at;
   driver.run(spec, [&](const MapReduceJobResult& r) {
     done = true;
     result = r;
+    finished_at = w.sim.now();
   });
   w.sim.run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.success) << result.error;
   EXPECT_GT(result.duration.to_seconds(), 0.0);
+  // Pinned to the nanosecond: every control message of the job (map
+  // orders, partitions, reduce orders, completions) is charged its exact
+  // encoded length on the fabric, so a body that sizes one byte
+  // differently moves the finish time.
+  EXPECT_EQ(finished_at.ns(), 420056559);
   // Shuffle actually crossed the fabric.
   EXPECT_GT(w.fabric.total_bytes_carried(), spec.input_bytes * 0.3);
   // Every task landed on some worker; totals match the spec.
@@ -255,38 +262,6 @@ TEST(MapReduce, RejectsBadSpecs) {
     failed = !r.success;
   });
   EXPECT_TRUE(failed);
-}
-
-// A received map request is outside input: a reducer entry that is not a
-// string is skipped, and the worker keeps serving.
-TEST(MapReduce, MapSkipsReducerEntriesThatAreNotStrings) {
-  AppWorld w(1);
-  const net::Ipv4Addr worker =
-      w.launch(0, "mr", std::make_unique<MapReduceWorkerApp>());
-  int map_done = 0;
-  w.network.listen(w.client_ip, 9000, [&](const net::Message& msg) {
-    if (msg.body.json().get_string("op") == "map_done") ++map_done;
-  });
-  net::Message msg;
-  msg.src = w.client_ip;
-  msg.dst = worker;
-  msg.src_port = 9000;
-  msg.dst_port = kMapReducePort;
-  msg.body = util::Json::object()
-                 .set("op", "map")
-                 .set("job", "j")
-                 .set("task", 0)
-                 .set("id", 0)
-                 .set("bytes", 1024)
-                 .set("reducers", util::Json::array().push_back(7).push_back(
-                                      worker.to_string()));
-  ASSERT_TRUE(w.network.send(std::move(msg)));
-  w.sim.run();
-  EXPECT_EQ(map_done, 1);
-  auto* app = dynamic_cast<MapReduceWorkerApp*>(
-      w.nodes[0]->find_container("mr")->app());
-  ASSERT_NE(app, nullptr);
-  EXPECT_EQ(app->map_tasks_done(), 1u);
 }
 
 TEST(BackgroundTraffic, OffersHeavyTailedFlows) {

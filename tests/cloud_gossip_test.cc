@@ -6,6 +6,7 @@
 #include "cloud/cloud.h"
 #include "cloud/gossip.h"
 #include "net/topology.h"
+#include "util/strings.h"
 
 namespace picloud::cloud {
 namespace {
@@ -99,6 +100,18 @@ TEST(Gossip, RestartedAgentRejoins) {
   w.agents[2]->start("pi-2", w.ips[2]);
   w.sim.run_until(w.sim.now() + sim::Duration::seconds(8));
   EXPECT_TRUE(w.agents[0]->alive("pi-2"));
+}
+
+// Pinned exactly: every digest is charged its encoded length on every link
+// it crosses, so a digest that sizes one byte differently moves the total.
+TEST(Gossip, FabricBytesAfterFixedRoundsArePinned) {
+  GossipWorld w(5);
+  w.agents[1]->update_self(0.375, 123 << 20, 2);
+  w.agents[3]->update_self(1.0 / 3.0, 7, 1);
+  w.sim.run_until(w.sim.now() + sim::Duration::seconds(12));
+  EXPECT_EQ(w.agents[0]->known_members(), 5u);
+  EXPECT_EQ(w.fabric.total_bytes_carried(), 80849.768749999988)
+      << util::format("%.17g", w.fabric.total_bytes_carried());
 }
 
 TEST(Gossip, FullCloudIntegration) {

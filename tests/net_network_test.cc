@@ -3,14 +3,35 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include "net/addr.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/simulation.h"
+#include "util/schema.h"
 
 namespace picloud::net {
 namespace {
+
+// A small message body: {"id":..,"op":..}.
+struct Probe : util::JsonSchema<Probe> {
+  std::string op;
+  int id = 0;
+
+  static constexpr auto json_fields() {
+    return std::tuple{util::field("id", &Probe::id),
+                      util::field("op", &Probe::op)};
+  }
+};
+
+Probe probe(std::string op, int id = 0) {
+  Probe p;
+  p.op = std::move(op);
+  p.id = id;
+  return p;
+}
 
 TEST(Ipv4Addr, ParseAndFormat) {
   auto a = Ipv4Addr::parse("10.0.1.17");
@@ -66,13 +87,41 @@ TEST(Network, DestroyedWithADeliveryPendingCancelsIt) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.body = util::Json("hello");
+  msg.body = probe("hello");
   ASSERT_TRUE(network->send(std::move(msg)));
-  // 71 bytes serialise in ~6 us; the two 50 us hops deliver at ~106 us.
+  // 85 bytes serialise in ~7 us; the two 50 us hops deliver at ~107 us.
   sim.run_until(sim::SimTime::zero() + sim::Duration::micros(50));
   ASSERT_EQ(fabric.active_flow_count(), 0u);
   ASSERT_TRUE(sim.has_events());
   network.reset();
+  sim.run();
+  EXPECT_EQ(delivered, 0);
+}
+
+// Destroying the network while one of its messages is still a flow in the
+// fabric cancels the flow, so the fabric never calls back into the freed
+// network.
+TEST(Network, DestroyedWithAFlowInTheFabricCancelsIt) {
+  sim::Simulation sim;
+  Fabric fabric(sim);
+  const Topology topo = build_single_rack(fabric, 2);
+  auto network = std::make_unique<Network>(sim, fabric);
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  network->bind_ip(a, topo.hosts[0]);
+  network->bind_ip(b, topo.hosts[1]);
+  int delivered = 0;
+  network->listen(b, 80, [&delivered](const Message&) { ++delivered; });
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.body = probe("hello");
+  msg.padding_bytes = 1e6;  // ~80 ms on the 100 Mb/s host links
+  ASSERT_TRUE(network->send(std::move(msg)));
+  sim.run_until(sim::SimTime::zero() + sim::Duration::micros(50));
+  ASSERT_EQ(fabric.active_flow_count(), 1u);
+  network.reset();
+  ASSERT_EQ(fabric.active_flow_count(), 0u);
   sim.run();
   EXPECT_EQ(delivered, 0);
 }
@@ -85,18 +134,18 @@ TEST(Network, UnicastDeliveryWithLatency) {
   sim::SimTime delivered_at;
   std::string got;
   w.network.listen(b, 80, [&](const Message& msg) {
-    got = msg.body.json().as_string();
+    got = msg.body.get<Probe>()->op;
     delivered_at = w.sim.now();
   });
   Message msg;
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.body = util::Json("hello");
+  msg.body = probe("hello");
   EXPECT_TRUE(w.network.send(msg));
   w.sim.run();
   EXPECT_EQ(got, "hello");
-  // Serialization (71 B over 100 Mb) + 2 hops of 50 us propagation.
+  // Serialization (85 B over 100 Mb) + 2 hops of 50 us propagation.
   EXPECT_GT(delivered_at.to_seconds(), 100e-6);
   EXPECT_EQ(w.network.messages_delivered(), 1u);
 }
@@ -124,7 +173,7 @@ TEST(Network, UnicastArrivesAtFlowCompletionPlusPathDelay) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.body = util::Json("hello");
+  msg.body = probe("hello");
 
   // A bare flow of the message's wire size over the same idle path.
   FlowSpec spec;
@@ -173,7 +222,7 @@ TEST(Network, WireBytesAreHeaderEncodedPayloadAndPadding) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.body = util::Json::object().set("id", 7).set("op", "get");
+  msg.body = probe("get", 7);
   msg.padding_bytes = 100;
   EXPECT_EQ(one_way(w.sim, w.network, msg),
             (flow_done - flow_start) + path_delay);
@@ -188,7 +237,7 @@ TEST(Network, SameHostMessageTakesTwoLoopbackDelays) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 80;
-  msg.body = util::Json("hello");
+  msg.body = probe("hello");
   EXPECT_EQ(one_way(w.sim, w.network, msg),
             Fabric::kLoopbackDelay + Fabric::kLoopbackDelay);
 }
@@ -202,7 +251,7 @@ TEST(Network, L2UnicastArrivesWithIpUnicastTiming) {
   msg.src = a;
   msg.dst = b;
   msg.dst_port = 67;
-  msg.body = util::Json("discover");
+  msg.body = probe("discover");
   const sim::Duration ip_latency = one_way(w.sim, w.network, msg);
 
   const sim::SimTime sent = w.sim.now();
