@@ -181,9 +181,9 @@ void Fabric::release_record(Flow* flow) {
   free_records_.push_back(flow);
 }
 
-Fabric::Flow* Fabric::find_live(FlowId id) const {
-  auto at = std::lower_bound(live_.begin(), live_.end(), id, kFlowIdLess);
-  return at != live_.end() && (*at)->id == id ? *at : nullptr;
+Fabric::Flow* Fabric::find_in(const std::vector<Flow*>& flows, FlowId id) {
+  auto at = std::lower_bound(flows.begin(), flows.end(), id, kFlowIdLess);
+  return at != flows.end() && (*at)->id == id ? *at : nullptr;
 }
 
 // Runs once per message. A recycled record and its path make admission
@@ -196,22 +196,19 @@ FlowId Fabric::start_flow(FlowSpec spec) {
   FlowId id = next_flow_id_++;
   flows_started_->inc();
 
-  if (spec.src == spec.dst) {
+  Flow* flow = acquire_record(id);
+  flow->spec = std::move(spec);
+  if (flow->spec.src == flow->spec.dst) {
     // Loopback: no fabric involvement.
-    sim_.after(kLoopbackDelay, [cb = std::move(spec.on_complete)]() {
-      if (cb) cb(kLoopbackDelay, true);
-    });
+    flow->delay = kLoopbackDelay;
+    hold_outcome(flow, kLoopbackDelay);
     flows_completed_->inc();
     return id;
   }
 
-  Flow* flow = acquire_record(id);
-  route_flow(spec.src, spec.dst, id, &flow->path);
+  route_flow(flow->spec.src, flow->spec.dst, id, &flow->path);
   if (flow->path.empty()) {
-    release_record(flow);
-    sim_.after(sim::Duration::zero(), [cb = std::move(spec.on_complete)]() {
-      if (cb) cb(sim::Duration::zero(), false);
-    });
+    hold_outcome(flow, sim::Duration::zero());
     flows_failed_->inc();
     if (routing_ != nullptr) routing_->on_flow_end(id);
     return id;
@@ -223,9 +220,7 @@ FlowId Fabric::start_flow(FlowSpec spec) {
   for (LinkId lid : flow->path) {
     double p = links_[lid].loss_p;
     if (p > 0 && loss_rng_.chance(p)) {
-      sim_.after(links_[lid].delay, [cb = std::move(spec.on_complete)]() {
-        if (cb) cb(sim::Duration::zero(), false);
-      });
+      hold_outcome(flow, links_[lid].delay);
       flows_failed_->inc();
       flows_lost_->inc();
       // Per-link drop odometer; sum(links.flows_dropped) == flows_lost is a
@@ -235,12 +230,10 @@ FlowId Fabric::start_flow(FlowSpec spec) {
         ++links_[lid].flows_dropped;
       }
       if (routing_ != nullptr) routing_->on_flow_end(id);
-      release_record(flow);  // last: the loop walks its path
       return id;
     }
   }
 
-  flow->spec = std::move(spec);
   flow->delay = path_delay(flow->path);
   flow->remaining_bytes = std::max(flow->spec.bytes, kDrainEpsilonBytes);
   flow->last_update = sim_.now();
@@ -281,7 +274,31 @@ FlowId Fabric::start_flow(FlowSpec spec) {
 }
 
 void Fabric::cancel_flow(FlowId id) {
-  if (Flow* flow = find_live(id)) finish_flow(flow, /*success=*/false);
+  if (Flow* flow = find_live(id)) {
+    finish_flow(flow, /*success=*/false);
+  } else if (Flow* held = find_in(held_, id)) {
+    end_held(held, /*success=*/false);
+  }
+}
+
+void Fabric::hold_outcome(Flow* flow, sim::Duration after) {
+  // The newest flow has the largest id, so it goes at the end.
+  held_.push_back(flow);
+  flow->completion.after(sim_, after, [this, flow]() {
+    end_held(flow, /*success=*/flow->spec.src == flow->spec.dst);
+  });
+}
+
+void Fabric::end_held(Flow* flow, bool success) {
+  flow->completion.cancel();
+  auto at = std::lower_bound(held_.begin(), held_.end(), flow->id, kFlowIdLess);
+  PICLOUD_CHECK(at != held_.end() && *at == flow)
+      << "flow " << flow->id << " is not held";
+  held_.erase(at);
+  FlowCallback cb = std::move(flow->spec.on_complete);
+  const sim::Duration delay = flow->delay;
+  release_record(flow);
+  if (cb) cb(delay, success);
 }
 
 std::vector<LinkId> Fabric::flow_path(FlowId id) const {
@@ -404,9 +421,6 @@ void Fabric::solve_component() {
       }
     }
   }
-  // Ascending flow id everywhere below, matching the oracle's map order.
-  std::sort(comp_flows_.begin(), comp_flows_.end(),
-            [](const Flow* a, const Flow* b) { return a->id < b->id; });
   stats_.component_links += comp_links_.size();
   stats_.component_flows += comp_flows_.size();
 
@@ -419,21 +433,31 @@ void Fabric::solve_component() {
     for (LinkId lid : flow->path) ++unfixed_[lid];
   }
 
-  // Bottleneck search via a lazy-invalidation min-heap: every time a link's
-  // (residual, unfixed) pair changes we push a fresh (share, id) entry; a
+  // Bottleneck search via a lazy-invalidation min-heap, heapified once from
+  // one (share, id) entry per loaded link. While later rounds remain, every
+  // change to a link's (residual, unfixed) pair pushes a fresh entry; a
   // popped entry is discarded unless it still equals the live share. The
   // live minimum is always present, so pops surface the same
   // (min share, min id) the oracle's whole-table scan selects.
   share_heap_.clear();
+  for (LinkId lid : comp_links_) {
+    if (unfixed_[lid] > 0) {
+      share_heap_.emplace_back(residual_[lid] / unfixed_[lid], lid);
+    }
+  }
+  std::make_heap(share_heap_.begin(), share_heap_.end(), std::greater<>{});
+  stats_.heap_ops += share_heap_.size();
   auto heap_push = [this](LinkId lid) {
     share_heap_.emplace_back(residual_[lid] / unfixed_[lid], lid);
     std::push_heap(share_heap_.begin(), share_heap_.end(), std::greater<>{});
     ++stats_.heap_ops;
   };
-  for (LinkId lid : comp_links_) {
-    if (unfixed_[lid] > 0) heap_push(lid);
-  }
   size_t unfixed_flows = comp_flows_.size();
+  // Refilled in the order the rounds fix flows: one round fixes them in its
+  // bottleneck's list order, ascending id, so only a solve whose rounds
+  // interleave ids needs the sort below.
+  comp_flows_.clear();
+  bool fixed_ascending = true;
   while (unfixed_flows > 0) {
     LinkId best_link = kInvalidLink;
     double best = 0;
@@ -448,21 +472,35 @@ void Fabric::solve_component() {
       best = share;
       break;
     }
-    if (best_link == kInvalidLink) break;  // defensive; cannot happen
+    PICLOUD_CHECK(best_link != kInvalidLink)
+        << unfixed_flows << " flows left with no loaded link in the heap";
     // Floating-point residue can drive a residual slightly negative; a fixed
     // rate must never be, or the flow would look unfixed to later rounds.
     best = std::max(best, 0.0);
+    // A round whose bottleneck carries every unfixed flow is the last: no
+    // pop follows it, so it pushes nothing.
+    const bool last_round =
+        static_cast<size_t>(unfixed_[best_link]) == unfixed_flows;
     // Fix every unfixed flow crossing the bottleneck at the fair share.
     for (Flow* flow : link_flows_[best_link]) {
       ++stats_.flow_visits;
       if (flow->rate_bps >= 0) continue;
       flow->rate_bps = best;
       --unfixed_flows;
+      if (!comp_flows_.empty() && comp_flows_.back()->id > flow->id) {
+        fixed_ascending = false;
+      }
+      comp_flows_.push_back(flow);
       for (LinkId lid : flow->path) {
         residual_[lid] -= best;
-        if (--unfixed_[lid] > 0) heap_push(lid);
+        if (--unfixed_[lid] > 0 && !last_round) heap_push(lid);
       }
     }
+  }
+  // Ascending flow id below, matching the oracle's live_ order.
+  if (!fixed_ascending) {
+    std::sort(comp_flows_.begin(), comp_flows_.end(),
+              [](const Flow* a, const Flow* b) { return a->id < b->id; });
   }
 
   // Refresh gauges on component links only (closure: every flow crossing a

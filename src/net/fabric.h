@@ -121,7 +121,7 @@ struct FabricSolverStats {
   std::uint64_t component_links = 0;   // links swept by component re-solves
   std::uint64_t component_flows = 0;   // flows swept by component re-solves
   std::uint64_t flow_visits = 0;       // flows touched fixing bottlenecks
-  std::uint64_t heap_ops = 0;          // share-heap pushes + pops
+  std::uint64_t heap_ops = 0;          // share-heap entries + pops
   std::uint64_t link_scans = 0;        // per-round link evaluations (oracle)
 };
 
@@ -246,13 +246,14 @@ class Fabric {
  private:
   // A flow's state, in a pooled record: a handle stays valid for the flow's
   // lifetime, and a new flow routes into the path vector an ended one left
-  // behind.
+  // behind. A flow that never enters the fabric keeps its record too, for
+  // its callback and its pending outcome (see held_).
   struct Flow {
     FlowId id = 0;
     FlowSpec spec;
     std::vector<LinkId> path;
     // Propagation delay of the path the flow was admitted on; a reroute
-    // keeps it (the callback's `delay`).
+    // keeps it (the callback's `delay`). kLoopbackDelay for a loopback.
     sim::Duration delay;
     double remaining_bytes = 0;
     double rate_bps = 0;
@@ -278,7 +279,10 @@ class Fabric {
   // dirty component under kIncremental, the whole fabric under kFullOracle.
   void resolve_after_change(const std::vector<LinkId>& seed);
   // Progressive filling restricted to the connected component of links
-  // reachable from the pending dirty set through shared flows.
+  // reachable from the pending dirty set through shared flows. Its share
+  // heap is heapified once per solve and fed only while a later round can
+  // pop it, and a solve whose rounds fix flows in ascending id (every
+  // one-round solve) skips the sort.
   void solve_component();
   // Whole-fabric progressive filling (shared by reallocate_full()).
   void run_filling_full();
@@ -288,14 +292,23 @@ class Fabric {
   // firing), it leaves its link lists and live_, the solver runs, and its
   // record goes back on the free list before its callback fires.
   void finish_flow(Flow* flow, bool success);
+  // Holds a flow that never entered the fabric (loopback, no route, a lossy
+  // drop) in held_ and arms its completion timer to end it `after` from
+  // now: a loopback succeeds, the others fail.
+  void hold_outcome(Flow* flow, sim::Duration after);
+  // Ends a held flow: its timer is cancelled (or is the one firing), it
+  // leaves held_, and its record is freed before its callback fires.
+  void end_held(Flow* flow, bool success);
   // A record for flow `id`: a recycled one when there is one.
   Flow* acquire_record(FlowId id);
   // Resets every field of `flow` but its path's capacity (a leftover
   // scheduled_rate would trip the reschedule guard) and puts it on the free
   // list.
   void release_record(Flow* flow);
-  // The live flow with `id` (binary search of live_), or null once it ended.
-  Flow* find_live(FlowId id) const;
+  // The flow with `id` in `flows` (ascending id, binary search), or null.
+  static Flow* find_in(const std::vector<Flow*>& flows, FlowId id);
+  // The live flow with `id`, or null once it ended.
+  Flow* find_live(FlowId id) const { return find_in(live_, id); }
   // Inserts `flow` into / removes it from the flow lists of `path`'s links,
   // at its ascending-id position (binary search).
   void link_path(Flow& flow, const std::vector<LinkId>& path);
@@ -317,6 +330,10 @@ class Fabric {
   // the oracle and every id lookup walk this, in the order the solver's
   // bit-identity depends on (DESIGN.md §14.2).
   std::vector<Flow*> live_;
+  // Flows that never entered the fabric and whose outcome is pending, in
+  // ascending id (appended at admission). Settles and the solver never walk
+  // it; cancel_flow() finds a flow here once live_ has none.
+  std::vector<Flow*> held_;
   FlowId next_flow_id_ = 1;
   SolverMode mode_ = SolverMode::kIncremental;
   FabricSolverStats stats_;

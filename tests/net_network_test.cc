@@ -126,6 +126,33 @@ TEST(Network, DestroyedWithAFlowInTheFabricCancelsIt) {
   EXPECT_EQ(delivered, 0);
 }
 
+// Destroying the network while a message between two addresses on one host
+// waits out the fabric's loopback delay cancels it too: that flow never
+// enters the fabric, but it still holds the network's callback.
+TEST(Network, DestroyedWithALoopbackPendingCancelsIt) {
+  sim::Simulation sim;
+  Fabric fabric(sim);
+  const Topology topo = build_single_rack(fabric, 2);
+  auto network = std::make_unique<Network>(sim, fabric);
+  Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);
+  network->bind_ip(a, topo.hosts[0]);
+  network->bind_ip(b, topo.hosts[0]);
+  int delivered = 0;
+  network->listen(b, 80, [&delivered](const Message&) { ++delivered; });
+  Message msg;
+  msg.src = a;
+  msg.dst = b;
+  msg.dst_port = 80;
+  msg.body = probe("hello");
+  ASSERT_TRUE(network->send(std::move(msg)));
+  // The loopback delay is 20 us.
+  sim.run_until(sim::SimTime::zero() + sim::Duration::micros(10));
+  ASSERT_TRUE(sim.has_events());
+  network.reset();
+  sim.run();
+  EXPECT_EQ(delivered, 0);
+}
+
 TEST(Network, UnicastDeliveryWithLatency) {
   MessageWorld w;
   Ipv4Addr a(10, 0, 0, 1), b(10, 0, 0, 2);

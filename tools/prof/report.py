@@ -26,10 +26,14 @@ host-speed probe. The report prints four tables over those samples:
                 that runs a lambda is charged to the lambda's class;
                 "class" refines it to <module>::<class>.
 
-Symbols come from `nm -C` on each mapped executable, so a function the
+Symbols come from `nm -C -S` on each mapped executable, so a function the
 compiler inlined is charged to its caller; read the files before the
-binary is rebuilt, because the addresses belong to the build that ran. With --require-dispatch the exit
-status is 1 when no sample was taken inside event dispatch.
+binary is rebuilt, because the addresses belong to the build that ran. An
+address at or past the end of the nearest sized symbol before it (code a
+stripped library does not export, such as libc's memmove loops) is charged
+to the file's name, as an address outside every symbol is. With
+--require-dispatch the exit status is 1 when no sample was taken inside
+event dispatch.
 """
 
 import argparse
@@ -48,11 +52,16 @@ PROJECT = re.compile(r"^picloud::(\w+)::")
 
 
 class Symbols:
-    """Address -> function name for one mapped ELF file."""
+    """Address -> function name for one mapped ELF file; without a path,
+    an empty table for add_nm()."""
 
-    def __init__(self, path):
+    def __init__(self, path=None):
         self.addrs = []
+        self.ends = []  # one past the symbol's last byte; None if unsized
         self.names = []
+        self.relative = False
+        if path is None:
+            return
         with open(path, "rb") as f:
             header = f.read(18)
         # e_type 3 (ET_DYN): addresses are relative to the load base.
@@ -61,23 +70,43 @@ class Symbols:
         for flags in (["-C"], ["-C", "-D"]):
             try:
                 out = subprocess.run(
-                    ["nm", "-n", "--defined-only"] + flags + [path],
+                    ["nm", "-n", "-S", "--defined-only"] + flags + [path],
                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                     text=True).stdout
             except OSError:
                 out = ""
-            for line in out.splitlines():
-                parts = line.split(" ", 2)
-                if len(parts) == 3 and parts[1] in "TtWwiI":
-                    self.addrs.append(int(parts[0], 16))
-                    self.names.append(
-                        parts[2].replace("(anonymous namespace)", "{anon}"))
+            self.add_nm(out)
             if self.addrs:
                 break
 
+    def add_nm(self, text):
+        """Adds the function symbols of `nm -n -S` output: lines of
+        "address size type name", the size left out when it is zero."""
+        for line in text.splitlines():
+            fields = line.split(" ", 3)
+            if len(fields) == 4 and len(fields[1]) > 1:
+                addr, size, kind, name = fields
+                end = int(addr, 16) + int(size, 16)
+            else:
+                fields = line.split(" ", 2)
+                if len(fields) < 3:
+                    continue
+                addr, kind, name = fields
+                end = None
+            if kind in "TtWwiI":
+                self.addrs.append(int(addr, 16))
+                self.ends.append(end)
+                self.names.append(
+                    name.replace("(anonymous namespace)", "{anon}"))
+
     def lookup(self, addr):
+        """The function at addr: the nearest symbol at or before it, unless
+        addr is at or past that symbol's end. None when no symbol covers
+        it."""
         i = bisect.bisect_right(self.addrs, addr) - 1
-        return self.names[i] if i >= 0 else None
+        if i < 0 or (self.ends[i] is not None and addr >= self.ends[i]):
+            return None
+        return self.names[i]
 
 
 class Process:
