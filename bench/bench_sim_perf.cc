@@ -386,11 +386,12 @@ std::string git_sha() {
 // Pis (4 to 64 racks of 14): booted, then 60 sim-s of heartbeats. Per size
 // it records the host µs per host per sim-s, the registry names a snapshot
 // visits per heartbeat, and the flows per component solve. The last two
-// are deterministic counts. CI gates names per heartbeat (a heartbeat pays
-// for its own series, not the fleet's); flows per component solve is
-// recorded ungated, since it grows with the fleet: every 15 s the
-// reconciler sends GET /containers to every live node at one instant, and
-// those flows share the pimaster uplink. Heartbeats alone do not overlap.
+// are deterministic counts. CI gates names per heartbeat at 0 (a daemon
+// fills its heartbeat from the registry cells it holds, so no heartbeat
+// walks the name index); flows per component solve is recorded ungated,
+// since it grows with the fleet: every 15 s the reconciler sends
+// GET /containers to every live node at one instant, and those flows share
+// the pimaster uplink. Heartbeats alone do not overlap.
 constexpr int kIdleFleetRacks[] = {4, 16, 32, 64};
 constexpr int kIdleFleetHostsPerRack = 14;
 constexpr double kIdleFleetSimSeconds = 60;

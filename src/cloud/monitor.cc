@@ -17,20 +17,6 @@ util::Json NodeSample::to_json() const {
   return j;
 }
 
-NodeSample NodeSample::from_json(const util::Json& j, sim::SimTime at) {
-  NodeSample s;
-  s.at = at;
-  const util::Json& g = j.get("gauges");
-  s.cpu_utilization = g.get_number("cpu_utilization");
-  s.mem_used = static_cast<std::uint64_t>(g.get_number("mem_used"));
-  s.mem_capacity = static_cast<std::uint64_t>(g.get_number("mem_capacity"));
-  s.sd_used = static_cast<std::uint64_t>(g.get_number("sd_used"));
-  s.containers_total = static_cast<int>(g.get_number("containers_total"));
-  s.containers_running = static_cast<int>(g.get_number("containers_running"));
-  s.power_watts = g.get_number("power_watts");
-  return s;
-}
-
 ClusterMonitor::ClusterMonitor(sim::Simulation& sim)
     : sim_(sim),
       samples_(&sim.metrics().counter("cloud.monitor.samples_ingested")) {}
@@ -46,14 +32,10 @@ void ClusterMonitor::register_node(const std::string& hostname,
   rec.last_seen = sim_.now();
 }
 
-bool ClusterMonitor::known(const std::string& hostname) const {
-  return records_.count(hostname) > 0;
-}
-
-void ClusterMonitor::record_sample(const std::string& hostname,
+bool ClusterMonitor::record_sample(const std::string& hostname,
                                    const NodeSample& sample) {
   auto it = records_.find(hostname);
-  if (it == records_.end()) return;  // unregistered: ignore
+  if (it == records_.end()) return false;
   NodeRecord& rec = it->second;
   if (!rec.baseline_set) {
     rec.baseline_mem = sample.mem_used;
@@ -62,12 +44,12 @@ void ClusterMonitor::record_sample(const std::string& hostname,
   rec.last_seen = sample.at;
   rec.latest = sample;
   samples_->inc();
+  return true;
 }
 
 bool ClusterMonitor::alive(const std::string& hostname) const {
   auto it = records_.find(hostname);
-  if (it == records_.end()) return false;
-  return sim_.now() - it->second.last_seen <= kLivenessWindow;
+  return it != records_.end() && alive(it->second);
 }
 
 const NodeRecord* ClusterMonitor::node(const std::string& hostname) const {
@@ -82,7 +64,7 @@ std::vector<NodeView> ClusterMonitor::views() const {
     NodeView v;
     v.hostname = rec.hostname;
     v.rack = rec.rack;
-    v.alive = alive(hostname);
+    v.alive = alive(rec);
     v.mem_capacity = rec.latest.mem_capacity;
     v.mem_used = rec.latest.mem_used;
     v.baseline_mem = rec.baseline_mem;
@@ -99,7 +81,7 @@ ClusterSummary ClusterMonitor::summary() const {
   s.nodes_total = static_cast<int>(records_.size());
   double cpu_sum = 0;
   for (const auto& [hostname, rec] : records_) {
-    if (!alive(hostname)) continue;
+    if (!alive(rec)) continue;
     ++s.nodes_alive;
     cpu_sum += rec.latest.cpu_utilization;
     s.containers_running += rec.latest.containers_running;

@@ -19,14 +19,10 @@
 
 namespace picloud::cloud {
 
-// One heartbeat sample as reported by a node daemon.
-//
-// The wire shape is the canonical registry snapshot (DESIGN.md §9): a
-// daemon heartbeats its `node.<hostname>.` scope, `{"counters": {...},
-// "gauges": {...}, ...}`, and from_json() reads the gauge keys it knows
-// (cpu_utilization, mem_used, mem_capacity, sd_used, containers_total,
-// containers_running, power_watts). Extra metrics in the snapshot pass
-// through untouched — the monitor keeps only the sample fields.
+// One heartbeat sample as reported by a node daemon: the seven gauges of
+// its NodeHeartbeat (cloud/node_daemon.h), which the pimaster's
+// /nodes/:hostname/stats route copies out of the struct, and the instant
+// the beat arrived. The heartbeat's counters are not kept.
 struct NodeSample {
   sim::SimTime at;
   double cpu_utilization = 0;
@@ -38,7 +34,6 @@ struct NodeSample {
   double power_watts = 0;
 
   util::Json to_json() const;
-  static NodeSample from_json(const util::Json& j, sim::SimTime at);
 };
 
 struct NodeRecord {
@@ -74,13 +69,16 @@ class ClusterMonitor {
   // Registration (first contact after DHCP).
   void register_node(const std::string& hostname, net::Ipv4Addr ip, int rack,
                      double cpu_capacity_hz);
-  bool known(const std::string& hostname) const;
 
-  // Heartbeat ingestion.
-  void record_sample(const std::string& hostname, const NodeSample& sample);
+  // Heartbeat ingestion: false, and nothing recorded, when `hostname` never
+  // registered.
+  bool record_sample(const std::string& hostname, const NodeSample& sample);
 
   // A node is alive when a heartbeat arrived within the liveness window.
   bool alive(const std::string& hostname) const;
+  bool alive(const NodeRecord& record) const {
+    return sim_.now() - record.last_seen <= kLivenessWindow;
+  }
   // Null when `hostname` never registered. Records are never erased.
   const NodeRecord* node(const std::string& hostname) const;
   // Every record, keyed and ordered by hostname.

@@ -1,7 +1,9 @@
 #include "cloud/node_daemon.h"
 
+#include <string_view>
 #include <utility>
 
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace picloud::cloud {
@@ -12,20 +14,36 @@ using proto::Method;
 using proto::PathParams;
 using util::Json;
 
+namespace {
+
+// Calls f(i, row) for each row of S's field table, i counting from 0.
+template <typename S, typename F>
+void for_each_row(F f) {
+  size_t i = 0;
+  std::apply([&](const auto&... row) { (f(i++, row), ...); },
+             S::json_fields());
+}
+
+// The registry name of `key` in `scope`.
+std::string series_name(const std::string& scope, std::string_view key) {
+  std::string name = scope;
+  name.append(".").append(key);
+  return name;
+}
+
+}  // namespace
+
 NodeDaemon::NodeDaemon(os::NodeOs& node, Config config)
     : node_(node),
       config_(config),
       scope_("node." + node.hostname()),
+      heartbeat_path_("/nodes/" + node.hostname() + "/stats"),
       idem_(node.simulation().metrics(), scope_ + ".dedup", 128) {
   util::MetricsRegistry& m = node_.simulation().metrics();
   heartbeats_sent_ = &m.counter(scope_ + ".heartbeats_sent");
-  cpu_gauge_ = &m.gauge(scope_ + ".cpu_utilization");
-  mem_used_gauge_ = &m.gauge(scope_ + ".mem_used");
-  mem_capacity_gauge_ = &m.gauge(scope_ + ".mem_capacity");
-  sd_used_gauge_ = &m.gauge(scope_ + ".sd_used");
-  containers_total_gauge_ = &m.gauge(scope_ + ".containers_total");
-  containers_running_gauge_ = &m.gauge(scope_ + ".containers_running");
-  power_gauge_ = &m.gauge(scope_ + ".power_watts");
+  for_each_row<NodeHeartbeat::Gauges>([&](size_t i, const auto& row) {
+    gauge_cells_[i] = &m.gauge(series_name(scope_, row.key));
+  });
   install_routes();
 }
 
@@ -75,23 +93,31 @@ void NodeDaemon::on_dhcp_bound(net::Ipv4Addr ip, sim::Duration /*lease*/) {
   server_->start();
   client_ = std::make_unique<proto::RestClient>(node_.network(), ip, 49152,
                                                 scope_ + ".rest");
+  // Every counter in the scope exists now; counter() on an existing name
+  // returns its cell and interns nothing.
+  util::MetricsRegistry& m = node_.simulation().metrics();
+  for_each_row<NodeHeartbeat::Counters>([&](size_t i, const auto& row) {
+    const std::string name = series_name(scope_, row.key);
+    PICLOUD_DCHECK(m.has(name)) << "no series " << name;
+    counter_cells_[i] = &m.counter(name);
+  });
   register_with_master();
 }
 
 void NodeDaemon::register_with_master() {
-  Json body = Json::object();
-  body.set("hostname", node_.hostname());
-  body.set("mac", node_.device().mac_address());
-  body.set("ip", node_.host_ip().to_string());
-  body.set("rack", config_.rack);
-  body.set("cpu_hz", node_.cpu().capacity());
+  NodeRegistration registration;
+  registration.cpu_hz = node_.cpu().capacity();
+  registration.hostname = node_.hostname();
+  registration.ip = node_.host_ip();
+  registration.mac = node_.device().mac_address();
+  registration.rack = config_.rack;
   // Keep retrying with backoff until the master answers: a node that boots
   // while the master (or the path to it) is down registers as soon as it
   // recovers. The policy's jitter decorrelates a rack booting in lockstep.
   proto::RetryPolicy policy = proto::RetryPolicy::unbounded();
   client_->call(
       config_.pimaster_ip, kPiMasterPort, proto::Method::kPost,
-      "/register", std::move(body),
+      "/register", std::move(registration),
       [this](util::Result<HttpResponse> result) {
         if (!started_) return;
         if (!result.ok()) return;  // cancelled: the daemon is going down
@@ -114,16 +140,36 @@ void NodeDaemon::register_with_master() {
       policy);
 }
 
+NodeHeartbeat::Gauges NodeDaemon::refresh_gauges() const {
+  const os::NodeOs::NodeStats s = node_.stats();
+  NodeHeartbeat::Gauges g;
+  g.containers_running = s.containers_running;
+  g.containers_total = s.containers_total;
+  g.cpu_utilization = s.cpu_utilization;
+  g.mem_capacity = static_cast<double>(s.mem_capacity);
+  g.mem_used = static_cast<double>(s.mem_used);
+  g.power_watts = s.power_watts;
+  g.sd_used = static_cast<double>(s.sd_used);
+  for_each_row<NodeHeartbeat::Gauges>([&](size_t i, const auto& row) {
+    gauge_cells_[i]->set(g.*row.member);
+  });
+  return g;
+}
+
 Json NodeDaemon::stats_json() const {
-  os::NodeOs::NodeStats s = node_.stats();
-  cpu_gauge_->set(s.cpu_utilization);
-  mem_used_gauge_->set(static_cast<double>(s.mem_used));
-  mem_capacity_gauge_->set(static_cast<double>(s.mem_capacity));
-  sd_used_gauge_->set(static_cast<double>(s.sd_used));
-  containers_total_gauge_->set(s.containers_total);
-  containers_running_gauge_->set(s.containers_running);
-  power_gauge_->set(s.power_watts);
+  refresh_gauges();
   return node_.simulation().metrics().snapshot(scope_);
+}
+
+NodeHeartbeat NodeDaemon::heartbeat() const {
+  PICLOUD_DCHECK(counter_cells_.back() != nullptr)
+      << "heartbeat before the first address bind";
+  NodeHeartbeat hb;
+  hb.gauges = refresh_gauges();
+  for_each_row<NodeHeartbeat::Counters>([&](size_t i, const auto& row) {
+    hb.counters.*row.member = counter_cells_[i]->value();
+  });
+  return hb;
 }
 
 void NodeDaemon::send_heartbeat() {
@@ -134,9 +180,9 @@ void NodeDaemon::send_heartbeat() {
   // the next beat would only add load exactly when the network is sick.
   proto::RetryPolicy policy =
       proto::RetryPolicy::single(config_.heartbeat_period);
-  client_->call(config_.pimaster_ip, kPiMasterPort,
-                proto::Method::kPost, "/nodes/" + node_.hostname() + "/stats",
-                stats_json(), [](util::Result<HttpResponse>) {}, policy);
+  client_->call(config_.pimaster_ip, kPiMasterPort, proto::Method::kPost,
+                heartbeat_path_, heartbeat(),
+                [](util::Result<HttpResponse>) {}, policy);
 }
 
 void NodeDaemon::fetch_layers(util::JsonArray layers, size_t index,
@@ -285,9 +331,10 @@ void NodeDaemon::install_routes() {
         // original attempt already executed (or is still executing) must
         // not create a second container.
         proto::Responder once =
-            idem_.admit(req.body.get_string("idem"), std::move(respond));
+            idem_.admit(req.body.json().get_string("idem"),
+                        std::move(respond));
         if (!once) return;  // duplicate: replayed or coalesced
-        spawn_container(req.body, [once = std::move(once)](
+        spawn_container(req.body.json(), [once = std::move(once)](
                                       util::Result<std::string> result) {
           if (!result.ok()) {
             once(HttpResponse::from_error(result.error()));
@@ -324,7 +371,8 @@ void NodeDaemon::install_routes() {
         // recording the outcome lets a retried delete observe its own 204
         // instead of a confusing not-found.
         proto::Responder once =
-            idem_.admit(req.body.get_string("idem"), std::move(respond));
+            idem_.admit(req.body.json().get_string("idem"),
+                        std::move(respond));
         if (!once) return;
         util::Status status = node_.destroy_container(params.at("name"));
         if (!status.ok()) {
@@ -339,15 +387,16 @@ void NodeDaemon::install_routes() {
       [this](const HttpRequest& req, const PathParams& params) {
         os::Container* c = node_.find_container(params.at("name"));
         if (c == nullptr) return HttpResponse::not_found();
-        if (req.body.has("cpu_limit")) {
-          c->set_cpu_limit(req.body.get_number("cpu_limit"));
+        const Json& limits = req.body.json();
+        if (limits.has("cpu_limit")) {
+          c->set_cpu_limit(limits.get_number("cpu_limit"));
         }
-        if (req.body.has("cpu_shares")) {
-          c->set_cpu_shares(req.body.get_number("cpu_shares"));
+        if (limits.has("cpu_shares")) {
+          c->set_cpu_shares(limits.get_number("cpu_shares"));
         }
-        if (req.body.has("memory_limit")) {
+        if (limits.has("memory_limit")) {
           c->set_memory_limit(
-              static_cast<std::uint64_t>(req.body.get_number("memory_limit")));
+              static_cast<std::uint64_t>(limits.get_number("memory_limit")));
         }
         return HttpResponse::make(200, c->describe());
       });
@@ -389,7 +438,7 @@ void NodeDaemon::install_routes() {
       Method::kPost, "/images/prefetch",
       [this](const HttpRequest& req, const PathParams&,
              proto::Responder respond) {
-        util::JsonArray layers = req.body.get("layers").as_array();
+        util::JsonArray layers = req.body.json().get("layers").as_array();
         fetch_layers(std::move(layers), 0,
                      [respond = std::move(respond)](util::Status status) {
                        if (!status.ok()) {

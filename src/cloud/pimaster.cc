@@ -523,29 +523,38 @@ util::Status PiMaster::set_policy(const std::string& name) {
 }
 
 void PiMaster::install_routes() {
+  // The daemons post typed bodies here; a route takes its struct and
+  // answers any other body with 400.
   router_.handle(
       Method::kPost, "/register",
       [this](const HttpRequest& req, const PathParams&) {
-        std::string hostname = req.body.get_string("hostname");
-        auto ip = net::Ipv4Addr::parse(req.body.get_string("ip"));
-        if (hostname.empty() || !ip) {
+        const NodeRegistration* node = req.body.get<NodeRegistration>();
+        if (node == nullptr || node->hostname.empty()) {
           return HttpResponse::bad_request("hostname and ip required");
         }
-        monitor_.register_node(hostname, *ip,
-                               static_cast<int>(req.body.get_number("rack", -1)),
-                               req.body.get_number("cpu_hz"));
+        monitor_.register_node(node->hostname, node->ip, node->rack,
+                               node->cpu_hz);
         return HttpResponse::make(200, Json("registered"));
       });
 
   router_.handle(
       Method::kPost, "/nodes/:hostname/stats",
       [this](const HttpRequest& req, const PathParams& params) {
-        const std::string& hostname = params.at("hostname");
-        if (!monitor_.known(hostname)) {
+        const NodeHeartbeat* hb = req.body.get<NodeHeartbeat>();
+        if (hb == nullptr) return HttpResponse::bad_request("not a heartbeat");
+        const NodeHeartbeat::Gauges& g = hb->gauges;
+        NodeSample sample;
+        sample.at = sim_.now();
+        sample.cpu_utilization = g.cpu_utilization;
+        sample.mem_used = static_cast<std::uint64_t>(g.mem_used);
+        sample.mem_capacity = static_cast<std::uint64_t>(g.mem_capacity);
+        sample.sd_used = static_cast<std::uint64_t>(g.sd_used);
+        sample.containers_total = static_cast<int>(g.containers_total);
+        sample.containers_running = static_cast<int>(g.containers_running);
+        sample.power_watts = g.power_watts;
+        if (!monitor_.record_sample(params.at("hostname"), sample)) {
           return HttpResponse::not_found("unregistered node");
         }
-        monitor_.record_sample(hostname,
-                               NodeSample::from_json(req.body, sim_.now()));
         return HttpResponse::make(200);
       });
 
@@ -555,7 +564,7 @@ void PiMaster::install_routes() {
     j.set("hostname", rec.hostname);
     j.set("ip", rec.ip.to_string());
     j.set("rack", rec.rack);
-    j.set("alive", monitor_.alive(rec.hostname));
+    j.set("alive", monitor_.alive(rec));
     return j;
   };
 
@@ -617,7 +626,8 @@ void PiMaster::install_routes() {
         const std::uint64_t replays_before =
             m.counter_value("cloud.master.dedup.replayed");
         proto::Responder once =
-            idem_.admit(req.body.get_string("idem"), std::move(respond));
+            idem_.admit(req.body.json().get_string("idem"),
+                        std::move(respond));
         if (!once) {
           if (util::FaultInjection::instance().recount_replayed_spawn &&
               m.counter_value("cloud.master.dedup.replayed") > replays_before) {
@@ -630,20 +640,20 @@ void PiMaster::install_routes() {
           return;
         }
         respond = std::move(once);
+        const Json& body = req.body.json();
         SpawnSpec spec;
-        spec.name = req.body.get_string("name");
-        spec.image = req.body.get_string("image");
-        spec.app_kind = req.body.get_string("app");
-        spec.app_params = req.body.get("app_params");
-        spec.cpu_shares = req.body.get_number("cpu_shares", 1024);
-        spec.cpu_limit = req.body.get_number("cpu_limit", 0);
+        spec.name = body.get_string("name");
+        spec.image = body.get_string("image");
+        spec.app_kind = body.get_string("app");
+        spec.app_params = body.get("app_params");
+        spec.cpu_shares = body.get_number("cpu_shares", 1024);
+        spec.cpu_limit = body.get_number("cpu_limit", 0);
         spec.memory_limit =
-            static_cast<std::uint64_t>(req.body.get_number("memory_limit", 0));
-        spec.rack_affinity =
-            static_cast<int>(req.body.get_number("rack", -1));
-        spec.affinity_group = req.body.get_string("group");
-        spec.hostname = req.body.get_string("node");
-        spec.bare_metal = req.body.get_bool("bare_metal");
+            static_cast<std::uint64_t>(body.get_number("memory_limit", 0));
+        spec.rack_affinity = static_cast<int>(body.get_number("rack", -1));
+        spec.affinity_group = body.get_string("group");
+        spec.hostname = body.get_string("node");
+        spec.bare_metal = body.get_bool("bare_metal");
         spawn_instance(std::move(spec),
                        [respond = std::move(respond)](
                            util::Result<InstanceRecord> result) {
@@ -661,7 +671,8 @@ void PiMaster::install_routes() {
       [this](const HttpRequest& req, const PathParams& params,
              proto::Responder respond) {
         proto::Responder once =
-            idem_.admit(req.body.get_string("idem"), std::move(respond));
+            idem_.admit(req.body.json().get_string("idem"),
+                        std::move(respond));
         if (!once) return;
         respond = std::move(once);
         delete_instance(params.at("name"),
@@ -708,15 +719,17 @@ void PiMaster::install_routes() {
       [this](const HttpRequest& req, const PathParams& params,
              proto::Responder respond) {
         proto::Responder once =
-            idem_.admit(req.body.get_string("idem"), std::move(respond));
+            idem_.admit(req.body.json().get_string("idem"),
+                        std::move(respond));
         if (!once) return;
         respond = std::move(once);
+        const Json& body = req.body.json();
         AddressUpdateMode mode =
-            req.body.get_string("address_update", "sdn") == "arp"
+            body.get_string("address_update", "sdn") == "arp"
                 ? AddressUpdateMode::kArpConvergence
                 : AddressUpdateMode::kSdnRedirect;
-        migrate_instance(params.at("name"), req.body.get_string("to"),
-                         req.body.get_bool("live", true),
+        migrate_instance(params.at("name"), body.get_string("to"),
+                         body.get_bool("live", true),
                          [respond = std::move(respond)](
                              const MigrationReport& report) {
                            respond(HttpResponse::make(
@@ -744,9 +757,9 @@ void PiMaster::install_routes() {
       Method::kPost, "/images",
       [this](const HttpRequest& req, const PathParams&) {
         auto id = images_.add_base(
-            req.body.get_string("name"),
-            static_cast<std::uint64_t>(req.body.get_number("bytes")),
-            req.body.get_string("note"));
+            req.body.json().get_string("name"),
+            static_cast<std::uint64_t>(req.body.json().get_number("bytes")),
+            req.body.json().get_string("note"));
         if (!id.ok()) return HttpResponse::from_error(id.error());
         return HttpResponse::make(201, Json(id.value()));
       });
@@ -756,8 +769,8 @@ void PiMaster::install_routes() {
       [this](const HttpRequest& req, const PathParams& params) {
         auto id = images_.patch(
             params.at("name"),
-            static_cast<std::uint64_t>(req.body.get_number("bytes")),
-            req.body.get_string("note"));
+            static_cast<std::uint64_t>(req.body.json().get_number("bytes")),
+            req.body.json().get_string("note"));
         if (!id.ok()) return HttpResponse::from_error(id.error());
         return HttpResponse::make(201, Json(id.value()));
       });
@@ -767,8 +780,8 @@ void PiMaster::install_routes() {
       [this](const HttpRequest& req, const PathParams& params) {
         auto id = images_.upgrade(
             params.at("name"),
-            static_cast<std::uint64_t>(req.body.get_number("bytes")),
-            req.body.get_string("note"));
+            static_cast<std::uint64_t>(req.body.json().get_number("bytes")),
+            req.body.json().get_string("note"));
         if (!id.ok()) return HttpResponse::from_error(id.error());
         return HttpResponse::make(201, Json(id.value()));
       });
@@ -860,7 +873,7 @@ void PiMaster::install_routes() {
   router_.handle(Method::kPut, "/policy",
                  [this](const HttpRequest& req, const PathParams&) {
                    util::Status status =
-                       set_policy(req.body.get_string("name"));
+                       set_policy(req.body.json().get_string("name"));
                    if (!status.ok()) {
                      return HttpResponse::from_error(status.error());
                    }

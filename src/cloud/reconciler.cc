@@ -68,7 +68,7 @@ void Reconciler::sweep() {
 
   // (2) Audit every live registered node's actual container list.
   for (const auto& [hostname, rec] : master_.monitor_.nodes()) {
-    if (!master_.monitor_.alive(hostname)) continue;
+    if (!master_.monitor_.alive(rec)) continue;
     node_queries_->inc();
     master_.client_->call(
         rec.ip, NodeDaemon::kPort, proto::Method::kGet, "/containers",

@@ -4,19 +4,27 @@
 // running on the Pi devices using RESTful interfaces"), so the model carries
 // real method/path/status semantics. Requests and responses travel as
 // schema'd envelopes (util/schema.h): the message carries the struct, and
-// the fabric charges the size of its JSON text.
+// the fabric charges the size of its JSON text. A request's body is a
+// free-form util::Json or one schema'd struct (RestBody): the daemons post
+// their registration and heartbeats as structs, which the pimaster reads
+// without looking up a key, and every other body is a Json. A response's
+// body is a Json.
 //
 // Router supports literal segments and ":param" captures:
 //   router.handle(Method::kPost, "/containers/:name/freeze", handler);
 #pragma once
 
 #include <array>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "util/intern.h"
@@ -33,12 +41,74 @@ constexpr std::array<std::string_view, 4> json_names(Method) {
 }
 const char* method_name(Method m);
 
+template <typename T>
+concept RestStruct = std::derived_from<T, util::JsonSchema<T>>;
+
+// A request's body: empty (no body, which stands for JSON null), a
+// free-form util::Json, or one schema'd struct. It converts implicitly from
+// either, so a caller passes what it has. A struct is held behind a shared
+// pointer to const: a body that has been sent is never changed, so the
+// copies a retrying call makes for its attempts share one struct, and one
+// too large for a message's inline storage still travels. The body knows
+// its struct only through a table of functions made per type (as net::Body
+// does), so this header names no module above proto.
+//
+// In an envelope (util/schema.h's JsonPayload) the body is written only
+// when it is not empty, a missing "b" reads as an empty body, and any
+// present value reads as the Json arm.
+class RestBody {
+ public:
+  RestBody() = default;
+  RestBody(util::Json json)  // NOLINT(google-explicit-constructor)
+      : json_(std::move(json)) {}
+  template <RestStruct T>
+  RestBody(T value)  // NOLINT(google-explicit-constructor)
+      : struct_(std::make_shared<const T>(std::move(value))), ops_(&kOps<T>) {}
+
+  // No body: neither a struct nor a non-null Json.
+  bool empty() const { return ops_ == nullptr && json_.is_null(); }
+
+  // The struct, or null when the body holds another struct, a Json or
+  // nothing.
+  template <RestStruct T>
+  const T* get() const {
+    return ops_ == &kOps<T> ? static_cast<const T*>(struct_.get()) : nullptr;
+  }
+  // The free-form arm: a null Json when the body holds a struct or nothing.
+  const util::Json& json() const { return json_; }
+
+  // The length of the JSON text this body stands for.
+  size_t wire_size() const {
+    return ops_ != nullptr ? ops_->wire_size(struct_.get())
+                           : json_.dump_size();
+  }
+  // The value the body stands for, built as a Json (tests and boundaries).
+  util::Json to_json() const {
+    return ops_ != nullptr ? ops_->to_json(struct_.get()) : json_;
+  }
+
+ private:
+  struct Ops {
+    size_t (*wire_size)(const void* p);
+    util::Json (*to_json)(const void* p);
+  };
+  template <typename T>
+  static constexpr Ops kOps{
+      [](const void* p) { return static_cast<const T*>(p)->wire_size(); },
+      [](const void* p) { return static_cast<const T*>(p)->to_json(); },
+  };
+
+  util::Json json_;
+  std::shared_ptr<const void> struct_;
+  const Ops* ops_ = nullptr;  // set exactly when struct_ holds a struct
+};
+
 // The request envelope {"b"?, "i", "m", "p"}; "b" only when the body is not
-// null.
+// empty.
 struct HttpRequest : util::JsonSchema<HttpRequest> {
   Method method = Method::kGet;
   std::string path;        // "/nodes/pi-r0-03/containers"
-  util::Json body;         // JSON payload (null for body-less requests)
+  RestBody body;           // empty for body-less requests
   std::uint64_t id = 0;    // correlation id, set by the client
 
   // A server answers a request whose path does not start with '/' with 400.

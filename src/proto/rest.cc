@@ -176,7 +176,7 @@ RestClient::~RestClient() {
 }
 
 void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
-                      const std::string& path, util::Json body,
+                      const std::string& path, RestBody body,
                       ResponseCallback cb, sim::Duration timeout) {
   std::uint64_t id = next_id_++;
   requests_->inc();
@@ -224,7 +224,7 @@ void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
 }
 
 void RestClient::call(net::Ipv4Addr server, std::uint16_t port, Method method,
-                      const std::string& path, util::Json body,
+                      const std::string& path, RestBody body,
                       ResponseCallback cb, const RetryPolicy& policy) {
   std::uint64_t retry_id = next_retry_id_++;
   RetryCall rc;
@@ -265,10 +265,10 @@ void RestClient::retry_attempt(std::uint64_t retry_id) {
   if (rc.attempts_made > 1) retries_->inc();
 
   // The last attempt the policy allows takes the body: nothing reads it
-  // after that attempt.
+  // after that attempt. A struct body's copies share the struct.
   const bool last_attempt = rc.policy.max_attempts > 0 &&
                             rc.attempts_made == rc.policy.max_attempts;
-  util::Json body = last_attempt ? std::move(rc.body) : rc.body;
+  RestBody body = last_attempt ? std::move(rc.body) : rc.body;
 
   // Each attempt is a fresh single-shot call with its own correlation id, so
   // a late response to a timed-out attempt can never satisfy a newer one.

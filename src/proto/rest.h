@@ -206,7 +206,7 @@ class RestClient {
   // Issues a single attempt; the callback fires exactly once with the
   // response or a "timeout" error.
   void call(net::Ipv4Addr server, std::uint16_t port, Method method,
-            const std::string& path, util::Json body, ResponseCallback cb,
+            const std::string& path, RestBody body, ResponseCallback cb,
             sim::Duration timeout = kDefaultTimeout);
 
   // Issues a retrying call under `policy`. Each attempt gets a fresh
@@ -214,16 +214,16 @@ class RestClient {
   // (with deterministic jitter) and retry until the attempt budget or the
   // overall deadline runs out. The callback fires exactly once.
   void call(net::Ipv4Addr server, std::uint16_t port, Method method,
-            const std::string& path, util::Json body, ResponseCallback cb,
+            const std::string& path, RestBody body, ResponseCallback cb,
             const RetryPolicy& policy);
 
   // Shorthands.
   void get(net::Ipv4Addr server, std::uint16_t port, const std::string& path,
            ResponseCallback cb) {
-    call(server, port, Method::kGet, path, util::Json(), std::move(cb));
+    call(server, port, Method::kGet, path, RestBody(), std::move(cb));
   }
   void post(net::Ipv4Addr server, std::uint16_t port, const std::string& path,
-            util::Json body, ResponseCallback cb) {
+            RestBody body, ResponseCallback cb) {
     call(server, port, Method::kPost, path, std::move(body), std::move(cb));
   }
 
@@ -248,7 +248,7 @@ class RestClient {
     std::uint16_t port = 0;
     Method method = Method::kGet;
     std::string path;
-    util::Json body;
+    RestBody body;
     ResponseCallback cb;
     int attempts_made = 0;
     sim::SimTime deadline;     // overall; SimTime::max() when none

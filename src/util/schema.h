@@ -22,18 +22,21 @@
 // as a string (see JsonEnum), a value written as the string its
 // to_string() returns (see JsonText; an address is one), another schema'd
 // struct written as a nested object, std::vector of any member type but
-// std::optional written as an array, util::Json for a free-form body, and
-// std::optional of any of these but Json. An optional member is written
-// only when it holds a value, and a Json member only when it is not null;
-// every other member is always written. A double follows Json(double):
-// NaN and +-inf are written as null (and read back from null as NaN), -0
-// as 0.
+// std::optional written as an array, util::Json for a free-form body, a
+// body that may hold either a Json or a schema'd struct (see JsonPayload;
+// a REST request's body is one), and std::optional of any of these but
+// Json and a payload. An optional member is written only when it holds a
+// value, a Json member only when it is not null and a payload only when it
+// is not empty; every other member is always written. A double follows
+// Json(double): NaN and +-inf are written as null (and read back from null
+// as NaN), -0 as 0.
 //
 // from_json() reads an object: a member's key must hold a value of its
 // type (a number in range for an integer, a string its parse() accepts for
 // a JsonText value, an array whose every element reads as the element
-// type), a missing key leaves an optional empty and a Json member null and
-// fails for any other member, and keys outside the table are ignored.
+// type), a missing key leaves an optional empty, a Json member null and a
+// payload empty and fails for any other member, and keys outside the
+// table are ignored.
 #pragma once
 
 #include <array>
@@ -75,6 +78,19 @@ template <typename V>
 concept JsonText = requires(const V& v, const std::string& text) {
   { v.to_string() } -> std::same_as<std::string>;
   { V::parse(text) } -> std::same_as<std::optional<V>>;
+};
+
+// A member that stands for a JSON value of any shape and is written only
+// when it is not empty: it sizes its own text (wire_size()) and builds its
+// own Json (to_json()), and a present key reads back through its
+// constructor from the Json there (a missing key leaves it default-built,
+// which must be empty).
+template <typename V>
+concept JsonPayload = requires(const V& v, const Json& j) {
+  { v.empty() } -> std::same_as<bool>;
+  { v.wire_size() } -> std::same_as<size_t>;
+  { v.to_json() } -> std::same_as<Json>;
+  V(j);
 };
 
 template <typename T>
@@ -256,10 +272,26 @@ struct Codec<Json> {
   }
 };
 
+template <JsonPayload V>
+struct Codec<V> {
+  static bool present(const V& v) { return !v.empty(); }
+  static size_t size(const V& v) { return v.wire_size(); }
+  static Json to_json(const V& v) { return v.to_json(); }
+  static bool from_json(const Json& j, V* out) {
+    *out = V(j);
+    return true;
+  }
+};
+
+// Members a missing key leaves empty instead of failing the read.
+template <typename M>
+constexpr bool kMayBeAbsent =
+    kOptional<M> || std::is_same_v<M, Json> || JsonPayload<M>;
+
 template <typename M>
 struct Codec<std::optional<M>> {
-  static_assert(!std::is_same_v<M, Json>,
-                "a Json member is already absent when null");
+  static_assert(!std::is_same_v<M, Json> && !JsonPayload<M>,
+                "a Json member or a payload is already absent when empty");
   static bool present(const std::optional<M>& v) { return v.has_value(); }
   static size_t size(const std::optional<M>& v) { return Codec<M>::size(*v); }
   static Json to_json(const std::optional<M>& v) {
@@ -362,8 +394,7 @@ struct JsonSchema {
                 using M = std::remove_cvref_t<decltype(m)>;
                 const auto it = j.as_object().find(row.key);
                 if (it == j.as_object().end()) {
-                  if constexpr (!schema_detail::kOptional<M> &&
-                                !std::is_same_v<M, Json>) {
+                  if constexpr (!schema_detail::kMayBeAbsent<M>) {
                     failed = row.key;
                     missing = true;
                   }

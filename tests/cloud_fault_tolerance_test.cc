@@ -1,7 +1,11 @@
 // Control-plane fault tolerance: migration crash injection (source and
 // destination dying mid-flight), reconciler repair of registry drift
-// (lost marking + orphan GC), and end-to-end idempotent spawns.
+// (lost marking + orphan GC), end-to-end idempotent spawns, and heartbeats
+// that stay the daemon's registry scope through retries and a crash.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
 
 #include "apps/kvstore.h"
 #include "apps/loadgen.h"
@@ -456,6 +460,101 @@ TEST_F(FaultCloud, DuplicateSpawnRequestsCoalesceAndReplay) {
                     [&]() { return conflict != 0; });
   EXPECT_EQ(conflict, 409);
   EXPECT_EQ(cloud_->master().instance_records().size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The heartbeat is the daemon's registry scope
+
+// Every daemon's heartbeat writes the text of its scope's snapshot, and
+// sizes it, at instants chosen so that by the last one every counter in
+// the scope has moved except rest.deadline_exceeded (no daemon call sets a
+// deadline): a dedup cache that admits, coalesces, replays and evicts,
+// heartbeats that time out during a master blip, and a node that crashes,
+// reboots and retries its registration. A series added to the scope and
+// not to NodeHeartbeat fails here.
+TEST(Heartbeat, IsTheScopeSnapshotThroughRetriesDedupAndACrash) {
+  sim::Simulation sim(11);
+  PiCloudConfig config;
+  config.racks = 1;
+  config.hosts_per_rack = 3;
+  PiCloud cloud(sim, config);
+  cloud.power_on();
+  ASSERT_TRUE(cloud.await_ready());
+  const util::MetricsRegistry& m = sim.metrics();
+  std::map<std::string, double> moved;  // counter key -> sum over daemons
+  auto expect_snapshots = [&]() {
+    moved.clear();
+    for (size_t i = 0; i < cloud.node_count(); ++i) {
+      const cloud::NodeDaemon& daemon = cloud.daemon(i);
+      const cloud::NodeHeartbeat heartbeat = daemon.heartbeat();
+      const Json snapshot = m.snapshot(daemon.metrics_scope());
+      EXPECT_EQ(heartbeat.to_json().dump(), snapshot.dump())
+          << daemon.hostname() << " at " << sim.now().to_seconds();
+      EXPECT_EQ(heartbeat.wire_size(), snapshot.dump_size());
+      for (const auto& [key, value] : snapshot.get("counters").as_object()) {
+        moved[key] += value.as_number();
+      }
+    }
+  };
+  expect_snapshots();
+
+  // Keyed calls straight to one daemon: 130 deletes (the cache admits each
+  // and evicts past its 128 entries), the newest again (replayed), and a
+  // spawn that pulls a layer sent twice under one key (coalesced).
+  cloud::NodeDaemon& d0 = cloud.daemon(0);
+  auto call = [&](proto::Method method, const std::string& path, Json body) {
+    cloud.panel().client().call(d0.ip(), cloud::NodeDaemon::kPort, method,
+                                path, std::move(body),
+                                [](util::Result<proto::HttpResponse>) {});
+  };
+  for (int i = 0; i < 130; ++i) {
+    call(proto::Method::kDelete, "/containers/none",
+         Json::object().set("idem", util::format("del/%d", i)));
+  }
+  sim.run_for(sim::Duration::seconds(1));
+  call(proto::Method::kDelete, "/containers/none",
+       Json::object().set("idem", "del/129"));
+  Json layer = Json::object().set("id", "layer-1").set("bytes", 1 << 20);
+  Json spawn = Json::object()
+                   .set("name", "c1")
+                   .set("idem", "spawn/c1")
+                   .set("layers", Json::array().push_back(layer));
+  call(proto::Method::kPost, "/containers", spawn);
+  call(proto::Method::kPost, "/containers", spawn);
+  sim.run_for(sim::Duration::seconds(3));
+  expect_snapshots();
+
+  // The last daemon crashes and reboots; once its registration has left,
+  // the master's uplink goes dark, so that attempt and the heartbeats of
+  // the others time out, and the registration retries until it comes back.
+  const net::LinkId master_uplink =
+      cloud.fabric().node(cloud.master().fabric_node()).out_links.front();
+  cloud::NodeDaemon& last = cloud.daemon(cloud.node_count() - 1);
+  last.crash();
+  sim.run_for(sim::Duration::seconds(1));
+  const std::string requests = last.metrics_scope() + ".rest.requests";
+  const std::uint64_t sent = m.counter_value(requests);
+  last.start();
+  const sim::SimTime give_up = sim.now() + sim::Duration::seconds(30);
+  while (m.counter_value(requests) == sent && sim.now() < give_up) sim.step();
+  ASSERT_GT(m.counter_value(requests), sent) << "no registration left";
+  cloud.fabric().set_link_pair_up(master_uplink, false);
+  sim.run_for(sim::Duration::seconds(6));
+  expect_snapshots();
+  cloud.fabric().set_link_pair_up(master_uplink, true);
+  ASSERT_TRUE(cloud.run_until(sim::Duration::seconds(60),
+                              [&]() { return last.registered(); }));
+  sim.run_for(sim::Duration::seconds(5));
+  expect_snapshots();
+
+  ASSERT_EQ(moved.size(), 13u);
+  for (const auto& [key, sum] : moved) {
+    if (key == "rest.deadline_exceeded") {
+      EXPECT_EQ(sum, 0) << key;
+    } else {
+      EXPECT_GT(sum, 0) << key << " never moved";
+    }
+  }
 }
 
 }  // namespace

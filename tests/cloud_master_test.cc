@@ -1,6 +1,7 @@
 // Management-plane edge cases on a small (2-rack) cloud: spawn validation,
-// registry drift repair, image patching over REST, policy switching, and
-// migration failure/rollback paths.
+// registry drift repair, image patching over REST, policy switching,
+// migration failure/rollback paths, and the routes the daemons post their
+// registration and heartbeats to.
 #include <gtest/gtest.h>
 
 #include "apps/kvstore.h"
@@ -31,7 +32,7 @@ class SmallCloud : public ::testing::Test {
 
   // Admin REST helper: returns the response body or the error payload.
   proto::HttpResponse call(proto::Method method, const std::string& path,
-                           Json body = Json()) {
+                           proto::RestBody body = {}) {
     proto::HttpResponse out;
     bool done = false;
     cloud_->panel().client().call(
@@ -370,6 +371,59 @@ TEST_F(SmallCloud, MetricsEndpointsServeTheSpine) {
   EXPECT_GT(node.body.get("counters").get_number("heartbeats_sent"), 0);
   EXPECT_GT(node.body.get("gauges").get_number("mem_capacity"), 0);
   EXPECT_FALSE(node.body.get("counters").has("cloud.master.spawns_ok"));
+}
+
+// The daemons' routes take their structs: any other body gets a 400 and
+// records nothing, even one whose text is a heartbeat's, and a heartbeat
+// for a node that never registered gets a 404.
+TEST_F(SmallCloud, NodeRoutesTakeTheirStructsOnly) {
+  // Stop every daemon, so that only these calls reach the routes.
+  for (size_t i = 0; i < cloud_->node_count(); ++i) cloud_->daemon(i).stop();
+  const util::MetricsRegistry& m = sim_->metrics();
+  auto samples = [&m]() {
+    return m.counter_value("cloud.monitor.samples_ingested");
+  };
+  const std::string stats = "/nodes/" + cloud_->daemon(0).hostname() + "/stats";
+  const cloud::NodeHeartbeat heartbeat = cloud_->daemon(0).heartbeat();
+  const std::uint64_t before = samples();
+  EXPECT_EQ(call(proto::Method::kPost, stats, heartbeat.to_json()).status, 400);
+  EXPECT_EQ(call(proto::Method::kPost, stats).status, 400);
+  EXPECT_EQ(samples(), before);
+  EXPECT_EQ(call(proto::Method::kPost, "/nodes/pi-r9-99/stats", heartbeat)
+                .status,
+            404);
+  EXPECT_EQ(samples(), before);
+  EXPECT_EQ(call(proto::Method::kPost, stats, heartbeat).status, 200);
+  EXPECT_EQ(samples(), before + 1);
+
+  cloud::NodeRegistration registration;
+  registration.cpu_hz = 7e8;
+  registration.ip = net::Ipv4Addr(10, 0, 9, 9);
+  registration.rack = 1;
+  EXPECT_EQ(call(proto::Method::kPost, "/register", registration).status, 400);
+  registration.hostname = "pi-r9-99";
+  EXPECT_EQ(call(proto::Method::kPost, "/register", registration.to_json())
+                .status,
+            400);
+  EXPECT_EQ(cloud_->master().monitor().node("pi-r9-99"), nullptr);
+  EXPECT_EQ(call(proto::Method::kPost, "/register", registration).status, 200);
+  const cloud::NodeRecord* record = cloud_->master().monitor().node("pi-r9-99");
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->ip, registration.ip);
+  EXPECT_EQ(record->rack, 1);
+  EXPECT_EQ(record->cpu_capacity_hz, 7e8);
+}
+
+// A heartbeat is filled from the registry cells its daemon holds, so a
+// window of heartbeats walks no registry name (a snapshot per beat walked
+// the node's 20).
+TEST_F(SmallCloud, HeartbeatsWalkNoRegistryNames) {
+  const util::MetricsRegistry& m = sim_->metrics();
+  const std::uint64_t names = m.names_visited();
+  const std::uint64_t beats = cloud_->daemon(0).heartbeats_sent();
+  cloud_->run_for(sim::Duration::seconds(10));
+  EXPECT_GE(cloud_->daemon(0).heartbeats_sent(), beats + 4);
+  EXPECT_EQ(m.names_visited(), names);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ TEST(Http, RequestEnvelopeRoundTrip) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().method, Method::kPost);
   EXPECT_EQ(parsed.value().path, req.path);
-  EXPECT_EQ(parsed.value().body.get_number("x"), 1.0);
+  EXPECT_EQ(parsed.value().body.json().get_number("x"), 1.0);
   EXPECT_EQ(parsed.value().id, 77u);
 }
 

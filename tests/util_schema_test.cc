@@ -1,9 +1,9 @@
 // Schema'd message bodies (util/schema.h): every schema writes exactly the
 // bytes the same value built as a util::Json object dumps to, sizes them
 // without building them, and reads them back. The goldens pin the text of
-// every body the code sends (the serving tier, REST, DHCP, DNS, gossip, DFS
-// and MapReduce), as the build that still built those bodies as Json
-// objects wrote them.
+// every body the code sends (the serving tier, REST and the daemons'
+// registration and heartbeats, DHCP, DNS, gossip, DFS and MapReduce), as
+// the build that still built those bodies as Json objects wrote them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,6 +23,7 @@
 #include "apps/mapreduce.h"
 #include "apps/serving.h"
 #include "cloud/gossip.h"
+#include "cloud/node_daemon.h"
 #include "hw/device.h"
 #include "net/body.h"
 #include "net/topology.h"
@@ -146,11 +147,50 @@ ServeReply random_reply(util::Rng& rng) {
   return r;
 }
 
+net::Ipv4Addr random_address(util::Rng& rng) {
+  return net::Ipv4Addr(static_cast<std::uint32_t>(
+      rng.uniform_int(0, std::numeric_limits<std::uint32_t>::max())));
+}
+
+cloud::NodeRegistration random_registration(util::Rng& rng) {
+  cloud::NodeRegistration r;
+  r.cpu_hz = random_double(rng);
+  r.hostname = random_string(rng);
+  r.ip = random_address(rng);
+  r.mac = random_string(rng);
+  r.rack = static_cast<int>(rng.uniform_int(-1, 64));
+  return r;
+}
+
+cloud::NodeHeartbeat random_heartbeat(util::Rng& rng) {
+  cloud::NodeHeartbeat hb;
+  std::apply(
+      [&](const auto&... row) {
+        ((hb.counters.*row.member = random_integer(rng)), ...);
+      },
+      cloud::NodeHeartbeat::Counters::json_fields());
+  std::apply(
+      [&](const auto&... row) {
+        ((hb.gauges.*row.member = random_double(rng)), ...);
+      },
+      cloud::NodeHeartbeat::Gauges::json_fields());
+  return hb;
+}
+
+// A request body: a free-form Json (null included) or a daemon's struct.
+proto::RestBody random_rest_body(util::Rng& rng) {
+  switch (rng.uniform_int(0, 3)) {
+    case 0: return random_registration(rng);
+    case 1: return random_heartbeat(rng);
+    default: return random_json(rng);
+  }
+}
+
 HttpRequest random_http_request(util::Rng& rng) {
   HttpRequest r;
   r.method = random_enum<proto::Method>(rng);
   r.path = random_string(rng);
-  r.body = random_json(rng);
+  r.body = random_rest_body(rng);
   r.id = random_integer(rng);
   return r;
 }
@@ -168,11 +208,6 @@ HttpResponse random_http_response(util::Rng& rng) {
 int random_int(util::Rng& rng) {
   return static_cast<int>(rng.uniform_int(std::numeric_limits<int>::min(),
                                           std::numeric_limits<int>::max()));
-}
-
-net::Ipv4Addr random_address(util::Rng& rng) {
-  return net::Ipv4Addr(static_cast<std::uint32_t>(
-      rng.uniform_int(0, std::numeric_limits<std::uint32_t>::max())));
 }
 
 // Empty, one element, or many.
@@ -309,7 +344,9 @@ void check_value(const T& value) {
   const std::string text = json.dump();
   ASSERT_EQ(value.wire_size(), json.dump_size()) << text;
   ASSERT_EQ(value.wire_size(), text.size()) << text;
-  ASSERT_EQ(net::Body(value).wire_size(), text.size()) << text;
+  if constexpr (sizeof(T) <= net::Body::kCapacity) {
+    ASSERT_EQ(net::Body(value).wire_size(), text.size()) << text;
+  }
   auto reparsed = Json::parse(text);
   ASSERT_TRUE(reparsed.ok()) << text;
   EXPECT_EQ(reparsed.value(), json) << text;
@@ -327,6 +364,8 @@ TEST(Schema, EveryMessageSizesItsOwnTextAndRoundTrips) {
     check_value(random_reply(rng));
     check_value(random_http_request(rng));
     check_value(random_http_response(rng));
+    check_value(random_registration(rng));
+    check_value(random_heartbeat(rng));
   }
   util::Rng datagrams(2013);
   for (int i = 0; i < 2000; ++i) {
@@ -488,6 +527,67 @@ TEST(Body, HoldsAStructInline) {
   EXPECT_EQ(body.to_json(), request.to_json());
   body = net::Body();
   EXPECT_EQ(body.get<ServeRequest>(), nullptr);
+}
+
+// A request body holds a free-form Json or one struct, and stands for the
+// same text either way: both arms size and dump what the equivalent Json
+// does. get<T>() answers only the struct it holds, and copies share it.
+TEST(RestBody, HoldsAJsonOrASharedStruct) {
+  cloud::NodeRegistration registration;
+  registration.cpu_hz = 7e8;
+  registration.hostname = "pi-r0-00";
+  registration.ip = net::Ipv4Addr(10, 0, 1, 1);
+  registration.mac = "b8:27:eb:00:00:00";
+  registration.rack = 3;
+  const Json as_json = registration.to_json();
+
+  const proto::RestBody typed = registration;
+  const proto::RestBody free_form = as_json;
+  for (const proto::RestBody* body : {&typed, &free_form}) {
+    EXPECT_FALSE(body->empty());
+    EXPECT_EQ(body->wire_size(), as_json.dump_size());
+    EXPECT_EQ(body->to_json().dump(), as_json.dump());
+  }
+  ASSERT_NE(typed.get<cloud::NodeRegistration>(), nullptr);
+  EXPECT_EQ(typed.get<cloud::NodeRegistration>()->hostname, "pi-r0-00");
+  EXPECT_EQ(typed.get<cloud::NodeHeartbeat>(), nullptr);
+  EXPECT_TRUE(typed.json().is_null()) << "a struct body has no Json arm";
+  EXPECT_EQ(free_form.get<cloud::NodeRegistration>(), nullptr);
+  EXPECT_EQ(free_form.json(), as_json);
+
+  const proto::RestBody copy = typed;
+  EXPECT_EQ(copy.get<cloud::NodeRegistration>(),
+            typed.get<cloud::NodeRegistration>());
+
+  const proto::RestBody empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(proto::RestBody(Json()).empty());
+  EXPECT_EQ(empty.wire_size(), 4u);  // null
+  EXPECT_TRUE(empty.to_json().is_null());
+  EXPECT_EQ(empty.get<cloud::NodeRegistration>(), nullptr);
+}
+
+// In an envelope an empty body is left out; a missing "b" reads back as an
+// empty body, and a present one as the Json arm, whatever the sender held.
+TEST(RestBody, EnvelopeWritesItOnlyWhenNotEmpty) {
+  HttpRequest request;
+  request.method = proto::Method::kPost;
+  request.path = "/register";
+  request.id = 4;
+  EXPECT_EQ(request.to_json().dump(), R"({"i":4,"m":"POST","p":"/register"})");
+  auto bodyless = HttpRequest::from_json(request.to_json());
+  ASSERT_TRUE(bodyless.ok());
+  EXPECT_TRUE(bodyless.value().body.empty());
+
+  cloud::NodeRegistration registration;
+  registration.hostname = "pi-r0-00";
+  request.body = registration;
+  const Json envelope = request.to_json();
+  EXPECT_EQ(request.wire_size(), envelope.dump_size());
+  auto parsed = HttpRequest::from_json(envelope);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().body.get<cloud::NodeRegistration>(), nullptr);
+  EXPECT_EQ(parsed.value().body.json(), registration.to_json());
 }
 
 // ---------------------------------------------------------------------------
@@ -799,6 +899,58 @@ TEST(WireGoldens, RestRequestsAndResponses) {
                          R"({"i":2,"s":204})",
                          R"({"b":{"error":"not_found","message":"no route for /missing"},"i":3,"s":404})",
                      });
+}
+
+// A daemon against a master that only records: its registration, then a
+// heartbeat before and one after it created a container and answered a
+// keyed delete twice (its dedup cache admits one and replays one).
+TEST(WireGoldens, NodeRegistrationAndHeartbeats) {
+  sim::Simulation sim(5);
+  net::Fabric fabric(sim);
+  net::Network network(sim, fabric);
+  const net::Topology topo = net::build_single_rack(fabric, 2);
+  const net::Ipv4Addr master_ip(10, 0, 0, 2);
+  network.bind_ip(master_ip, topo.gateway);
+  proto::DhcpServerConfig dhcp_config;
+  dhcp_config.subnet = net::Subnet(net::Ipv4Addr(10, 0, 0, 0), 16);
+  dhcp_config.range_start = net::Ipv4Addr(10, 0, 1, 1);
+  dhcp_config.range_end = net::Ipv4Addr(10, 0, 1, 100);
+  proto::DhcpServer dhcp(network, topo.gateway, master_ip, dhcp_config);
+  dhcp.start();
+  std::vector<std::string> texts;
+  proto::Router router;
+  auto keep = [&texts](const HttpRequest& req, const proto::PathParams&) {
+    texts.push_back(req.to_json().dump());
+    return HttpResponse::make(200);
+  };
+  router.handle(proto::Method::kPost, "/register", keep);
+  router.handle(proto::Method::kPost, "/nodes/:hostname/stats", keep);
+  proto::RestServer master(network, master_ip, cloud::kPiMasterPort, &router);
+  master.start();
+  hw::Device device(0, "pi-r0-00", hw::pi_model_b());
+  os::NodeOs node(sim, device, network, topo.hosts[0]);
+  cloud::NodeDaemon daemon(node, {.pimaster_ip = master_ip, .rack = 3});
+  daemon.start();
+  sim.run_for(sim::Duration::seconds(3));
+
+  proto::RestClient client(network, master_ip, 50000);
+  auto ignore = [](util::Result<HttpResponse>) {};
+  client.post(daemon.ip(), cloud::NodeDaemon::kPort, "/containers",
+              Json::object().set("name", "c1").set("layers", Json::array()),
+              ignore);
+  for (int i = 0; i < 2; ++i) {
+    client.call(daemon.ip(), cloud::NodeDaemon::kPort, proto::Method::kDelete,
+                "/containers/none", Json::object().set("idem", "del/none/1"),
+                ignore);
+  }
+  sim.run_for(sim::Duration::seconds(2));
+  expect_texts(
+      texts,
+      {
+          R"({"b":{"cpu_hz":700000000,"hostname":"pi-r0-00","ip":"10.0.1.1","mac":"b8:27:eb:00:00:00","rack":3},"i":1,"m":"POST","p":"/register"})",
+          R"({"b":{"counters":{"dedup.admitted":0,"dedup.coalesced":0,"dedup.evicted":0,"dedup.replayed":0,"heartbeats_sent":1,"rest.attempts":1,"rest.calls":1,"rest.deadline_exceeded":0,"rest.exhausted":0,"rest.requests":1,"rest.retries":0,"rest.succeeded_after_retry":0,"rest.timeouts":0},"gauges":{"containers_running":0,"containers_total":0,"cpu_utilization":0,"mem_capacity":251658240,"mem_used":50331648,"power_watts":2,"sd_used":0},"histograms":{}},"i":2,"m":"POST","p":"/nodes/pi-r0-00/stats"})",
+          R"({"b":{"counters":{"dedup.admitted":1,"dedup.coalesced":0,"dedup.evicted":0,"dedup.replayed":1,"heartbeats_sent":2,"rest.attempts":2,"rest.calls":2,"rest.deadline_exceeded":0,"rest.exhausted":0,"rest.requests":2,"rest.retries":0,"rest.succeeded_after_retry":0,"rest.timeouts":0},"gauges":{"containers_running":1,"containers_total":1,"cpu_utilization":0,"mem_capacity":251658240,"mem_used":81788928,"power_watts":2,"sd_used":0},"histograms":{}},"i":3,"m":"POST","p":"/nodes/pi-r0-00/stats"})",
+      });
 }
 
 // ---------------------------------------------------------------------------
