@@ -65,10 +65,10 @@ struct Shell {
     for (const auto& [hostname, rec] : cloud.master().monitor().nodes()) {
       bool alive = cloud.master().monitor().alive(hostname);
       std::printf("%-12s %4d %6.1f %10s %4d %6.1f %s\n", rec.hostname.c_str(),
-                  rec.rack, rec.latest.cpu_utilization * 100,
-                  util::human_bytes(static_cast<double>(rec.latest.mem_used))
-                      .c_str(),
-                  rec.latest.containers_total, rec.latest.power_watts,
+                  rec.rack, rec.gauges.cpu_utilization * 100,
+                  util::human_bytes(rec.gauges.mem_used).c_str(),
+                  static_cast<int>(rec.gauges.containers_total),
+                  rec.gauges.power_watts,
                   alive ? "up" : "DOWN");
     }
   }

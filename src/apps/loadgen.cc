@@ -1,7 +1,6 @@
 #include "apps/loadgen.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "util/json.h"

@@ -1,8 +1,5 @@
 #include "apps/mapreduce.h"
 
-#include <cassert>
-
-
 namespace picloud::apps {
 
 using util::Json;

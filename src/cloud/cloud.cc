@@ -1,11 +1,37 @@
 #include "cloud/cloud.h"
 
-#include <cassert>
+#include <memory>
+#include <utility>
 
 #include "apps/factory.h"
 #include "util/logging.h"
 
 namespace picloud::cloud {
+
+namespace {
+
+// The facade's one wait: `start` begins an operation and hands its result
+// to the callback it is given; time then steps until that callback has run
+// or `max` has passed, and the wait returns the result, or `out` (a timeout
+// error) when none came. The slot is shared with the callback, so a result
+// that comes after a timed-out wait lands there and not in a finished frame.
+template <typename T, typename Start>
+T wait_for(PiCloud& cloud, sim::Duration max, T out, Start start) {
+  struct Slot {
+    bool done = false;
+    T result;
+  };
+  auto slot = std::make_shared<Slot>(Slot{false, std::move(out)});
+  start([slot](T result) {
+    slot->done = true;
+    slot->result = std::move(result);
+  });
+  const bool& done = slot->done;
+  cloud.run_until(max, [&done]() { return done; });
+  return std::move(slot->result);
+}
+
+}  // namespace
 
 PiCloud::PiCloud(sim::Simulation& sim, PiCloudConfig config)
     : sim_(sim), config_(std::move(config)) {
@@ -244,65 +270,52 @@ util::Result<InstanceRecord> PiCloud::spawn_and_wait(PiMaster::SpawnSpec spec,
   if (!spec.hostname.empty()) body.set("node", spec.hostname);
   if (spec.bare_metal) body.set("bare_metal", true);
 
-  bool done = false;
-  util::Result<InstanceRecord> out =
-      util::Error::make("timeout", "spawn did not complete in time");
-  panel_->spawn_vm(std::move(body), [&](util::Result<util::Json> result) {
-    done = true;
-    if (!result.ok()) {
-      out = result.error();
-      return;
-    }
-    auto record = master_->instance(result.value().get_string("name"));
-    if (record.ok()) {
-      out = record.value();
-    } else {
-      out = record.error();
-    }
-  });
-  run_until(max, [&]() { return done; });
-  return out;
+  return wait_for<util::Result<InstanceRecord>>(
+      *this, max,
+      util::Error::make("timeout", "spawn did not complete in time"),
+      [&](auto deliver) {
+        panel_->spawn_vm(
+            std::move(body),
+            [this, deliver](util::Result<util::Json> result) {
+              if (!result.ok()) {
+                deliver(result.error());
+                return;
+              }
+              deliver(master_->instance(result.value().get_string("name")));
+            });
+      });
 }
 
 util::Status PiCloud::delete_and_wait(const std::string& name,
                                       sim::Duration max) {
-  bool done = false;
-  util::Status out = util::Error::make("timeout", "delete did not complete");
-  panel_->delete_vm(name, [&](util::Result<util::Json> result) {
-    done = true;
-    out = result.ok() ? util::Status::success()
-                      : util::Status(result.error());
-  });
-  run_until(max, [&]() { return done; });
-  return out;
+  return wait_for<util::Status>(
+      *this, max, util::Error::make("timeout", "delete did not complete"),
+      [&](auto deliver) {
+        panel_->delete_vm(name, [deliver](util::Result<util::Json> result) {
+          deliver(result.ok() ? util::Status::success()
+                              : util::Status(result.error()));
+        });
+      });
 }
 
 MigrationReport PiCloud::migrate_and_wait(const std::string& name,
                                           const std::string& to, bool live,
                                           sim::Duration max) {
-  bool done = false;
-  MigrationReport out;
-  out.instance = name;
-  out.error = "timeout";
-  panel_->migrate_vm(name, to, live, [&](util::Result<util::Json> result) {
-    done = true;
-    if (!result.ok()) {
-      out.error = result.error().message;
-      return;
-    }
-    const util::Json& j = result.value();
-    out.success = j.get_bool("success");
-    out.error = j.get_string("error");
-    out.live = j.get_bool("live");
-    out.from = j.get_string("from");
-    out.to = j.get_string("to");
-    out.bytes_transferred = j.get_number("bytes");
-    out.precopy_rounds = static_cast<int>(j.get_number("rounds"));
-    out.total_duration = sim::Duration::seconds(j.get_number("duration_s"));
-    out.downtime = sim::Duration::seconds(j.get_number("downtime_s"));
+  // A report the pimaster never sent: the call failed, or timed out.
+  auto unsent = [name](std::string error) {
+    MigrationReport report;
+    report.instance = name;
+    report.error = std::move(error);
+    return report;
+  };
+  return wait_for(*this, max, unsent("timeout"), [&](auto deliver) {
+    panel_->migrate_vm(
+        name, to, live,
+        [deliver, unsent](util::Result<util::Json> result) {
+          deliver(result.ok() ? MigrationReport::from_json(result.value())
+                              : unsent(result.error().message));
+        });
   });
-  run_until(max, [&]() { return done; });
-  return out;
 }
 
 void PiCloud::schedule_fault(sim::Duration delay, std::string label,
@@ -324,27 +337,15 @@ void PiCloud::schedule_fault(sim::Duration delay, std::string label,
 }
 
 util::Result<std::string> PiCloud::dashboard(sim::Duration max) {
-  bool done = false;
-  util::Result<std::string> out =
-      util::Error::make("timeout", "dashboard fetch timed out");
-  panel_->render_dashboard([&](util::Result<std::string> result) {
-    done = true;
-    out = std::move(result);
-  });
-  run_until(max, [&]() { return done; });
-  return out;
+  return wait_for<util::Result<std::string>>(
+      *this, max, util::Error::make("timeout", "dashboard fetch timed out"),
+      [&](auto deliver) { panel_->render_dashboard(deliver); });
 }
 
 util::Result<util::Json> PiCloud::metrics_snapshot(sim::Duration max) {
-  bool done = false;
-  util::Result<util::Json> out =
-      util::Error::make("timeout", "metrics fetch timed out");
-  panel_->get_metrics([&](util::Result<util::Json> result) {
-    done = true;
-    out = std::move(result);
-  });
-  run_until(max, [&]() { return done; });
-  return out;
+  return wait_for<util::Result<util::Json>>(
+      *this, max, util::Error::make("timeout", "metrics fetch timed out"),
+      [&](auto deliver) { panel_->get_metrics(deliver); });
 }
 
 }  // namespace picloud::cloud

@@ -132,8 +132,13 @@ class PiCloud {
   const hw::PowerDistributionBoard& power_board() const { return power_board_; }
 
   // --- Convenience operations (drive the REST API, then step time) --------------
-  // Each runs the simulation until the operation completes, so callers can
-  // write linear example code.
+  // Each sends its request through the control panel and runs the
+  // simulation until the reply comes or `max` passes (a "timeout" error),
+  // so callers can write linear example code. A refusal is an error: a
+  // delete of a name the pimaster does not know fails with not_found. A
+  // migration returns the report the pimaster sent, every field, refused or
+  // not; only a failed call or a timeout makes one here, with just the
+  // instance and the error.
   util::Result<InstanceRecord> spawn_and_wait(
       PiMaster::SpawnSpec spec,
       sim::Duration max = sim::Duration::seconds(300));

@@ -16,23 +16,31 @@ ControlPanel::ControlPanel(net::Network& network, net::Ipv4Addr self,
       master_port_(master_port),
       client_(network, self, /*ephemeral_port=*/50080) {}
 
-void ControlPanel::get_json(const std::string& path, JsonCallback cb) {
-  // Reads are idempotent: a browser retries a stalled page fetch.
-  client_.call(master_, master_port_, Method::kGet, path, Json(),
-               [cb = std::move(cb)](util::Result<HttpResponse> result) {
+void ControlPanel::request(Method method, const std::string& path, Json body,
+                           const proto::RetryPolicy& policy, JsonCallback cb,
+                           int result_status) {
+  client_.call(master_, master_port_, method, path, std::move(body),
+               [cb = std::move(cb), result_status](
+                   util::Result<HttpResponse> result) {
                  if (!result.ok()) {
                    cb(result.error());
                    return;
                  }
-                 if (!result.value().ok()) {
-                   cb(util::Error::make(
-                       result.value().body.get_string("error", "error"),
-                       result.value().body.get_string("message", "")));
+                 HttpResponse& reply = result.value();
+                 if (!reply.ok() && reply.status != result_status) {
+                   cb(util::Error::make(reply.body.get_string("error", "error"),
+                                        reply.body.get_string("message", "")));
                    return;
                  }
-                 cb(result.value().body);
+                 cb(std::move(reply.body));
                },
-               proto::RetryPolicy::standard(2));
+               policy);
+}
+
+void ControlPanel::get_json(const std::string& path, JsonCallback cb) {
+  // Reads are idempotent: a browser retries a stalled page fetch.
+  request(Method::kGet, path, Json(), proto::RetryPolicy::standard(2),
+          std::move(cb));
 }
 
 util::Json ControlPanel::stamp_idem(Json body, const std::string& op) {
@@ -142,42 +150,15 @@ void ControlPanel::monitor_cpu(std::vector<std::string> hostnames,
 void ControlPanel::spawn_vm(Json spec, JsonCallback cb) {
   // Spawns can pull image layers over 100 Mb links; give each attempt
   // headroom. The idem key makes the retry safe (no double-spawn).
-  client_.call(master_, master_port_, Method::kPost, "/instances",
-               stamp_idem(std::move(spec), "spawn"),
-               [cb = std::move(cb)](util::Result<HttpResponse> result) {
-                 if (!result.ok()) {
-                   cb(result.error());
-                   return;
-                 }
-                 if (!result.value().ok()) {
-                   cb(util::Error::make(
-                       result.value().body.get_string("error", "error"),
-                       result.value().body.get_string("message", "")));
-                   return;
-                 }
-                 cb(result.value().body);
-               },
-               proto::RetryPolicy::standard(2, sim::Duration::seconds(300)));
+  request(Method::kPost, "/instances", stamp_idem(std::move(spec), "spawn"),
+          proto::RetryPolicy::standard(2, sim::Duration::seconds(300)),
+          std::move(cb));
 }
 
 void ControlPanel::set_vm_limits(const std::string& instance, Json limits,
                                  JsonCallback cb) {
-  client_.call(master_, master_port_, Method::kPut,
-               "/instances/" + instance + "/limits", std::move(limits),
-               [cb = std::move(cb)](util::Result<HttpResponse> result) {
-                 if (!result.ok()) {
-                   cb(result.error());
-                   return;
-                 }
-                 if (!result.value().ok()) {
-                   cb(util::Error::make(
-                       result.value().body.get_string("error", "error"),
-                       result.value().body.get_string("message", "")));
-                   return;
-                 }
-                 cb(result.value().body);
-               },
-               proto::RetryPolicy::standard(3));
+  request(Method::kPut, "/instances/" + instance + "/limits",
+          std::move(limits), proto::RetryPolicy::standard(3), std::move(cb));
 }
 
 void ControlPanel::migrate_vm(const std::string& instance,
@@ -186,31 +167,17 @@ void ControlPanel::migrate_vm(const std::string& instance,
   Json body = Json::object();
   if (!to.empty()) body.set("to", to);
   body.set("live", live);
-  client_.call(master_, master_port_, Method::kPost,
-               "/instances/" + instance + "/migrate",
-               stamp_idem(std::move(body), "migrate/" + instance),
-               [cb = std::move(cb)](util::Result<HttpResponse> result) {
-                 if (!result.ok()) {
-                   cb(result.error());
-                   return;
-                 }
-                 cb(result.value().body);
-               },
-               proto::RetryPolicy::standard(2, sim::Duration::seconds(120)));
+  // A refused migration answers 409 with the failed report: a result.
+  request(Method::kPost, "/instances/" + instance + "/migrate",
+          stamp_idem(std::move(body), "migrate/" + instance),
+          proto::RetryPolicy::standard(2, sim::Duration::seconds(120)),
+          std::move(cb), /*result_status=*/409);
 }
 
 void ControlPanel::delete_vm(const std::string& instance, JsonCallback cb) {
-  client_.call(master_, master_port_, Method::kDelete,
-               "/instances/" + instance,
-               stamp_idem(Json::object(), "delete/" + instance),
-               [cb = std::move(cb)](util::Result<HttpResponse> result) {
-                 if (!result.ok()) {
-                   cb(result.error());
-                   return;
-                 }
-                 cb(result.value().body);
-               },
-               proto::RetryPolicy::standard(3));
+  request(Method::kDelete, "/instances/" + instance,
+          stamp_idem(Json::object(), "delete/" + instance),
+          proto::RetryPolicy::standard(3), std::move(cb));
 }
 
 }  // namespace picloud::cloud

@@ -8,7 +8,10 @@
 // The panel is modelled as an administrator's browser session: it talks to
 // the pimaster exclusively over the REST API (every click costs real
 // round-trips on the fabric) and renders the dashboard as text — the same
-// node grid, instance table and cluster header the screenshot shows.
+// node grid, instance table and cluster header the screenshot shows. Every
+// request takes one path: its callback gets the reply's body, or an error
+// for a failed call or a refusal (the pimaster's {"error", "message"}).
+// Only a refused migration is a result: its 409 carries the failed report.
 #pragma once
 
 #include <functional>
@@ -48,9 +51,11 @@ class ControlPanel {
                      JsonCallback cb);
 
   // Kick off a migration from the instance row's action menu.
+  // A refusal reaches `cb` as a result: the failed report.
   void migrate_vm(const std::string& instance, const std::string& to,
                   bool live, JsonCallback cb);
 
+  // Deleting a name the pimaster does not know fails with its not_found.
   void delete_vm(const std::string& instance, JsonCallback cb);
 
   // GET /metrics — the master's full MetricsRegistry snapshot (the
@@ -65,6 +70,11 @@ class ControlPanel {
                             const util::Json& instances);
 
  private:
+  // The one request path to the pimaster. `cb` gets the body of a 2xx
+  // reply, or of one with `result_status`; any other reply is an error.
+  void request(proto::Method method, const std::string& path, util::Json body,
+               const proto::RetryPolicy& policy, JsonCallback cb,
+               int result_status = 0);
   void get_json(const std::string& path, JsonCallback cb);
   // Stamps a fresh idempotency key onto a mutating request body so wire
   // retries of the same click stay at-most-once on the pimaster.

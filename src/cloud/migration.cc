@@ -33,6 +33,24 @@ util::Json MigrationReport::to_json() const {
   return j;
 }
 
+MigrationReport MigrationReport::from_json(const util::Json& j) {
+  MigrationReport r;
+  r.instance = j.get_string("instance");
+  r.from = j.get_string("from");
+  r.to = j.get_string("to");
+  r.live = j.get_bool("live");
+  r.success = j.get_bool("success");
+  r.instance_lost = j.get_bool("instance_lost");
+  r.phase = j.get_string("phase");
+  r.address_update = j.get_string("address_update");
+  r.error = j.get_string("error");
+  r.bytes_transferred = j.get_number("bytes");
+  r.precopy_rounds = static_cast<int>(j.get_number("rounds"));
+  r.total_duration = sim::Duration::seconds(j.get_number("duration_s"));
+  r.downtime = sim::Duration::seconds(j.get_number("downtime_s"));
+  return r;
+}
+
 // No NodeDaemon* or os::Container* lives here: either endpoint can be
 // crashed by chaos between any two events, which destroys its containers
 // outright. Every resume point re-resolves through the coordinator instead.
@@ -147,125 +165,79 @@ void MigrationCoordinator::migrate(MigrationParams params, DoneCallback done) {
   dst->prefetch_layers(
       session->params.layers.as_array(),
       [this, session](util::Status status) {
-        if (source_container(*session) == nullptr) {
-          abort_source_dead(session);
-          return;
-        }
-        if (live_node(session->params.to) == nullptr) {
-          abort_dest_dead(session);
-          return;
-        }
+        if (!endpoints_up(session)) return;
         if (!status.ok()) {
           fail(session, "destination prefetch failed: " +
                             status.error().message);
           return;
         }
-        if (session->params.live) {
-          precopy_round(session);
-        } else {
-          // Stop-and-copy: freeze first, move everything in one blackout.
-          (void)source_container(*session)->freeze();
-          session->frozen = true;
-          session->frozen_at = sim_.now();
-          final_copy(session);
-        }
+        copy_round(session);
       });
 }
 
-void MigrationCoordinator::precopy_round(std::shared_ptr<Session> session) {
-  session->report.phase = "pre-copy";
-  NodeDaemon* src = live_node(session->params.from);
-  NodeDaemon* dst = live_node(session->params.to);
-  os::Container* container = source_container(*session);
-  if (src == nullptr || container == nullptr) {
+bool MigrationCoordinator::endpoints_up(
+    const std::shared_ptr<Session>& session) {
+  if (source_container(*session) == nullptr) {
     abort_source_dead(session);
-    return;
+    return false;
   }
-  if (dst == nullptr) {
+  if (live_node(session->params.to) == nullptr) {
     abort_dest_dead(session);
-    return;
+    return false;
   }
-
-  // Freeze point reached? Copy the remainder under blackout.
-  if (session->report.precopy_rounds >= session->params.max_precopy_rounds ||
-      session->pending_bytes <= session->params.stop_threshold_bytes) {
-    (void)container->freeze();
-    session->frozen = true;
-    session->frozen_at = sim_.now();
-    final_copy(session);
-    return;
-  }
-  ++session->report.precopy_rounds;
-  double bytes = session->pending_bytes;
-  sim::SimTime round_start = sim_.now();
-
-  net::FlowSpec flow;
-  flow.src = src->node().fabric_node();
-  flow.dst = dst->node().fabric_node();
-  flow.bytes = bytes;
-  flow.on_complete = [this, session, bytes, round_start](sim::Duration,
-                                                         bool success) {
-    os::Container* container = source_container(*session);
-    if (container == nullptr) {
-      abort_source_dead(session);
-      return;
-    }
-    if (live_node(session->params.to) == nullptr) {
-      abort_dest_dead(session);
-      return;
-    }
-    if (!success) {
-      fail(session, "pre-copy transfer failed (network)");
-      return;
-    }
-    session->report.bytes_transferred += bytes;
-    // Pages dirtied while this round was copying become the next round.
-    double elapsed = (sim_.now() - round_start).to_seconds();
-    session->pending_bytes =
-        std::min(session->dirty_rate * elapsed,
-                 static_cast<double>(container->memory_usage()));
-    precopy_round(session);
-  };
-  fabric_.start_flow(std::move(flow));
+  return true;
 }
 
-void MigrationCoordinator::final_copy(std::shared_ptr<Session> session) {
-  session->report.phase = "final-copy";
-  NodeDaemon* src = live_node(session->params.from);
-  NodeDaemon* dst = live_node(session->params.to);
-  if (src == nullptr || source_container(*session) == nullptr) {
-    abort_source_dead(session);
+void MigrationCoordinator::copy_round(std::shared_ptr<Session> session) {
+  // Freeze point reached? Copy the remainder under blackout. Stop-and-copy
+  // starts there: it moves everything in one blackout.
+  if (!session->params.live ||
+      session->report.precopy_rounds >= session->params.max_precopy_rounds ||
+      session->pending_bytes <= session->params.stop_threshold_bytes) {
+    session->report.phase = "final-copy";
+    (void)source_container(*session)->freeze();
+    session->frozen = true;
+    session->frozen_at = sim_.now();
+    copy(session, std::max(session->pending_bytes, 1.0));
     return;
   }
-  if (dst == nullptr) {
-    abort_dest_dead(session);
-    return;
-  }
-  double bytes = std::max(session->pending_bytes, 1.0);
+  session->report.phase = "pre-copy";
+  ++session->report.precopy_rounds;
+  copy(session, session->pending_bytes);
+}
+
+void MigrationCoordinator::copy(std::shared_ptr<Session> session,
+                                double bytes) {
+  sim::SimTime started = sim_.now();
   net::FlowSpec flow;
-  flow.src = src->node().fabric_node();
-  flow.dst = dst->node().fabric_node();
+  flow.src = live_node(session->params.from)->node().fabric_node();
+  flow.dst = live_node(session->params.to)->node().fabric_node();
   flow.bytes = bytes;
-  flow.on_complete = [this, session, bytes](sim::Duration, bool success) {
-    if (source_container(*session) == nullptr) {
-      abort_source_dead(session);
-      return;
-    }
-    if (live_node(session->params.to) == nullptr) {
-      abort_dest_dead(session);
-      return;
-    }
+  flow.on_complete = [this, session, bytes, started](sim::Duration,
+                                                     bool success) {
+    if (!endpoints_up(session)) return;
+    os::Container* container = source_container(*session);
     if (!success) {
-      os::Container* container = source_container(*session);
-      if (session->frozen && container != nullptr) {
-        (void)container->thaw();
-        session->frozen = false;
+      if (!session->frozen) {
+        fail(session, "pre-copy transfer failed (network)");
+        return;
       }
+      (void)container->thaw();
+      session->frozen = false;
       fail(session, "final memory copy failed (network)");
       return;
     }
     session->report.bytes_transferred += bytes;
-    commit(session);
+    if (session->frozen) {
+      commit(session);
+      return;
+    }
+    // Pages dirtied while this round was copying become the next round.
+    double elapsed = (sim_.now() - started).to_seconds();
+    session->pending_bytes =
+        std::min(session->dirty_rate * elapsed,
+                 static_cast<double>(container->memory_usage()));
+    copy_round(session);
   };
   fabric_.start_flow(std::move(flow));
 }
@@ -275,14 +247,6 @@ void MigrationCoordinator::commit(std::shared_ptr<Session> session) {
   NodeDaemon* src = live_node(session->params.from);
   NodeDaemon* dst = live_node(session->params.to);
   os::Container* source = source_container(*session);
-  if (src == nullptr || source == nullptr) {
-    abort_source_dead(session);
-    return;
-  }
-  if (dst == nullptr) {
-    abort_dest_dead(session);
-    return;
-  }
 
   os::ContainerConfig config = source->config();
   net::Ipv4Addr ip = source->ip();

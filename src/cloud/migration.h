@@ -86,7 +86,10 @@ struct MigrationReport {
   sim::Duration total_duration;
   sim::Duration downtime;  // service blackout (freeze -> restarted)
 
+  // The report's wire form, and its reading: the same keys, with
+  // instance_lost, phase and error present only when set.
   util::Json to_json() const;
+  static MigrationReport from_json(const util::Json& j);
 };
 
 class MigrationCoordinator {
@@ -118,8 +121,17 @@ class MigrationCoordinator {
   NodeDaemon* live_node(const std::string& hostname);
   // The migrating container on the live source, else nullptr.
   os::Container* source_container(const Session& session);
-  void precopy_round(std::shared_ptr<Session> session);
-  void final_copy(std::shared_ptr<Session> session);
+  // The check at each resume point: true when the container is still on
+  // a live source and the destination is up; otherwise aborts the session,
+  // a dead source first, and returns false.
+  bool endpoints_up(const std::shared_ptr<Session>& session);
+  // The next copy from a resume point that found both endpoints up: a
+  // pre-copy round while the source runs, or — at the freeze point, and at
+  // once for stop-and-copy — the frozen remainder, then the commit.
+  void copy_round(std::shared_ptr<Session> session);
+  // Moves `bytes` of memory to the destination as one fabric flow, then
+  // goes on with copy_round() (source running) or commit() (frozen).
+  void copy(std::shared_ptr<Session> session, double bytes);
   void commit(std::shared_ptr<Session> session);
   void abort_source_dead(std::shared_ptr<Session> session);
   void abort_dest_dead(std::shared_ptr<Session> session);

@@ -2,21 +2,6 @@
 
 namespace picloud::cloud {
 
-util::Json NodeSample::to_json() const {
-  util::Json gauges = util::Json::object();
-  gauges.set("cpu_utilization", cpu_utilization);
-  gauges.set("mem_used", static_cast<unsigned long long>(mem_used));
-  gauges.set("mem_capacity", static_cast<unsigned long long>(mem_capacity));
-  gauges.set("sd_used", static_cast<unsigned long long>(sd_used));
-  gauges.set("containers_total", containers_total);
-  gauges.set("containers_running", containers_running);
-  gauges.set("power_watts", power_watts);
-  util::Json j = util::Json::object();
-  j.set("counters", util::Json::object());
-  j.set("gauges", std::move(gauges));
-  return j;
-}
-
 ClusterMonitor::ClusterMonitor(sim::Simulation& sim)
     : sim_(sim),
       samples_(&sim.metrics().counter("cloud.monitor.samples_ingested")) {}
@@ -33,16 +18,16 @@ void ClusterMonitor::register_node(const std::string& hostname,
 }
 
 bool ClusterMonitor::record_sample(const std::string& hostname,
-                                   const NodeSample& sample) {
+                                   const NodeHeartbeat::Gauges& gauges) {
   auto it = records_.find(hostname);
   if (it == records_.end()) return false;
   NodeRecord& rec = it->second;
   if (!rec.baseline_set) {
-    rec.baseline_mem = sample.mem_used;
+    rec.baseline_mem = static_cast<std::uint64_t>(gauges.mem_used);
     rec.baseline_set = true;
   }
-  rec.last_seen = sample.at;
-  rec.latest = sample;
+  rec.last_seen = sim_.now();
+  rec.gauges = gauges;
   samples_->inc();
   return true;
 }
@@ -65,12 +50,12 @@ std::vector<NodeView> ClusterMonitor::views() const {
     v.hostname = rec.hostname;
     v.rack = rec.rack;
     v.alive = alive(rec);
-    v.mem_capacity = rec.latest.mem_capacity;
-    v.mem_used = rec.latest.mem_used;
+    v.mem_capacity = static_cast<std::uint64_t>(rec.gauges.mem_capacity);
+    v.mem_used = static_cast<std::uint64_t>(rec.gauges.mem_used);
     v.baseline_mem = rec.baseline_mem;
     v.cpu_capacity_hz = rec.cpu_capacity_hz;
-    v.cpu_utilization = rec.latest.cpu_utilization;
-    v.containers = rec.latest.containers_total;
+    v.cpu_utilization = rec.gauges.cpu_utilization;
+    v.containers = static_cast<int>(rec.gauges.containers_total);
     out.push_back(v);
   }
   return out;
@@ -83,11 +68,12 @@ ClusterSummary ClusterMonitor::summary() const {
   for (const auto& [hostname, rec] : records_) {
     if (!alive(rec)) continue;
     ++s.nodes_alive;
-    cpu_sum += rec.latest.cpu_utilization;
-    s.containers_running += rec.latest.containers_running;
-    s.mem_used += rec.latest.mem_used;
-    s.mem_capacity += rec.latest.mem_capacity;
-    s.power_watts += rec.latest.power_watts;
+    const NodeHeartbeat::Gauges& g = rec.gauges;
+    cpu_sum += g.cpu_utilization;
+    s.containers_running += static_cast<int>(g.containers_running);
+    s.mem_used += static_cast<std::uint64_t>(g.mem_used);
+    s.mem_capacity += static_cast<std::uint64_t>(g.mem_capacity);
+    s.power_watts += g.power_watts;
   }
   s.avg_cpu_utilization = s.nodes_alive > 0 ? cpu_sum / s.nodes_alive : 0;
   return s;

@@ -1,10 +1,10 @@
 // ClusterMonitor — the pimaster's live view of every node.
 //
-// Node daemons push heartbeat stats over REST; the monitor keeps the latest
-// sample per node, computes cluster aggregates, and declares nodes dead when
-// heartbeats stop (the panel's red rows). This is the data behind the Fig. 4
-// web interface and the "remote monitoring of the CPU load on some/all Pi
-// nodes" use case (§II-C).
+// Node daemons push heartbeats over REST; the monitor keeps the gauges of
+// each node's latest heartbeat and the instant it arrived, computes cluster
+// aggregates, and declares nodes dead when heartbeats stop (the panel's red
+// rows). This is the data behind the Fig. 4 web interface and the "remote
+// monitoring of the CPU load on some/all Pi nodes" use case (§II-C).
 #pragma once
 
 #include <cstdint>
@@ -12,41 +12,26 @@
 #include <string>
 #include <vector>
 
+#include "cloud/node_daemon.h"
 #include "cloud/placement.h"
 #include "net/addr.h"
 #include "sim/simulation.h"
-#include "util/json.h"
 
 namespace picloud::cloud {
-
-// One heartbeat sample as reported by a node daemon: the seven gauges of
-// its NodeHeartbeat (cloud/node_daemon.h), which the pimaster's
-// /nodes/:hostname/stats route copies out of the struct, and the instant
-// the beat arrived. The heartbeat's counters are not kept.
-struct NodeSample {
-  sim::SimTime at;
-  double cpu_utilization = 0;
-  std::uint64_t mem_used = 0;
-  std::uint64_t mem_capacity = 0;
-  std::uint64_t sd_used = 0;
-  int containers_total = 0;
-  int containers_running = 0;
-  double power_watts = 0;
-
-  util::Json to_json() const;
-};
 
 struct NodeRecord {
   std::string hostname;
   net::Ipv4Addr ip;  // the daemon's management address
   int rack = -1;
   double cpu_capacity_hz = 0;
+  // When the latest heartbeat arrived (registration counts as one).
   sim::SimTime last_seen;
   // Memory in use before any container was placed (first heartbeat):
   // the OS's own footprint, used for authoritative placement accounting.
   std::uint64_t baseline_mem = 0;
   bool baseline_set = false;
-  NodeSample latest;
+  // The latest heartbeat's gauges, as the daemon sent them.
+  NodeHeartbeat::Gauges gauges;
 };
 
 struct ClusterSummary {
@@ -70,9 +55,10 @@ class ClusterMonitor {
   void register_node(const std::string& hostname, net::Ipv4Addr ip, int rack,
                      double cpu_capacity_hz);
 
-  // Heartbeat ingestion: false, and nothing recorded, when `hostname` never
-  // registered.
-  bool record_sample(const std::string& hostname, const NodeSample& sample);
+  // Heartbeat ingestion, stamped with the current instant: false, and
+  // nothing recorded, when `hostname` never registered.
+  bool record_sample(const std::string& hostname,
+                     const NodeHeartbeat::Gauges& gauges);
 
   // A node is alive when a heartbeat arrived within the liveness window.
   bool alive(const std::string& hostname) const;

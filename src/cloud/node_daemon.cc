@@ -62,19 +62,15 @@ void NodeDaemon::start() {
 }
 
 void NodeDaemon::stop() {
-  if (!started_) return;
-  started_ = false;
-  registered_ = false;
-  heartbeat_task_.cancel();
-  register_retry_.cancel();
-  server_.reset();
-  client_.reset();
-  dhcp_.reset();
-  node_.shutdown();
+  if (teardown()) node_.shutdown();
 }
 
 void NodeDaemon::crash() {
-  if (!started_) return;
+  if (teardown()) node_.crash();
+}
+
+bool NodeDaemon::teardown() {
+  if (!started_) return false;
   started_ = false;
   registered_ = false;
   heartbeat_task_.cancel();
@@ -82,7 +78,7 @@ void NodeDaemon::crash() {
   server_.reset();
   client_.reset();
   dhcp_.reset();
-  node_.crash();
+  return true;
 }
 
 void NodeDaemon::on_dhcp_bound(net::Ipv4Addr ip, sim::Duration /*lease*/) {
@@ -154,11 +150,6 @@ NodeHeartbeat::Gauges NodeDaemon::refresh_gauges() const {
     gauge_cells_[i]->set(g.*row.member);
   });
   return g;
-}
-
-Json NodeDaemon::stats_json() const {
-  refresh_gauges();
-  return node_.simulation().metrics().snapshot(scope_);
 }
 
 NodeHeartbeat NodeDaemon::heartbeat() const {
@@ -302,10 +293,13 @@ void NodeDaemon::install_routes() {
                    return HttpResponse::make(200, Json("pong"));
                  });
 
-  router_.handle(Method::kGet, "/stats",
-                 [this](const HttpRequest&, const PathParams&) {
-                   return HttpResponse::make(200, stats_json());
-                 });
+  // GET /stats and GET /metrics serve the heartbeat: this node's scope,
+  // its gauges refreshed first, so a poll between beats sees current
+  // utilisation.
+  auto scope = [this](const HttpRequest&, const PathParams&) {
+    return HttpResponse::make(200, heartbeat().to_json());
+  };
+  router_.handle(Method::kGet, "/stats", scope);
 
   router_.handle(Method::kGet, "/containers",
                  [this](const HttpRequest&, const PathParams&) {
@@ -427,12 +421,7 @@ void NodeDaemon::install_routes() {
         return HttpResponse::make(200, std::move(j));
       });
 
-  router_.handle(Method::kGet, "/metrics",
-                 [this](const HttpRequest&, const PathParams&) {
-                   // Refresh gauges first so a poll between heartbeats still
-                   // sees current utilisation.
-                   return HttpResponse::make(200, stats_json());
-                 });
+  router_.handle(Method::kGet, "/metrics", scope);
 
   router_.handle_async(
       Method::kPost, "/images/prefetch",

@@ -11,7 +11,7 @@
 //
 // REST surface (port 8080):
 //   GET    /ping
-//   GET    /stats
+//   GET    /stats                          the heartbeat (as /metrics)
 //   GET    /containers                     list
 //   GET    /containers/:name               inspect
 //   POST   /containers                     spawn (fetches missing image
@@ -23,17 +23,18 @@
 //   PUT    /containers/:name/limits        soft per-VM resource limits
 //   POST   /images/prefetch                pull image layers ahead of time
 //   GET    /health                         liveness + retry/dedup stats
-//   GET    /metrics                        this node's registry scope
+//   GET    /metrics                        the heartbeat: this node's
+//                                          registry scope
 //
 // Telemetry (DESIGN.md §9): the daemon owns the `node.<hostname>.` scope of
 // the simulation's MetricsRegistry — gauges refreshed from NodeOs at each
 // heartbeat, counters for its own activity, its dedup cache's under
 // `node.<hostname>.dedup.*` and its RestClient's under
-// `node.<hostname>.rest.*`. GET /metrics serves the canonical
-// prefix-stripped snapshot of that scope. The heartbeat is a NodeHeartbeat
-// struct that spells the same scope key for key, filled from the registry
-// cells the daemon holds, so its text is that snapshot's and no heartbeat
-// walks the registry or builds a Json.
+// `node.<hostname>.rest.*`. The heartbeat is a NodeHeartbeat struct that
+// spells that scope key for key, filled from the registry cells the daemon
+// holds, so its text is the scope's prefix-stripped snapshot and no
+// heartbeat walks the registry or builds a Json. GET /stats and GET
+// /metrics serve the same heartbeat.
 //
 // Mutating requests (spawn, delete) may carry an "idem" key in the body;
 // the daemon keeps a bounded dedup cache so a retried request that already
@@ -216,9 +217,9 @@ class NodeDaemon {
   const std::string& metrics_scope() const { return scope_; }
 
   // Refreshes this node's gauges from NodeOs, then returns the heartbeat:
-  // the scope's 20 series, read from the cells the daemon holds. Valid once
-  // the daemon has bound an address, which registers its RestClient's
-  // series.
+  // the scope's 20 series, read from the cells the daemon holds. Each beat,
+  // GET /stats and GET /metrics carry it. Valid once the daemon has bound an
+  // address, which registers its RestClient's series.
   NodeHeartbeat heartbeat() const;
 
  private:
@@ -228,9 +229,9 @@ class NodeDaemon {
   void install_routes();
   // Refreshes this node's gauges from NodeOs and returns their values.
   NodeHeartbeat::Gauges refresh_gauges() const;
-  // Refreshes the gauges, then returns the canonical prefix-stripped
-  // snapshot of the `node.<hostname>.` scope (GET /stats, GET /metrics).
-  util::Json stats_json() const;
+  // What stop() and crash() share: false when the daemon was not started,
+  // else cancels its timers and drops its endpoints.
+  bool teardown();
   // Fetches `layers` (array of {id, bytes}) not yet cached, one at a time:
   // network flow from the pimaster, then SD write. `done` gets an error if
   // the SD card fills or the transfer fails.

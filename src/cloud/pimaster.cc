@@ -199,26 +199,26 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
   // invariant spawns_ok + spawns_failed <= spawn_requests holds at all
   // times (equality once no spawn is in flight).
   spawn_requests_->inc();
-  if (spec.name.empty()) {
+  auto refuse = [&](util::Error error) {
     spawns_failed_->inc();
-    cb(util::Error::make("invalid", "instance name required"));
+    cb(std::move(error));
+  };
+  if (spec.name.empty()) {
+    refuse(util::Error::make("invalid", "instance name required"));
     return;
   }
   if (instances_.count(spec.name) > 0) {
-    spawns_failed_->inc();
-    cb(util::Error::make("exists", "instance name in use: " + spec.name));
+    refuse(util::Error::make("exists", "instance name in use: " + spec.name));
     return;
   }
   auto image = resolve_image(spec.image);
   if (!image.ok()) {
-    spawns_failed_->inc();
-    cb(image.error());
+    refuse(image.error());
     return;
   }
   auto layers = layer_list(image.value());
   if (!layers.ok()) {
-    spawns_failed_->inc();
-    cb(layers.error());
+    refuse(layers.error());
     return;
   }
 
@@ -236,20 +236,17 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
     request.affinity_group = spec.affinity_group;
     auto picked = policy_->pick(placement_views(), request);
     if (!picked.ok()) {
-      spawns_failed_->inc();
-      cb(picked.error());
+      refuse(picked.error());
       return;
     }
     hostname = picked.value();
   } else if (!monitor_.alive(hostname)) {
-    spawns_failed_->inc();
-    cb(util::Error::make("unavailable", "pinned node is not alive"));
+    refuse(util::Error::make("unavailable", "pinned node is not alive"));
     return;
   }
   const NodeRecord* node = monitor_.node(hostname);
   if (node == nullptr) {
-    spawns_failed_->inc();
-    cb(util::Error::make("unavailable", "no management address for node"));
+    refuse(util::Error::make("unavailable", "no management address for node"));
     return;
   }
 
@@ -262,8 +259,7 @@ void PiMaster::spawn_instance(SpawnSpec spec, SpawnCallback cb) {
   ++next_container_mac_;
   auto container_ip = dhcp_->allocate_static(mac, spec.name);
   if (!container_ip.ok()) {
-    spawns_failed_->inc();
-    cb(container_ip.error());
+    refuse(container_ip.error());
     return;
   }
 
@@ -387,58 +383,46 @@ void PiMaster::migrate_instance(const std::string& name, const std::string& to,
                                 bool live,
                                 MigrationCoordinator::DoneCallback cb,
                                 AddressUpdateMode address_update) {
+  // Every refusal before the coordinator runs: a failed report naming what
+  // was known when the request was refused.
+  MigrationReport refusal;
+  refusal.instance = name;
+  auto refuse = [&](const char* error) {
+    refusal.error = error;
+    cb(refusal);
+  };
   auto it = instances_.find(name);
   if (it == instances_.end()) {
-    MigrationReport report;
-    report.instance = name;
-    report.success = false;
-    report.error = "no such instance";
-    cb(report);
+    refuse("no such instance");
     return;
   }
   InstanceRecord& record = it->second;
+  refusal.from = record.hostname;
   if (record.state == "lost") {
-    MigrationReport report;
-    report.instance = name;
-    report.from = record.hostname;
-    report.success = false;
-    report.error = "instance is lost (no container to migrate)";
-    cb(report);
+    refuse("instance is lost (no container to migrate)");
     return;
   }
 
+  refusal.to = to;
   std::string destination = to;
+  PlacementRequest request;
+  request.instance_name = name;
+  std::vector<NodeView> views = placement_views();
   if (!destination.empty()) {
     // Explicit destinations still pass admission control: the envelope
     // (3 containers per Pi, RAM headroom) binds migrations too.
-    bool fits = false;
-    for (const NodeView& view : placement_views()) {
-      if (view.hostname != destination) continue;
-      fits = view.alive &&
-             view.containers <
-                 config_.placement_limits.max_containers_per_node &&
-             static_cast<double>(view.mem_used + record.mem_reserved) <=
-                 static_cast<double>(view.mem_capacity) *
-                     config_.placement_limits.mem_headroom;
-      break;
-    }
-    if (!fits) {
-      MigrationReport report;
-      report.instance = name;
-      report.from = record.hostname;
-      report.to = destination;
-      report.success = false;
-      report.error = "destination fails admission control";
-      cb(report);
+    request.mem_bytes = record.mem_reserved;
+    auto view = std::find_if(
+        views.begin(), views.end(),
+        [&](const NodeView& v) { return v.hostname == destination; });
+    if (view == views.end() ||
+        !PlacementPolicy::fits(*view, request, config_.placement_limits)) {
+      refuse("destination fails admission control");
       return;
     }
-  }
-  if (destination.empty()) {
+  } else {
     // Policy-driven destination, excluding the current host.
-    PlacementRequest request;
-    request.instance_name = name;
     request.mem_bytes = os::Container::kIdleRamBytes;
-    std::vector<NodeView> views = placement_views();
     views.erase(std::remove_if(views.begin(), views.end(),
                                [&](const NodeView& v) {
                                  return v.hostname == record.hostname;
@@ -446,12 +430,7 @@ void PiMaster::migrate_instance(const std::string& name, const std::string& to,
                 views.end());
     auto picked = policy_->pick(views, request);
     if (!picked.ok()) {
-      MigrationReport report;
-      report.instance = name;
-      report.from = record.hostname;
-      report.success = false;
-      report.error = "no destination with capacity";
-      cb(report);
+      refuse("no destination with capacity");
       return;
     }
     destination = picked.value();
@@ -542,25 +521,19 @@ void PiMaster::install_routes() {
       [this](const HttpRequest& req, const PathParams& params) {
         const NodeHeartbeat* hb = req.body.get<NodeHeartbeat>();
         if (hb == nullptr) return HttpResponse::bad_request("not a heartbeat");
-        const NodeHeartbeat::Gauges& g = hb->gauges;
-        NodeSample sample;
-        sample.at = sim_.now();
-        sample.cpu_utilization = g.cpu_utilization;
-        sample.mem_used = static_cast<std::uint64_t>(g.mem_used);
-        sample.mem_capacity = static_cast<std::uint64_t>(g.mem_capacity);
-        sample.sd_used = static_cast<std::uint64_t>(g.sd_used);
-        sample.containers_total = static_cast<int>(g.containers_total);
-        sample.containers_running = static_cast<int>(g.containers_running);
-        sample.power_watts = g.power_watts;
-        if (!monitor_.record_sample(params.at("hostname"), sample)) {
+        if (!monitor_.record_sample(params.at("hostname"), hb->gauges)) {
           return HttpResponse::not_found("unregistered node");
         }
         return HttpResponse::make(200);
       });
 
-  // One node's row in GET /nodes and GET /nodes/:hostname.
+  // One node's row in GET /nodes and GET /nodes/:hostname: its latest
+  // heartbeat's gauges in the snapshot shape (the monitor keeps no
+  // counters), and who the node is.
   auto node_row = [this](const NodeRecord& rec) {
-    Json j = rec.latest.to_json();
+    Json j = Json::object();
+    j.set("counters", Json::object());
+    j.set("gauges", rec.gauges.to_json());
     j.set("hostname", rec.hostname);
     j.set("ip", rec.ip.to_string());
     j.set("rack", rec.rack);
@@ -764,27 +737,24 @@ void PiMaster::install_routes() {
         return HttpResponse::make(201, Json(id.value()));
       });
 
-  router_.handle(
-      Method::kPost, "/images/:name/patch",
-      [this](const HttpRequest& req, const PathParams& params) {
-        auto id = images_.patch(
-            params.at("name"),
-            static_cast<std::uint64_t>(req.body.json().get_number("bytes")),
-            req.body.json().get_string("note"));
-        if (!id.ok()) return HttpResponse::from_error(id.error());
-        return HttpResponse::make(201, Json(id.value()));
-      });
-
-  router_.handle(
-      Method::kPost, "/images/:name/upgrade",
-      [this](const HttpRequest& req, const PathParams& params) {
-        auto id = images_.upgrade(
-            params.at("name"),
-            static_cast<std::uint64_t>(req.body.json().get_number("bytes")),
-            req.body.json().get_string("note"));
-        if (!id.ok()) return HttpResponse::from_error(id.error());
-        return HttpResponse::make(201, Json(id.value()));
-      });
+  // A new version of a named image: a delta layer (patch) or a
+  // self-contained one (upgrade).
+  using NewVersion = util::Result<std::string> (storage::ImageStore::*)(
+      const std::string&, std::uint64_t, const std::string&);
+  auto new_version = [this](NewVersion add) {
+    return [this, add](const HttpRequest& req, const PathParams& params) {
+      auto id = (images_.*add)(
+          params.at("name"),
+          static_cast<std::uint64_t>(req.body.json().get_number("bytes")),
+          req.body.json().get_string("note"));
+      if (!id.ok()) return HttpResponse::from_error(id.error());
+      return HttpResponse::make(201, Json(id.value()));
+    };
+  };
+  router_.handle(Method::kPost, "/images/:name/patch",
+                 new_version(&storage::ImageStore::patch));
+  router_.handle(Method::kPost, "/images/:name/upgrade",
+                 new_version(&storage::ImageStore::upgrade));
 
   router_.handle(Method::kGet, "/network",
                  [this](const HttpRequest&, const PathParams&) {

@@ -69,15 +69,17 @@ class PlacementPolicy {
   virtual util::Result<std::string> pick(
       const std::vector<NodeView>& nodes, const PlacementRequest& request) = 0;
 
- protected:
-  // Shared feasibility filter.
+  // The admission test every policy filters with, and the pimaster's for a
+  // migration to a named destination: alive, under the container cap, in
+  // the requested rack, and with room for the request's memory.
   static bool fits(const NodeView& node, const PlacementRequest& request,
                    const PlacementLimits& limits);
-  PlacementLimits limits_;
 
- public:
   void set_limits(PlacementLimits limits) { limits_ = limits; }
   const PlacementLimits& limits() const { return limits_; }
+
+ protected:
+  PlacementLimits limits_;
 };
 
 // First node (hostname order) with room — the packing baseline.

@@ -1,8 +1,6 @@
 #include "net/sdn.h"
 
 #include <algorithm>
-#include <cassert>
-
 
 namespace picloud::net {
 

@@ -139,12 +139,7 @@ void Router::dispatch_async(const HttpRequest& request,
 HttpResponse Router::dispatch(const HttpRequest& request) const {
   HttpResponse out = error_response(504, "pending",
                                     "handler did not respond synchronously");
-  bool responded = false;
-  dispatch_async(request, [&out, &responded](HttpResponse resp) {
-    out = std::move(resp);
-    responded = true;
-  });
-  (void)responded;
+  dispatch_async(request, [&out](HttpResponse resp) { out = std::move(resp); });
   return out;
 }
 

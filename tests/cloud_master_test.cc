@@ -16,6 +16,65 @@ using cloud::PiCloud;
 using cloud::PiCloudConfig;
 using util::Json;
 
+// SmallCloud.ControlPlaneTextsArePinned's texts, "<status> <body>". The
+// daemon serves the one text at both /stats and /metrics.
+constexpr const char* kPinnedNodes =
+    R"(200 [{"alive":true,"counters":{},"gauges":{"containers_running":1,)"
+    R"("containers_total":1,"cpu_utilization":0,"mem_capacity":251658240,)"
+    R"("mem_used":87031808,"power_watts":2,"sd_used":1887436800},)"
+    R"("hostname":"pi-r0-00","ip":"10.0.1.1","rack":0},{"alive":true,)"
+    R"("counters":{},"gauges":{"containers_running":0,"containers_total":0,)"
+    R"("cpu_utilization":0,"mem_capacity":251658240,"mem_used":50331648,)"
+    R"("power_watts":2,"sd_used":1887436800},"hostname":"pi-r0-01",)"
+    R"("ip":"10.0.1.3","rack":0},{"alive":true,"counters":{},)"
+    R"("gauges":{"containers_running":0,"containers_total":0,)"
+    R"("cpu_utilization":0,"mem_capacity":251658240,"mem_used":50331648,)"
+    R"("power_watts":2,"sd_used":1887436800},"hostname":"pi-r0-02",)"
+    R"("ip":"10.0.1.4","rack":0},{"alive":true,"counters":{},)"
+    R"("gauges":{"containers_running":0,"containers_total":0,)"
+    R"("cpu_utilization":0,"mem_capacity":251658240,"mem_used":50331648,)"
+    R"("power_watts":2,"sd_used":1887436800},"hostname":"pi-r1-00",)"
+    R"("ip":"10.0.1.2","rack":1},{"alive":true,"counters":{},)"
+    R"("gauges":{"containers_running":0,"containers_total":0,)"
+    R"("cpu_utilization":0,"mem_capacity":251658240,"mem_used":50331648,)"
+    R"("power_watts":2,"sd_used":1887436800},"hostname":"pi-r1-01",)"
+    R"("ip":"10.0.1.5","rack":1},{"alive":true,"counters":{},)"
+    R"("gauges":{"containers_running":0,"containers_total":0,)"
+    R"("cpu_utilization":0,"mem_capacity":251658240,"mem_used":50331648,)"
+    R"("power_watts":2,"sd_used":1887436800},"hostname":"pi-r1-02",)"
+    R"("ip":"10.0.1.6","rack":1}])";
+constexpr const char* kPinnedNode =
+    R"(200 {"alive":true,"counters":{},"gauges":{"containers_running":1,)"
+    R"("containers_total":1,"cpu_utilization":1,"mem_capacity":251658240,)"
+    R"("mem_used":87031808,"power_watts":3.5,"sd_used":1887436800},)"
+    R"("hostname":"pi-r0-00","ip":"10.0.1.1","rack":0})";
+constexpr const char* kPinnedSummary =
+    R"(200 {"avg_cpu":0.16666666666666666,"containers_running":1,)"
+    R"("mem_capacity":1509949440,"mem_used":338690048,"nodes_alive":6,)"
+    R"("nodes_total":6,"watts":13.5})";
+constexpr const char* kPinnedDaemonScope =
+    R"(200 {"counters":{"dedup.admitted":1,"dedup.coalesced":0,)"
+    R"("dedup.evicted":0,"dedup.replayed":0,"heartbeats_sent":15,)"
+    R"("rest.attempts":16,"rest.calls":16,"rest.deadline_exceeded":0,)"
+    R"("rest.exhausted":0,"rest.requests":16,"rest.retries":0,)"
+    R"("rest.succeeded_after_retry":0,"rest.timeouts":0},)"
+    R"("gauges":{"containers_running":1,"containers_total":1,)"
+    R"("cpu_utilization":0,"mem_capacity":251658240,"mem_used":87031808,)"
+    R"("power_watts":2,"sd_used":1887436800},"histograms":{}})";
+constexpr const char* kPinnedSpawnNameTaken =
+    R"(409 {"error":"exists","message":"instance name in use: job"})";
+constexpr const char* kPinnedSpawnNodeDark =
+    R"(503 {"error":"unavailable","message":"pinned node is not alive"})";
+constexpr const char* kPinnedMigrateNoAdmission =
+    R"(409 {"address_update":"","bytes":0,"downtime_s":0,"duration_s":0,)"
+    R"("error":"destination fails admission control","from":"pi-r0-00",)"
+    R"("instance":"job","live":false,"rounds":0,"success":false,)"
+    R"("to":"pi-r9-99"})";
+constexpr const char* kPinnedMigrateUnknown =
+    R"(409 {"address_update":"","bytes":0,"downtime_s":0,"duration_s":0,)"
+    R"("error":"no such instance","from":"","instance":"phantom",)"
+    R"("live":false,"rounds":0,"success":false,"to":""})";
+
 class SmallCloud : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -33,11 +92,17 @@ class SmallCloud : public ::testing::Test {
   // Admin REST helper: returns the response body or the error payload.
   proto::HttpResponse call(proto::Method method, const std::string& path,
                            proto::RestBody body = {}) {
+    return call_at(cloud_->master_ip(), cloud::PiMaster::kPort, method, path,
+                   std::move(body));
+  }
+  // The same against any REST server, a node daemon's say.
+  proto::HttpResponse call_at(net::Ipv4Addr ip, std::uint16_t port,
+                              proto::Method method, const std::string& path,
+                              proto::RestBody body = {}) {
     proto::HttpResponse out;
     bool done = false;
     cloud_->panel().client().call(
-        cloud_->master_ip(), cloud::PiMaster::kPort, method, path,
-        std::move(body),
+        ip, port, method, path, std::move(body),
         [&](util::Result<proto::HttpResponse> result) {
           done = true;
           if (result.ok()) out = result.value();
@@ -354,9 +419,11 @@ TEST_F(SmallCloud, MetricsEndpointsServeTheSpine) {
   EXPECT_TRUE(trace.body.has("events"));
 
   // Node daemon GET /metrics: the same canonical shape, prefix-stripped to
-  // the daemon's own node.<hostname> scope.
+  // the daemon's own node.<hostname> scope, and the same text as that
+  // scope's snapshot when the reply arrives.
   cloud::NodeDaemon& daemon = cloud_->daemon(0);
   proto::HttpResponse node;
+  std::string scope_text;
   bool done = false;
   cloud_->panel().client().call(
       daemon.ip(), cloud::NodeDaemon::kPort, proto::Method::kGet, "/metrics",
@@ -364,6 +431,7 @@ TEST_F(SmallCloud, MetricsEndpointsServeTheSpine) {
       [&](util::Result<proto::HttpResponse> result) {
         done = true;
         if (result.ok()) node = result.value();
+        scope_text = sim_->metrics().snapshot(daemon.metrics_scope()).dump();
       },
       sim::Duration::seconds(30));
   cloud_->run_until(sim::Duration::seconds(60), [&]() { return done; });
@@ -371,6 +439,135 @@ TEST_F(SmallCloud, MetricsEndpointsServeTheSpine) {
   EXPECT_GT(node.body.get("counters").get_number("heartbeats_sent"), 0);
   EXPECT_GT(node.body.get("gauges").get_number("mem_capacity"), 0);
   EXPECT_FALSE(node.body.get("counters").has("cloud.master.spawns_ok"));
+  EXPECT_EQ(node.body.dump(), scope_text);
+}
+
+// The documents the monitor and the daemons serve, and the bodies of two
+// refused spawns and two refused migrations, byte for byte at a fixed
+// instant of this cloud with one instance running. The texts were captured
+// before the node rows, the summary and a daemon's /stats and /metrics
+// came from the heartbeat's struct, and before PiMaster's refusals shared
+// one path.
+TEST_F(SmallCloud, ControlPlaneTextsArePinned) {
+  // A batch tenant wanting 37% of a CPU, so the load and power gauges are
+  // not whole numbers.
+  cloud::PiMaster::SpawnSpec job{.name = "job", .app_kind = "batch"};
+  job.app_params = Json::object();
+  job.app_params.set("duty", 0.37);
+  ASSERT_TRUE(cloud_->spawn_and_wait(std::move(job)).ok());
+  const sim::SimTime instant =
+      sim::SimTime::zero() + sim::Duration::seconds(30);
+  ASSERT_LT(sim_->now(), instant);
+  sim_->run_until(instant);
+  const std::string host = cloud_->master().instance("job").value().hostname;
+  const cloud::NodeDaemon* daemon = cloud_->daemon_by_hostname(host);
+  ASSERT_NE(daemon, nullptr);
+  auto text = [](const proto::HttpResponse& r) {
+    return util::format("%d %s", r.status, r.body.dump().c_str());
+  };
+  auto get = [&](const std::string& path) {
+    return text(call(proto::Method::kGet, path));
+  };
+  auto get_daemon = [&](const std::string& path) {
+    return text(call_at(daemon->ip(), cloud::NodeDaemon::kPort,
+                        proto::Method::kGet, path));
+  };
+  auto post = [&](const std::string& path, const Json& body) {
+    return text(call(proto::Method::kPost, path, body));
+  };
+
+  EXPECT_EQ(get("/nodes"), kPinnedNodes);
+  EXPECT_EQ(get("/nodes/" + host), kPinnedNode);
+  EXPECT_EQ(get("/cluster/summary"), kPinnedSummary);
+  EXPECT_EQ(get_daemon("/stats"), kPinnedDaemonScope);
+  EXPECT_EQ(get_daemon("/metrics"), kPinnedDaemonScope);
+
+  Json taken = Json::object();
+  taken.set("name", "job");
+  EXPECT_EQ(post("/instances", taken), kPinnedSpawnNameTaken);
+  Json dark = Json::object();
+  dark.set("name", "pinned");
+  dark.set("node", "pi-r9-99");
+  EXPECT_EQ(post("/instances", dark), kPinnedSpawnNodeDark);
+  Json to = Json::object();
+  to.set("to", "pi-r9-99");
+  EXPECT_EQ(post("/instances/job/migrate", to), kPinnedMigrateNoAdmission);
+  EXPECT_EQ(post("/instances/phantom/migrate", Json::object()),
+            kPinnedMigrateUnknown);
+}
+
+// The panel's delete reads a refusal as an error, so deleting a name the
+// pimaster does not know fails with its not_found.
+TEST_F(SmallCloud, DeleteOfAnUnknownInstanceIsNotFound) {
+  util::Status status = cloud_->delete_and_wait("no-such");
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, "not_found");
+  EXPECT_EQ(status.error().message, "no such instance: no-such");
+}
+
+// migrate_and_wait hands back the report the pimaster sent, every field.
+TEST_F(SmallCloud, MigrateAndWaitKeepsTheWholeReport) {
+  ASSERT_TRUE(cloud_->spawn_and_wait(
+                        {.name = "web", .app_kind = "httpd",
+                         .hostname = "pi-r0-00"})
+                  .ok());
+  cloud::MigrationReport report =
+      cloud_->migrate_and_wait("web", "pi-r1-01", /*live=*/true);
+  ASSERT_TRUE(report.success) << report.error;
+  EXPECT_EQ(report.instance, "web");
+  EXPECT_EQ(report.from, "pi-r0-00");
+  EXPECT_EQ(report.to, "pi-r1-01");
+  EXPECT_TRUE(report.live);
+  EXPECT_FALSE(report.instance_lost);
+  EXPECT_EQ(report.phase, "done");
+  EXPECT_EQ(report.address_update, "sdn");
+  EXPECT_GT(report.bytes_transferred, 0);
+  EXPECT_GT(report.downtime, sim::Duration::zero());
+}
+
+// A wait that gives up leaves the reply to land in state it shares with
+// the panel's callback, not in its own finished frame: the spawn still
+// completes, and the run goes on.
+TEST_F(SmallCloud, ATimedOutWaitOutlivesItsReply) {
+  auto early =
+      cloud_->spawn_and_wait({.name = "late"}, sim::Duration::micros(100));
+  ASSERT_FALSE(early.ok());
+  EXPECT_EQ(early.error().code, "timeout");
+  EXPECT_FALSE(cloud_->master().instance("late").ok());
+  cloud_->run_for(sim::Duration::seconds(30));
+  EXPECT_TRUE(cloud_->master().instance("late").ok());
+  EXPECT_TRUE(cloud_->delete_and_wait("late").ok());
+}
+
+TEST(MigrationReport, FromJsonReadsWhatToJsonWrites) {
+  cloud::MigrationReport report;
+  report.instance = "db";
+  report.from = "pi-r0-00";
+  report.to = "pi-r1-02";
+  report.live = true;
+  report.instance_lost = true;
+  report.phase = "commit";
+  report.address_update = "arp";
+  report.error = "destination died during commit blackout";
+  report.bytes_transferred = 48.5 * (1 << 20);
+  report.precopy_rounds = 3;
+  report.total_duration = sim::Duration::millis(7250);
+  report.downtime = sim::Duration::millis(500);
+  const std::string text = report.to_json().dump();
+  const cloud::MigrationReport read =
+      cloud::MigrationReport::from_json(report.to_json());
+  EXPECT_EQ(read.to_json().dump(), text);
+  EXPECT_TRUE(read.instance_lost);
+  EXPECT_EQ(read.phase, "commit");
+  EXPECT_EQ(read.total_duration, report.total_duration);
+  EXPECT_EQ(read.downtime, report.downtime);
+
+  // Keys written only when set read back as unset.
+  const cloud::MigrationReport plain =
+      cloud::MigrationReport::from_json(cloud::MigrationReport().to_json());
+  EXPECT_FALSE(plain.instance_lost);
+  EXPECT_TRUE(plain.phase.empty());
+  EXPECT_TRUE(plain.error.empty());
 }
 
 // The daemons' routes take their structs: any other body gets a 400 and

@@ -170,10 +170,9 @@ TEST(Monitor, LivenessFollowsHeartbeats) {
   monitor.register_node("pi-a", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
   EXPECT_TRUE(monitor.alive("pi-a"));  // fresh registration counts
   sim.run_until(sim::SimTime::zero() + sim::Duration::seconds(5));
-  NodeSample sample;
-  sample.at = sim.now();
-  sample.cpu_utilization = 0.5;
-  monitor.record_sample("pi-a", sample);
+  NodeHeartbeat::Gauges gauges;
+  gauges.cpu_utilization = 0.5;
+  monitor.record_sample("pi-a", gauges);
   sim.run_until(sim.now() + sim::Duration::seconds(9));
   EXPECT_TRUE(monitor.alive("pi-a"));
   sim.run_until(sim.now() + sim::Duration::seconds(2));
@@ -186,14 +185,13 @@ TEST(Monitor, SummaryAggregatesOnlyLiveNodes) {
   for (int i = 0; i < 3; ++i) {
     std::string name = "pi-" + std::to_string(i);
     monitor.register_node(name, net::Ipv4Addr(10, 0, 1, 1 + i), 0, 700e6);
-    NodeSample sample;
-    sample.at = sim.now();
-    sample.cpu_utilization = 0.3;
-    sample.mem_used = 100;
-    sample.mem_capacity = 240;
-    sample.containers_running = 2;
-    sample.power_watts = 3.0;
-    monitor.record_sample(name, sample);
+    NodeHeartbeat::Gauges gauges;
+    gauges.cpu_utilization = 0.3;
+    gauges.mem_used = 100;
+    gauges.mem_capacity = 240;
+    gauges.containers_running = 2;
+    gauges.power_watts = 3.0;
+    monitor.record_sample(name, gauges);
   }
   auto summary = monitor.summary();
   EXPECT_EQ(summary.nodes_alive, 3);
@@ -206,11 +204,10 @@ TEST(Monitor, BaselineMemIsFirstSample) {
   sim::Simulation sim;
   ClusterMonitor monitor(sim);
   monitor.register_node("pi-a", net::Ipv4Addr(10, 0, 1, 1), 0, 700e6);
-  NodeSample first;
-  first.at = sim.now();
+  NodeHeartbeat::Gauges first;
   first.mem_used = 48 * MiB;
   monitor.record_sample("pi-a", first);
-  NodeSample second = first;
+  NodeHeartbeat::Gauges second = first;
   second.mem_used = 200 * MiB;
   monitor.record_sample("pi-a", second);
   auto views = monitor.views();
@@ -223,9 +220,7 @@ TEST(Monitor, BaselineMemIsFirstSample) {
 TEST(Monitor, SamplesForUnknownNodesIgnored) {
   sim::Simulation sim;
   ClusterMonitor monitor(sim);
-  NodeSample sample;
-  sample.at = sim.now();
-  monitor.record_sample("ghost", sample);
+  monitor.record_sample("ghost", NodeHeartbeat::Gauges());
   EXPECT_EQ(monitor.samples_ingested(), 0u);
   EXPECT_FALSE(monitor.alive("ghost"));
 }

@@ -272,6 +272,33 @@ TEST(LintRawAssert, IgnoresStaticAssertAndCheckMacros) {
   EXPECT_TRUE(diags.empty());
 }
 
+TEST(LintRawAssert, FlagsTheAssertHeaderInSrcOnly) {
+  auto diags = lint_content("src/os/x.cc",
+                            "#include <algorithm>\n"
+                            "#include <cassert>\n"
+                            "#include <assert.h>\n"
+                            "int f() { return 1; }\n");
+  auto found = with_rule(diags, "raw-assert");
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0].line, 2);
+  EXPECT_EQ(found[1].line, 3);
+  EXPECT_TRUE(lint_content("tests/x_test.cc", "#include <cassert>\n").empty());
+}
+
+TEST(LintRawAssert, StaticAssertNeedsNoHeaderAndStaysClean) {
+  EXPECT_TRUE(lint_content("src/os/x.cc",
+                           "#include <cstdint>\n"
+                           "static_assert(sizeof(std::uint32_t) == 4);\n")
+                  .empty());
+}
+
+TEST(LintRawAssert, AllowSilencesTheHeader) {
+  EXPECT_TRUE(lint_content("src/os/x.cc",
+                           "// picloud-lint: allow(raw-assert)\n"
+                           "#include <cassert>\n")
+                  .empty());
+}
+
 // ---------------------------------------------------------------------------
 // pragma-once
 

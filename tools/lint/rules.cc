@@ -128,6 +128,19 @@ void per_file_rules(const ProjectModel& model, int fi, const Reporter& report) {
     }
   }
 
+  // raw-assert: src/ does not call assert(), so its header has no use there.
+  if (in_src) {
+    for (const IncludeDirective& inc : f.includes) {
+      if (inc.system &&
+          (inc.spelled == "cassert" || inc.spelled == "assert.h")) {
+        report(fi, inc.line, "raw-assert",
+               "'<" + inc.spelled +
+                   ">' declares only assert(), which src/ does not use; drop "
+                   "the include (PICLOUD_CHECK is in util/check.h)");
+      }
+    }
+  }
+
   // full-solve exemptions: the solver's own implementation and the test
   // tree (differential harness, property tests) use the oracle by design.
   const bool fabric_impl =
